@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -584,6 +585,40 @@ def _bench_point(instance: CgmInstance, method: str) -> float:
     return time.perf_counter() - t0
 
 
+class _PointTimeout(Exception):
+    """The bench point ran past its --timeout-sec budget."""
+
+
+def _raise_timeout(signum, frame):
+    raise _PointTimeout
+
+
+def _bounded_bench_point(
+    instance: CgmInstance, method: str, budget: Optional[float]
+) -> tuple[float, bool]:
+    """Seconds of one bench point and whether it hit the budget.
+
+    A SIGALRM timer stops the point once budget seconds have passed; a
+    stopped point reports the budget as its time.
+    """
+    if budget is None:
+        return _bench_point(instance, method), False
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            seconds = _bench_point(instance, method)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _PointTimeout:
+        return budget, True
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    if seconds > budget:
+        return budget, True
+    return seconds, False
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     sweeps = []
     if args.populations:
@@ -619,10 +654,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 point_index += 1
                 for method in args.methods:
                     for repeat in range(args.repeats):
-                        seconds = _bench_point(instance, method)
-                        censored = (
-                            args.timeout_sec is not None
-                            and seconds > args.timeout_sec
+                        seconds, censored = _bounded_bench_point(
+                            instance, method, args.timeout_sec
                         )
                         writer.writerow(
                             [sweep, args.n_steps, R, M, method, repeat,

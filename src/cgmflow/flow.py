@@ -13,18 +13,28 @@ incremental costs c(z+1) - c(z); edges whose cost is +inf below some z_min
 (a Poisson term with a positive observation) are treated as carrying a
 mandatory z_min units, realized as a pseudoflow whose excesses and deficits
 are shipped together with the source supply.
+
+The solver state is a set of arrays: an (E, max_cap + 1) cost table filled
+by one batched ``tables`` call per cost-handle class, and per-edge flow,
+lower bound and capacity plus per-node excess and potential.  The 2E
+residual arcs (forward and backward per edge) form one CSR graph whose
+structure is fixed for a solve; before each search only its weights, the
+reduced step increments clamped at 0, are refreshed.  SSP and capacity
+scaling share one search, a multi-source ``scipy.sparse.csgraph.dijkstra``
+from every node with enough excess, and initial potentials come from one
+``bellman_ford`` from a virtual root joined to every node.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
 
 from .core import (
     MISSING,
@@ -76,8 +86,8 @@ class InfeasibleError(Exception):
 class CostHandle:
     """Cost c(z) of carrying z units on one edge, defined for z = 0..capacity.
 
-    table() must agree with value() pointwise; solvers consume increments
-    c(z+1) - c(z) from the table, so subclasses should vectorize it.
+    tables() must agree with value() pointwise; solvers fill their cost table
+    with one tables() call per handle class, so subclasses should vectorize it.
     """
 
     def value(self, z: int) -> float:
@@ -86,8 +96,13 @@ class CostHandle:
     def increment(self, z: int) -> float:
         return self.value(z + 1) - self.value(z)
 
+    @classmethod
+    def tables(cls, handles: Sequence["CostHandle"], cap: int) -> np.ndarray:
+        """Values at z = 0..cap, one row per handle (all of this class)."""
+        return np.array([[h.value(z) for z in range(cap + 1)] for h in handles], dtype=float)
+
     def table(self, cap: int) -> np.ndarray:
-        return np.array([self.value(z) for z in range(cap + 1)])
+        return type(self).tables([self], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -95,8 +110,9 @@ class ZeroCost(CostHandle):
     def value(self, z: int) -> float:
         return 0.0
 
-    def table(self, cap: int) -> np.ndarray:
-        return np.zeros(cap + 1)
+    @classmethod
+    def tables(cls, handles, cap):
+        return np.zeros((len(handles), cap + 1))
 
 
 @dataclass(frozen=True)
@@ -108,22 +124,31 @@ class TransitionCost(CostHandle):
     def value(self, z: int) -> float:
         return log_factorial(z) - z * self.log_phi
 
-    def table(self, cap: int) -> np.ndarray:
+    @classmethod
+    def tables(cls, handles, cap):
         z = np.arange(cap + 1)
-        return log_factorial_array(z) - z * self.log_phi
+        log_phi = np.array([h.log_phi for h in handles], dtype=float)
+        return log_factorial_array(z) - z * log_phi[:, None]
 
 
-def _observation_table(model: NoiseModel, y: float, cap: int) -> np.ndarray:
+def _observation_tables(handles, cap: int) -> np.ndarray:
+    """h(z) = -log p(y | z) up to constants for z = 0..cap, one row per handle."""
+    models = [h.model for h in handles]
+    for model in models:
+        if model is not MISSING and not isinstance(model, (Gaussian, Poisson)):
+            raise TypeError(f"unknown noise model {model!r}")
     z = np.arange(cap + 1, dtype=float)
-    if model is MISSING:
-        return np.zeros(cap + 1)
-    if isinstance(model, Gaussian):
-        return (y - z) ** 2 / (2.0 * model.var)
-    yi = int(y)
-    out = np.empty(cap + 1)
-    out[0] = 0.0 if yi == 0 else INF
-    if cap >= 1:
-        out[1:] = -yi * np.log(z[1:]) + z[1:] + log_factorial(yi)
+    ys = np.array([h.y for h in handles], dtype=float)
+    out = np.zeros((len(models), cap + 1))
+    gauss = np.array([isinstance(m, Gaussian) for m in models], dtype=bool)
+    var = np.array([m.var for m in models if isinstance(m, Gaussian)], dtype=float)
+    out[gauss] = (ys[gauss, None] - z) ** 2 / (2.0 * var[:, None])
+    poisson = np.array([isinstance(m, Poisson) for m in models], dtype=bool)
+    y = np.trunc(ys[poisson])
+    out[poisson, 0] = np.where(y == 0, 0.0, INF)
+    out[poisson, 1:] = (
+        -y[:, None] * np.log(z[1:]) + z[1:] + log_factorial_array(y.astype(np.int64))[:, None]
+    )
     return out
 
 
@@ -137,8 +162,9 @@ class ObservationCost(CostHandle):
     def value(self, z: int) -> float:
         return h_noise_cost(self.model, self.y, z)
 
-    def table(self, cap: int) -> np.ndarray:
-        return _observation_table(self.model, self.y, cap)
+    @classmethod
+    def tables(cls, handles, cap):
+        return _observation_tables(handles, cap)
 
 
 @dataclass(frozen=True)
@@ -156,10 +182,9 @@ class InteriorCost(CostHandle):
     def value(self, z: int) -> float:
         return -log_factorial(z) + h_noise_cost(self.model, self.y, z)
 
-    def table(self, cap: int) -> np.ndarray:
-        return -log_factorial_array(np.arange(cap + 1)) + _observation_table(
-            self.model, self.y, cap
-        )
+    @classmethod
+    def tables(cls, handles, cap):
+        return -log_factorial_array(np.arange(cap + 1)) + _observation_tables(handles, cap)
 
 
 @dataclass(frozen=True)
@@ -179,10 +204,13 @@ class SurrogateInteriorCost(CostHandle):
         affine = -log_factorial(self.n_lin) + self.alpha * (z - self.n_lin)
         return affine + h_noise_cost(self.model, self.y, z)
 
-    def table(self, cap: int) -> np.ndarray:
+    @classmethod
+    def tables(cls, handles, cap):
         z = np.arange(cap + 1, dtype=float)
-        affine = -log_factorial(self.n_lin) + self.alpha * (z - self.n_lin)
-        return affine + _observation_table(self.model, self.y, cap)
+        n_lin = np.array([h.n_lin for h in handles], dtype=np.int64)
+        alpha = np.array([h.alpha for h in handles], dtype=float)
+        affine = -log_factorial_array(n_lin)[:, None] + alpha[:, None] * (z - n_lin[:, None])
+        return affine + _observation_tables(handles, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +411,22 @@ def build_surrogate_network(
 # flow inspection
 
 
+def _endpoints(network: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
+    count = network.n_edges
+    tails = np.fromiter((e.tail for e in network.edges), dtype=np.int64, count=count)
+    heads = np.fromiter((e.head for e in network.edges), dtype=np.int64, count=count)
+    return tails, heads
+
+
+def _balance(tails: np.ndarray, heads: np.ndarray, values, n_nodes: int) -> np.ndarray:
+    out = np.bincount(tails, weights=values, minlength=n_nodes)
+    into = np.bincount(heads, weights=values, minlength=n_nodes)
+    return (out - into).astype(np.int64)
+
+
 def flow_balance(network: FlowNetwork, values: np.ndarray) -> np.ndarray:
     """Out minus in at every node; equals supplies for a feasible flow."""
-    values = np.asarray(values)
-    tails = np.fromiter((e.tail for e in network.edges), dtype=np.int64, count=network.n_edges)
-    heads = np.fromiter((e.head for e in network.edges), dtype=np.int64, count=network.n_edges)
-    out = np.bincount(tails, weights=values, minlength=network.n_nodes)
-    into = np.bincount(heads, weights=values, minlength=network.n_nodes)
-    return (out - into).astype(np.int64)
+    return _balance(*_endpoints(network), np.asarray(values), network.n_nodes)
 
 
 def flow_cost(network: FlowNetwork, flow: Flow) -> float:
@@ -429,6 +465,16 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.
+
+    dijkstra_pops sums, over all searches, the nodes a search settles (those
+    at finite distance from the sources); every search runs to completion.
+    min_reduced_cost is the optimality certificate: the smallest unit-step
+    reduced cost over the final residual network, which is never below
+    -1e-9 * max(1, largest finite |increment|) once a solver returns.
+    path_costs holds the true cost of every shipment; to_dict summarizes it.
+    """
+
     method: str = ""
     shipments: int = 0
     units: int = 0
@@ -440,11 +486,17 @@ class SolveStats:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
+        costs = self.path_costs
         return {
             "method": self.method,
             "shipments": self.shipments,
             "units": self.units,
-            "path_costs": list(self.path_costs),
+            "path_costs": {
+                "count": len(costs),
+                "min": min(costs, default=None),
+                "max": max(costs, default=None),
+                "nondecreasing": all(b >= a - 1e-9 for a, b in zip(costs, costs[1:])),
+            },
             "phases": list(self.phases),
             "restoration_pushes": self.restoration_pushes,
             "dijkstra_pops": self.dijkstra_pops,
@@ -454,180 +506,149 @@ class SolveStats:
 
 
 class _ResidualState:
-    """Mutable solver state: flow, excesses, potentials, cost tables.
+    """Mutable solver state over arrays: flow, excesses, potentials, cost table.
 
-    Costs are kept as one dense table per edge (value at every feasible z),
-    so increment lookups inside the search loop are plain list indexing.
-    Potentials keep all residual reduced costs nonnegative, which lets every
-    search after the initial label-correcting pass be label-setting.
+    table[e, z] is edge e's cost at flow z, +inf outside lower[e]..cap[e].
+    Residual arcs are kept in CSR order (sorted by tail, then head); arc_edge
+    and arc_fwd name the edge behind each arc and its direction, and inc holds
+    each arc's per-unit cost of one step of the current size (+inf when the
+    step leaves the edge's range).  Potentials keep every reduced increment
+    nonnegative up to rounding, so every search is label-setting.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats):
         self.network = network
         self.stats = stats
-        n_edges = network.n_edges
-        self.n_nodes = network.n_nodes
-        self.tails = [e.tail for e in network.edges]
-        self.heads = [e.head for e in network.edges]
-        self.cap = [e.capacity for e in network.edges]
-        max_cap = max(self.cap, default=0)
-
-        table = np.full((n_edges, max_cap + 2), INF)
+        E, n = network.n_edges, network.n_nodes
+        self.n_nodes = n
+        self.tails, self.heads = _endpoints(network)
+        self.cap = np.fromiter((e.capacity for e in network.edges), np.int64, E)
+        width = int(self.cap.max(initial=0)) + 1
+        table = np.empty((E, width))
+        groups: dict = {}
         for idx, e in enumerate(network.edges):
-            table[idx, : e.capacity + 1] = e.cost.table(e.capacity)
-        # trailing +inf column makes "forward step off the end" self-blocking
-        self.table_np = table
-        self.table = table.tolist()
+            groups.setdefault(type(e.cost), []).append(idx)
+        for cls, idxs in groups.items():
+            table[idxs] = cls.tables([network.edges[i].cost for i in idxs], width - 1)
+        table[np.arange(width) > self.cap[:, None]] = INF
+        self.table = table
 
-        self.lower = []
-        for idx in range(n_edges):
-            finite = np.isfinite(table[idx, : self.cap[idx] + 1])
-            if not finite.any():
+        finite = np.isfinite(table)
+        self.lower = finite.argmax(axis=1)
+        empty = ~finite.any(axis=1)
+        gaps = finite.sum(axis=1) != self.cap - self.lower + 1
+        bad = np.flatnonzero(empty | gaps)
+        if bad.size:
+            idx = int(bad[0])
+            if empty[idx]:
                 raise InfeasibleError(f"edge {idx} has no finite cost at any flow value")
-            low = int(finite.argmax())
-            if not finite[low:].all():
-                raise ValueError(f"edge {idx} cost has interior +inf values")
-            self.lower.append(low)
+            raise ValueError(f"edge {idx} cost has interior +inf values")
+        with np.errstate(invalid="ignore"):
+            diffs = np.diff(table, axis=1)
+            bends = np.diff(diffs, axis=1)
+        k = np.arange(width - 2)
+        inside = (k >= self.lower[:, None]) & (k <= self.cap[:, None] - 2)
+        bad = np.flatnonzero((inside & (bends < -1e-9)).any(axis=1))
+        del bends
+        if bad.size:
+            raise ValueError(
+                f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
+                "convex edge costs"
+            )
+        # in place: diffs is as large as the cost table
+        diffs[~np.isfinite(diffs)] = 0.0
+        self.scale = max(1.0, float(np.abs(diffs, out=diffs).max(initial=0.0)))
 
-        diffs = np.diff(table, axis=1)
-        for idx in range(n_edges):
-            seg = diffs[idx, self.lower[idx] : self.cap[idx]]
-            if seg.size > 1 and (np.diff(seg) < -1e-9).any():
-                raise ValueError(
-                    f"edge {idx} cost is not discrete convex; exact solvers require "
-                    "convex edge costs"
-                )
+        self.z = self.lower.copy()
+        self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
 
-        self.z = list(self.lower)
-        balance = [0] * self.n_nodes
-        for idx in range(n_edges):
-            if self.z[idx]:
-                balance[self.tails[idx]] += self.z[idx]
-                balance[self.heads[idx]] -= self.z[idx]
-        self.excess = [int(b) - c for b, c in zip(network.supplies.tolist(), balance)]
-
-        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.n_nodes)]
-        for idx in range(n_edges):
-            adj[self.tails[idx]].append((self.heads[idx], idx, True))
-            adj[self.heads[idx]].append((self.tails[idx], idx, False))
-        self.adj = adj
-
+        arc_src = np.concatenate([self.tails, self.heads])
+        arc_dst = np.concatenate([self.heads, self.tails])
+        order = np.lexsort((arc_dst, arc_src))
+        self.arc_src, self.arc_dst = arc_src[order], arc_dst[order]
+        self.arc_edge, self.arc_fwd = order % E, order < E
+        self.arc_pos = np.empty(2 * E, dtype=np.int64)
+        self.arc_pos[order] = np.arange(2 * E)
+        self.arc_keys = self.arc_src * n + self.arc_dst
+        indptr = np.searchsorted(self.arc_src, np.arange(n + 1)).astype(np.int32)
+        self.graph = csr_array(
+            (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
+        )
+        self.inc = np.empty(2 * E)
+        self._refresh(1)
         self.pi = self._initial_potentials()
 
-    def _initial_potentials(self) -> list:
-        """One label-correcting pass; tolerates the negative initial increments."""
-        dist = [0.0] * self.n_nodes
-        in_queue = [True] * self.n_nodes
-        queue = deque(range(self.n_nodes))
-        table, z, cap, lower = self.table, self.z, self.cap, self.lower
-        relaxations = 0
-        guard = max(4 * self.n_nodes * (len(self.tails) + 1), 10_000)
-        while queue:
-            v = queue.popleft()
-            in_queue[v] = False
-            dv = dist[v]
-            for other, idx, forward in self.adj[v]:
-                if forward:
-                    ze = z[idx]
-                    if ze >= cap[idx]:
-                        continue
-                    c = table[idx][ze + 1] - table[idx][ze]
-                else:
-                    ze = z[idx]
-                    if ze <= lower[idx]:
-                        continue
-                    c = table[idx][ze - 1] - table[idx][ze]
-                if c == INF:
-                    continue
-                nd = dv + c
-                if nd < dist[other]:
-                    dist[other] = nd
-                    relaxations += 1
-                    if relaxations > guard:
-                        raise ValueError("negative-cost cycle in network")
-                    if not in_queue[other]:
-                        in_queue[other] = True
-                        queue.append(other)
-        return [-d for d in dist]
+    def _refresh(self, delta: int, pos=slice(None)) -> None:
+        """Recompute the delta-step increments of the residual arcs at pos."""
+        e = self.arc_edge[pos]
+        ze = self.z[e]
+        zn = np.where(self.arc_fwd[pos], ze + delta, ze - delta)
+        ok = (zn >= self.lower[e]) & (zn <= self.cap[e])
+        zn = np.where(ok, zn, ze)
+        self.inc[pos] = np.where(ok, (self.table[e, zn] - self.table[e, ze]) / delta, INF)
+
+    def _reduced(self) -> np.ndarray:
+        return self.inc - self.pi[self.arc_src] + self.pi[self.arc_dst]
+
+    def _initial_potentials(self) -> np.ndarray:
+        """Bellman-Ford over the open arcs from a virtual root n joined to every node."""
+        n = self.n_nodes
+        open_ = np.isfinite(self.inc)
+        src = np.append(self.arc_src[open_], np.full(n, n))
+        graph = csr_array(
+            (
+                np.append(self.inc[open_], np.zeros(n)),
+                np.append(self.arc_dst[open_], np.arange(n)).astype(np.int32),
+                np.searchsorted(src, np.arange(n + 2)).astype(np.int32),
+            ),
+            shape=(n + 1, n + 1),
+        )
+        try:
+            dist = bellman_ford(graph, directed=True, indices=n)
+        except NegativeCycleError:
+            raise ValueError("negative-cost cycle in network") from None
+        return -dist[:n]
 
     def ship(self, delta: int) -> bool:
         """Move delta units from a nearest (excess, deficit) pair; False if none."""
-        excess = self.excess
-        sources = [v for v in range(self.n_nodes) if excess[v] >= delta]
-        if not sources or not any(e <= -delta for e in excess):
+        sources = np.flatnonzero(self.excess >= delta)
+        sinks = self.excess <= -delta
+        if not sources.size or not sinks.any():
             return False
-
-        table, z, cap, lower, pi = self.table, self.z, self.cap, self.lower, self.pi
-        dist = [INF] * self.n_nodes
-        parent_edge = [-1] * self.n_nodes
-        parent_node = [-1] * self.n_nodes
-        parent_fwd = [False] * self.n_nodes
-        heap = []
-        for s in sources:
-            dist[s] = 0.0
-            heap.append((0.0, s))
-        heapq.heapify(heap)
-        pops = 0
-        target = -1
-        d_target = INF
-        inv_delta = 1.0 / delta
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            pops += 1
-            if excess[v] <= -delta:
-                target = v
-                d_target = d
-                break
-            base = d - pi[v]
-            for other, idx, forward in self.adj[v]:
-                ze = z[idx]
-                if forward:
-                    zn = ze + delta
-                    if zn > cap[idx]:
-                        continue
-                    c = (table[idx][zn] - table[idx][ze]) * inv_delta
-                    if c == INF:
-                        continue
-                else:
-                    zn = ze - delta
-                    if zn < lower[idx]:
-                        continue
-                    c = (table[idx][zn] - table[idx][ze]) * inv_delta
-                nd = base + c + pi[other]
-                # reduced increments are nonnegative up to tolerance residue;
-                # clamping keeps the search label-setting and finite
-                if nd < d:
-                    nd = d
-                if nd < dist[other]:
-                    dist[other] = nd
-                    parent_edge[other] = idx
-                    parent_node[other] = v
-                    parent_fwd[other] = forward
-                    heapq.heappush(heap, (nd, other))
-        self.stats.dijkstra_pops += pops
-        if target < 0:
+        weights = self.graph.data
+        # reduced increments are nonnegative up to rounding residue; clamping
+        # keeps the search label-setting
+        np.maximum(self._reduced(), 0.0, out=weights)
+        dist, pred, _ = dijkstra(
+            self.graph, directed=True, indices=sources, return_predecessors=True,
+            min_only=True,
+        )
+        self.stats.dijkstra_pops += int(np.isfinite(dist).sum())
+        reach = np.where(sinks, dist, INF)
+        target = int(reach.argmin())
+        d_target = reach[target]
+        if d_target == INF:
             return False
+        self.pi -= np.minimum(dist, d_target)
 
-        for v in range(self.n_nodes):
-            dv = dist[v]
-            self.pi[v] -= dv if dv < d_target else d_target
-
-        true_cost = 0.0
-        v = target
-        path = []
-        while parent_node[v] >= 0:
-            path.append((parent_edge[v], parent_fwd[v]))
-            v = parent_node[v]
-        source = v
-        for idx, forward in path:
-            ze = z[idx]
-            zn = ze + delta if forward else ze - delta
-            true_cost += table[idx][zn] - table[idx][ze]
-            z[idx] = zn
-        excess[source] -= delta
-        excess[target] += delta
+        path = [target]
+        while pred[path[-1]] >= 0:
+            path.append(int(pred[path[-1]]))
+        path = np.array(path[::-1])
+        keys = path[:-1] * self.n_nodes + path[1:]
+        pos = np.searchsorted(self.arc_keys, keys, side="left")
+        end = np.searchsorted(self.arc_keys, keys, side="right")
+        for k in np.flatnonzero(end - pos > 1):
+            # parallel residual arcs: the search used the cheapest one
+            pos[k] += int(weights[pos[k] : end[k]].argmin())
+        e = self.arc_edge[pos]
+        ze = self.z[e]
+        zn = np.where(self.arc_fwd[pos], ze + delta, ze - delta)
+        true_cost = float((self.table[e, zn] - self.table[e, ze]).sum())
+        self.z[e] = zn
+        self.excess[path[0]] -= delta
+        self.excess[target] += delta
+        self._refresh(delta, np.concatenate([self.arc_pos[e], self.arc_pos[e + len(self.z)]]))
         self.stats.shipments += 1
         self.stats.units += delta
         self.stats.path_costs.append(true_cost)
@@ -635,107 +656,57 @@ class _ResidualState:
 
     def restore(self, delta: int) -> None:
         """Re-establish nonnegative delta-step reduced costs by saturating pushes."""
-        table, cap, lower, pi = self.table, self.cap, self.lower, self.pi
-        excess = self.excess
-        n_edges = len(self.tails)
+        E = len(self.z)
         while True:
-            z_np = np.array(self.z)
-            cap_np = np.array(self.cap)
-            pi_np = np.array(self.pi)
-            tails_np = np.array(self.tails)
-            heads_np = np.array(self.heads)
-            rows = np.arange(n_edges)
-
-            fwd_ok = z_np + delta <= cap_np
-            idx_f = np.where(fwd_ok, z_np + delta, z_np)
-            step_f = np.where(
-                fwd_ok, self.table_np[rows, idx_f] - self.table_np[rows, z_np], INF
-            )
-            red_f = step_f / delta - pi_np[tails_np] + pi_np[heads_np]
-
-            low_np = np.array(lower)
-            bwd_ok = z_np - delta >= low_np
-            idx_b = np.where(bwd_ok, z_np - delta, z_np)
-            step_b = np.where(
-                bwd_ok, self.table_np[rows, idx_b] - self.table_np[rows, z_np], INF
-            )
-            red_b = step_b / delta - pi_np[heads_np] + pi_np[tails_np]
-
-            candidates = np.where((red_f < -1e-12) | (red_b < -1e-12))[0]
-            if candidates.size == 0:
+            self._refresh(delta)
+            red = self._reduced()
+            fwd = red[self.arc_pos[:E]] < -1e-12
+            bwd = (red[self.arc_pos[E:]] < -1e-12) & ~fwd
+            if not (fwd.any() or bwd.any()):
                 return
-            z = self.z
-            for idx in candidates:
-                idx = int(idx)
-                tail, head = self.tails[idx], self.heads[idx]
-                shift = pi[head] - pi[tail]
-                while z[idx] + delta <= cap[idx]:
-                    step = table[idx][z[idx] + delta] - table[idx][z[idx]]
-                    if step / delta + shift >= -1e-12:
-                        break
-                    z[idx] += delta
-                    excess[tail] -= delta
-                    excess[head] += delta
-                    self.stats.restoration_pushes += 1
-                while z[idx] - delta >= lower[idx]:
-                    step = table[idx][z[idx] - delta] - table[idx][z[idx]]
-                    if step / delta - shift >= -1e-12:
-                        break
-                    z[idx] -= delta
-                    excess[tail] += delta
-                    excess[head] -= delta
-                    self.stats.restoration_pushes += 1
+            step = delta * (fwd.astype(np.int64) - bwd)
+            self.z += step
+            self.excess -= _balance(self.tails, self.heads, step, self.n_nodes)
+            self.stats.restoration_pushes += int(fwd.sum() + bwd.sum())
 
     def finalize(self) -> tuple[Flow, float]:
-        values = np.array(self.z, dtype=np.int64)
-        cost = float(self.table_np[np.arange(len(self.z)), values].sum())
-
-        z_np = values
-        cap_np = np.array(self.cap)
-        low_np = np.array(self.lower)
-        pi_np = np.array(self.pi)
-        tails_np = np.array(self.tails)
-        heads_np = np.array(self.heads)
-        rows = np.arange(len(self.z))
-        worst = 0.0
-        fwd = z_np < cap_np
-        if fwd.any():
-            inc = self.table_np[rows[fwd], z_np[fwd] + 1] - self.table_np[rows[fwd], z_np[fwd]]
-            red = inc - pi_np[tails_np[fwd]] + pi_np[heads_np[fwd]]
-            red = red[np.isfinite(red)]
-            if red.size:
-                worst = min(worst, float(red.min()))
-        bwd = z_np > low_np
-        if bwd.any():
-            inc = self.table_np[rows[bwd], z_np[bwd] - 1] - self.table_np[rows[bwd], z_np[bwd]]
-            red = inc - pi_np[heads_np[bwd]] + pi_np[tails_np[bwd]]
-            if red.size:
-                worst = min(worst, float(red.min()))
+        """Return the flow and its cost after checking the optimality certificate."""
+        values = self.z.copy()
+        cost = float(self.table[np.arange(len(values)), values].sum())
+        self._refresh(1)
+        red = self._reduced()
+        worst = min(0.0, float(red[np.isfinite(red)].min(initial=0.0)))
         self.stats.min_reduced_cost = worst
+        if worst < -1e-9 * self.scale:
+            raise RuntimeError(
+                f"optimality certificate failed: min reduced cost {worst!r} below "
+                f"-1e-9 * {self.scale!r}"
+            )
         return Flow(values=values), cost
 
 
 def _infeasible_detail(state: _ResidualState) -> str:
-    stuck = [v for v in range(state.n_nodes) if state.excess[v] > 0]
-    names = state.network.layout
-    label = names.node_name if names is not None else (lambda v: f"v{v}")
+    stuck = np.flatnonzero(state.excess > 0)
     return "no residual path can carry remaining supply from " + ", ".join(
-        label(v) for v in stuck[:8]
+        _node_label(state.network, int(v)) for v in stuck[:8]
     )
 
 
 def solve_ssp(network: FlowNetwork) -> tuple[Flow, float, SolveStats]:
     """Exact min-cost flow by unit augmentations along shortest residual paths.
 
-    Requires every edge cost to be discrete convex.  Deterministic: ties in
-    the search are broken by node index, so reruns are bit-identical.
+    Requires every edge cost to be discrete convex.  Deterministic: reruns
+    are bit-identical.  Among equally short paths the one csgraph's Dijkstra
+    settles (its heap order) is taken, and among equally near deficits the
+    lowest node index.
     """
     t0 = time.perf_counter()
     stats = SolveStats(method="ssp")
     state = _ResidualState(network, stats)
-    while any(e > 0 for e in state.excess):
-        if not state.ship(1):
-            raise InfeasibleError(_infeasible_detail(state))
+    while state.ship(1):
+        pass
+    if (state.excess > 0).any():
+        raise InfeasibleError(_infeasible_detail(state))
     flow, cost = state.finalize()
     stats.wall_time = time.perf_counter() - t0
     return flow, cost, stats
@@ -752,7 +723,7 @@ def solve_capacity_scaling(network: FlowNetwork) -> tuple[Flow, float, SolveStat
     t0 = time.perf_counter()
     stats = SolveStats(method="cs")
     state = _ResidualState(network, stats)
-    top = max((e for e in state.excess if e > 0), default=0)
+    top = int(state.excess.max(initial=0))
     delta = 1 << (top.bit_length() - 1) if top > 0 else 1
     while delta >= 1:
         stats.phases.append(delta)
@@ -761,7 +732,7 @@ def solve_capacity_scaling(network: FlowNetwork) -> tuple[Flow, float, SolveStat
         state.restore(delta)
         while state.ship(delta):
             pass
-        if delta == 1 and any(e > 0 for e in state.excess):
+        if delta == 1 and (state.excess > 0).any():
             raise InfeasibleError(_infeasible_detail(state))
         delta //= 2
     flow, cost = state.finalize()

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -432,3 +434,29 @@ class TestBench:
         rows = read_csv(tmp_path / "bench.csv")
         assert len(rows) == 1  # first repeat censored, rest skipped
         assert rows[0]["censored"] == "1"
+
+        # unbounded, this relaxation solve (N=5, R=30, M=100) runs for seconds;
+        # the budget stops it and restores the timer and the signal handler
+        handler = signal.getsignal(signal.SIGALRM)
+        t0 = time.perf_counter()
+        code = main(
+            [
+                "bench",
+                "--populations", "100",
+                "--n-states", "30",
+                "--n-steps", "5",
+                "--methods", "baseline",
+                "--repeats", "3",
+                "--timeout-sec", "0.3",
+                "--out", str(out),
+            ]
+        )
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert elapsed < 1.5
+        rows = read_csv(tmp_path / "bench.csv")
+        assert len(rows) == 1
+        assert rows[0]["censored"] == "1"
+        assert float(rows[0]["seconds"]) == pytest.approx(0.3)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler

@@ -17,8 +17,18 @@ from cgmflow.core import (
 )
 from cgmflow.dca import AlphaStrategy
 from cgmflow.flow import (
+    CostHandle,
+    Edge,
     Flow,
+    FlowNetwork,
     InfeasibleError,
+    InteriorCost,
+    ObservationCost,
+    SolveStats,
+    SurrogateInteriorCost,
+    TransitionCost,
+    ZeroCost,
+    _ResidualState,
     build_flow_network,
     build_surrogate_network,
     extract_tables,
@@ -29,6 +39,7 @@ from cgmflow.flow import (
     solve_capacity_scaling,
     solve_ssp,
 )
+from cgmflow.instances import gen_synthetic
 from cgmflow.oracle import brute_force_flow, enumerate_feasible
 from conftest import make_tiny_instance
 
@@ -117,6 +128,31 @@ class TestConstruction:
             build_surrogate_network(inst, bad, AlphaStrategy.L)
 
 
+class TestCostTables:
+    def test_batched_tables_match_values(self):
+        groups = [
+            [ZeroCost(), ZeroCost()],
+            [TransitionCost(0.7), TransitionCost(-1.2)],
+            [
+                ObservationCost(Gaussian(2.0), 3.5),
+                ObservationCost(Poisson(), 2.0),
+                ObservationCost(Poisson(), 0.0),
+                ObservationCost(MISSING, math.nan),
+            ],
+            [InteriorCost(Gaussian(0.5), 1.0), InteriorCost(Poisson(), 3.0)],
+            [
+                SurrogateInteriorCost(Poisson(), 1.0, 0, 0.0),
+                SurrogateInteriorCost(Gaussian(4.0), 2.0, 3, -math.log(3)),
+            ],
+        ]
+        for handles in groups:
+            got = type(handles[0]).tables(handles, 6)
+            # the per-value loop of the base class is the reference
+            want = CostHandle.tables.__func__(CostHandle, handles, 6)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(handles[-1].table(6), got[-1])
+
+
 class TestFlowTableCorrespondence:
     def test_cost_equals_objective(self):
         for seed in range(12):
@@ -198,6 +234,69 @@ class TestSolvers:
         for solver in (solve_ssp, solve_capacity_scaling):
             _, _, stats = solver(surrogate_zero(inst))
             assert stats.min_reduced_cost >= -1e-9
+
+    def test_certificate_rejects_perturbed_potentials(self):
+        inst = free_instance(3, 2, 6, phi=np.arange(1, 9, dtype=float).reshape(2, 2, 2))
+        state = _ResidualState(surrogate_zero(inst), SolveStats())
+        while state.ship(1):
+            pass
+        state.finalize()
+        assert state.stats.min_reduced_cost >= -1e-9
+        # raising the source's potential makes its open outgoing arcs negative
+        state.pi[0] += 100.0
+        with pytest.raises(RuntimeError, match="certificate"):
+            state.finalize()
+        assert state.stats.min_reduced_cost < -1e-9 * state.scale
+
+    def test_report_summarizes_path_costs(self):
+        inst = free_instance(3, 2, 6, phi=np.arange(1, 9, dtype=float).reshape(2, 2, 2))
+        _, _, stats = solve_ssp(surrogate_zero(inst))
+        assert stats.to_dict()["path_costs"] == {
+            "count": 6,
+            "min": min(stats.path_costs),
+            "max": max(stats.path_costs),
+            "nondecreasing": True,
+        }
+
+    def test_parallel_and_antiparallel_edges(self):
+        # hand-made network the layered builders never produce: two parallel
+        # 1 -> 2 edges with different convex costs, an antiparallel 0 <-> 1
+        # pair whose 1 -> 0 edge carries a mandatory unit (Poisson, y = 1)
+        edges = (
+            Edge(0, 1, TransitionCost(0.1), 3),
+            Edge(1, 0, ObservationCost(Poisson(), 1.0), 3),
+            Edge(0, 2, ObservationCost(Gaussian(2.0), 1.0), 3),
+            Edge(1, 2, TransitionCost(1.2), 2),
+            Edge(1, 2, ObservationCost(Gaussian(1.0), 2.0), 3),
+            Edge(1, 3, ZeroCost(), 1),
+            Edge(0, 3, TransitionCost(-0.5), 2),
+            Edge(2, 3, SurrogateInteriorCost(MISSING, math.nan, 2, -math.log(2)), 2),
+        )
+        net = FlowNetwork(n_nodes=4, edges=edges, supplies=np.array([2, 1, -2, -1]))
+        _, best = brute_force_flow(net)
+        for solver in (solve_ssp, solve_capacity_scaling):
+            flow, cost, _ = solver(net)
+            assert cost == pytest.approx(best, abs=1e-9)
+            assert flow_cost(net, flow) == pytest.approx(cost, abs=1e-9)
+            assert np.array_equal(flow_balance(net, flow.values), net.supplies)
+
+    def test_negative_cycle_raises(self):
+        edges = (
+            Edge(0, 1, TransitionCost(2.0), 2),
+            Edge(1, 0, TransitionCost(2.0), 2),
+        )
+        net = FlowNetwork(n_nodes=2, edges=edges, supplies=np.array([1, -1]))
+        for solver in (solve_ssp, solve_capacity_scaling):
+            with pytest.raises(ValueError, match="negative-cost cycle"):
+                solver(net)
+
+    def test_solvers_agree_beyond_tiny_sizes(self):
+        inst = gen_synthetic(n_steps=5, n_states=10, population=200, seed=4)
+        net = surrogate_zero(inst)
+        _, c1, _ = solve_ssp(net)
+        _, c2, stats = solve_capacity_scaling(net)
+        assert c2 == pytest.approx(c1, abs=1e-9)
+        assert stats.min_reduced_cost >= -1e-9
 
     def test_rejects_nonconvex_costs(self):
         net = build_flow_network(free_instance(3, 2, 4))
