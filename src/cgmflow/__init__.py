@@ -18,7 +18,7 @@ from .core import (
     validate_tables,
 )
 from .dca import AlphaStrategy, DcaConfig, DcaReport, run_dca
-from .baseline import ApproxReport, RelaxedProblem, approx_objective, solve_approximate
+from .baseline import ApproxReport, approx_objective, solve_approximate
 from .flow import InfeasibleError, build_flow_network, build_surrogate_network, solve_capacity_scaling, solve_ssp
 from .instances import (
     GridSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "DcaReport",
     "run_dca",
     "ApproxReport",
-    "RelaxedProblem",
     "approx_objective",
     "solve_approximate",
     "InfeasibleError",

@@ -19,15 +19,14 @@ from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
 from .core import (
+    GAUSSIAN,
+    POISSON,
     CgmInstance,
     FractionalTables,
-    Gaussian,
-    Poisson,
-    log_factorial,
-    validate_tables,
+    observation_cost,
 )
 
-__all__ = ["ApproxReport", "RelaxedProblem", "approx_objective", "solve_approximate"]
+__all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
 
 INF = math.inf
 EPS = 1e-6  # entry floor inside gradient logs; keeps the search direction finite
@@ -37,69 +36,15 @@ def _stirling(z: np.ndarray) -> np.ndarray:
     return xlogy(z, z) - z
 
 
-class _ObsTerms:
-    """Vectorized observation-term evaluation for one instance."""
-
-    def __init__(self, instance: CgmInstance):
-        N, R = instance.n_steps, instance.n_states
-        gauss = np.zeros((N, R), dtype=bool)
-        pois = np.zeros((N, R), dtype=bool)
-        var = np.ones((N, R))
-        for t in range(N):
-            for i in range(R):
-                model = instance.noise[t][i]
-                if isinstance(model, Gaussian):
-                    gauss[t, i] = True
-                    var[t, i] = model.var
-                elif isinstance(model, Poisson):
-                    pois[t, i] = True
-        y = np.nan_to_num(instance.observations, nan=0.0)
-        self.gauss = gauss
-        self.g_y = y[gauss]
-        self.g_var = var[gauss]
-        self.pois = pois
-        self.p_y = y[pois]
-        self.p_lf = (
-            np.array([log_factorial(int(v)) for v in self.p_y]) if self.p_y.size else None
-        )
-
-    def value(self, node: np.ndarray) -> float:
-        total = 0.0
-        if self.g_y.size:
-            d = self.g_y - node[self.gauss]
-            total += float((d * d / (2.0 * self.g_var)).sum())
-        if self.p_y.size:
-            z = node[self.pois]
-            if ((z == 0.0) & (self.p_y > 0)).any():
-                return INF
-            total += float((-xlogy(self.p_y, z) + z + self.p_lf).sum())
-        return total
-
-    def add_gradient(self, node: np.ndarray, g_node: np.ndarray) -> None:
-        if self.g_y.size:
-            g_node[self.gauss] += (node[self.gauss] - self.g_y) / self.g_var
-        if self.p_y.size:
-            z = np.maximum(node[self.pois], EPS)
-            g_node[self.pois] += 1.0 - self.p_y / z
-
-
-@dataclass(frozen=True)
-class RelaxedProblem:
-    """The continuous relaxation the approximate solver works on.
-
-    Variables are fractional tables over the instance's marginal polytope
-    (nonnegative entries, population and marginal-consistency equalities);
-    the objective is the Stirling-approximated posterior cost, convex as an
-    extended-real function on that polytope.
-    """
-
-    instance: CgmInstance
-
-    def objective(self, tables: FractionalTables) -> float:
-        return approx_objective(self.instance, tables)
-
-    def feasible(self, tables: FractionalTables, tol: float = 1e-6) -> bool:
-        return not validate_tables(self.instance, tables, tol=tol)
+def _add_observation_gradient(
+    instance: CgmInstance, node: np.ndarray, g_node: np.ndarray
+) -> None:
+    """Add the gradient of the observation terms at real-valued node counts."""
+    kind, y, var = instance.observation_arrays
+    gauss = kind == GAUSSIAN
+    g_node[gauss] += (node[gauss] - y[gauss]) / var[gauss]
+    pois = kind == POISSON
+    g_node[pois] += 1.0 - y[pois] / np.maximum(node[pois], EPS)
 
 
 def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
@@ -112,20 +57,19 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     edge = np.asarray(tables.edge, dtype=float)
     if (node < 0).any() or (edge.size and (edge < 0).any()):
         raise ValueError("table entries must be nonnegative")
-    return _approx_value(instance, _ObsTerms(instance), node, edge)
+    return _approx_value(instance, instance.log_potentials, node, edge)
 
 
 def _approx_value(
-    instance: CgmInstance, obs: _ObsTerms, node: np.ndarray, edge: np.ndarray
+    instance: CgmInstance, log_phi: np.ndarray, node: np.ndarray, edge: np.ndarray
 ) -> float:
     total = float(_stirling(edge).sum())
     if edge.size:
-        total -= float((edge * instance.log_potentials).sum())
+        total -= float((edge * log_phi).sum())
     interior = node[1 : instance.n_steps - 1]
     if interior.size:
         total -= float(_stirling(interior).sum())
-    h = obs.value(node)
-    return INF if h == INF else total + h
+    return total + float(observation_cost(*instance.observation_arrays, node).sum())
 
 
 @dataclass
@@ -184,18 +128,17 @@ def solve_approximate(
     N, R, M = instance.n_steps, instance.n_states, instance.population
     node = np.full((N, R), M / R)
     edge = np.full((max(N - 1, 0), R, R), M / (R * R))
-    obs = _ObsTerms(instance)
     report = ApproxReport(tol=tol)
     log_phi = instance.log_potentials
 
-    current = _approx_value(instance, obs, node, edge)
+    current = _approx_value(instance, log_phi, node, edge)
     for _ in range(max_iters):
         report.iterations += 1
         g_edge = np.log(np.maximum(edge, EPS)) - log_phi if edge.size else edge
         g_node = np.zeros_like(node)
         if N > 2:
             g_node[1 : N - 1] = -np.log(np.maximum(node[1 : N - 1], EPS))
-        obs.add_gradient(node, g_node)
+        _add_observation_gradient(instance, node, g_node)
 
         states = _cheapest_path(g_node, g_edge)
         v_node = np.zeros_like(node)
@@ -218,7 +161,7 @@ def solve_approximate(
 
         def along(gamma: float) -> float:
             return _approx_value(
-                instance, obs, node + gamma * d_node, edge + gamma * d_edge
+                instance, log_phi, node + gamma * d_node, edge + gamma * d_edge
             )
 
         hi = 1.0

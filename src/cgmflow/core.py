@@ -10,6 +10,11 @@ three families of separable terms:
     interior terms     g(z) = -log z!                   (discrete concave)
     observation terms  h(z) = -log p(y | z)             (discrete convex)
 
+The observation term has one implementation, ``observation_cost``, which
+evaluates it elementwise from per-node (or per-arc) arrays of kind, y and
+variance; every objective, the flow network's arc costs, the oracle and the
+relaxation baseline call it.
+
 Constant shifts (log M!, the partition function, Gaussian normalization) are
 dropped throughout; they do not move the argmin and every solver in this
 package reports objectives under the same convention.
@@ -23,12 +28,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
+from scipy.special import xlogy
 
 __all__ = [
     "Gaussian",
     "Poisson",
     "MISSING",
     "NoiseModel",
+    "GAUSSIAN",
+    "POISSON",
     "CgmInstance",
     "ContingencyTables",
     "FractionalTables",
@@ -38,14 +46,12 @@ __all__ = [
     "f_cost",
     "g_cost",
     "h_cost",
+    "observation_cost",
     "objective",
     "objective_fractional",
     "validate_tables",
     "is_feasible",
 ]
-
-INF = math.inf
-
 
 # ---------------------------------------------------------------------------
 # noise models
@@ -71,6 +77,20 @@ class Poisson:
 MISSING = None
 
 NoiseModel = Union[Gaussian, Poisson, None]
+
+#: Observation kinds in the per-node and per-arc arrays; 0 means no observation.
+GAUSSIAN, POISSON = 1, 2
+
+
+def _noise_params(model: NoiseModel) -> tuple[int, float]:
+    """(kind, variance) of one noise model; the variance is 1 unless Gaussian."""
+    if model is MISSING:
+        return 0, 1.0
+    if isinstance(model, Gaussian):
+        return GAUSSIAN, model.var
+    if isinstance(model, Poisson):
+        return POISSON, 1.0
+    raise TypeError(f"unknown noise model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +163,10 @@ class CgmInstance:
     """A path-graph inference problem.
 
     potentials has shape (n_steps - 1, n_states, n_states) and must be
-    strictly positive.  observations has shape (n_steps, n_states) with NaN
-    marking a missing observation; noise carries one model tag per (t, i)
-    and must be MISSING exactly where the observation is.
+    strictly positive and finite.  observations has shape (n_steps, n_states)
+    with NaN marking a missing observation and finite values elsewhere; noise
+    carries one model tag per (t, i) and must be MISSING exactly where the
+    observation is.
     """
 
     n_steps: int
@@ -174,24 +195,44 @@ class CgmInstance:
             raise ValueError("noise must have one entry per (t, i)")
         if pot.size and not (pot > 0).all():
             raise ValueError("all potentials must be strictly positive")
+        if not np.isfinite(pot).all():
+            raise ValueError("all potentials must be finite")
+        kind = np.zeros((N, R), dtype=np.int8)
+        var = np.ones((N, R))
         for t in range(N):
             for i in range(R):
                 y = obs[t, i]
                 model = self.noise[t][i]
+                kind[t, i], var[t, i] = _noise_params(model)
                 if model is MISSING:
                     if not math.isnan(y):
                         raise ValueError(f"observation ({t},{i}) set but noise is MISSING")
                     continue
                 if math.isnan(y):
                     raise ValueError(f"noise ({t},{i}) set but observation is MISSING")
+                if math.isinf(y):
+                    raise ValueError(f"observation ({t},{i}) must be finite")
                 if y < 0:
                     raise ValueError(f"observation ({t},{i}) must be nonnegative")
                 if isinstance(model, Poisson) and y != int(y):
                     raise ValueError(f"Poisson observation ({t},{i}) must be an integer")
+        y = np.where(kind > 0, obs, 0.0)
+        object.__setattr__(
+            self, "_observation_arrays", tuple(map(_as_readonly, (kind, y, var)))
+        )
 
     @property
     def log_potentials(self) -> np.ndarray:
         return np.log(self.potentials)
+
+    @property
+    def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kind, y, var), each of shape (n_steps, n_states): observation_cost's arguments.
+
+        kind is 0 where the observation is missing; y is 0 there and var is 1
+        wherever the noise is not Gaussian.
+        """
+        return self._observation_arrays
 
     def interior_steps(self) -> range:
         """Time indices whose nodes carry the concave -log z! term."""
@@ -292,21 +333,31 @@ def g_cost(z: int) -> float:
     return -log_factorial(z)
 
 
+def observation_cost(kind, y, var, z) -> np.ndarray:
+    """Observation cost h(z) = -log p(y | z) up to a constant shift, elementwise.
+
+    kind, y and var broadcast against z, which may be real-valued.  Where kind
+    is 0 (no observation) h is 0; GAUSSIAN gives (y - z)^2 / (2 var); POISSON
+    gives z - y ln z + ln y!, which is +inf at z = 0 when y > 0 and needs a
+    nonnegative integer y.
+    """
+    z = np.asarray(z, dtype=float)
+    kind = np.asarray(kind)
+    d = y - z
+    cost = np.where(kind == GAUSSIAN, d * d / (2.0 * var), 0.0)
+    poisson = kind == POISSON
+    if poisson.any():
+        log_y_fact = log_factorial_array(np.where(poisson, y, 0).astype(np.int64))
+        cost = np.where(poisson, z - xlogy(y, z) + log_y_fact, cost)
+    return cost
+
+
 def h_noise_cost(model: NoiseModel, y: float, z: int) -> float:
     """Observation cost -log p(y | z) up to a constant shift, possibly +inf."""
     if z < 0:
         raise ValueError("z must be nonnegative")
-    if model is MISSING:
-        return 0.0
-    if isinstance(model, Gaussian):
-        d = y - z
-        return d * d / (2.0 * model.var)
-    if isinstance(model, Poisson):
-        yi = int(y)
-        if z == 0:
-            return 0.0 if yi == 0 else INF
-        return -yi * math.log(z) + z + log_factorial(yi)
-    raise TypeError(f"unknown noise model {model!r}")
+    kind, var = _noise_params(model)
+    return float(observation_cost(kind, y, var, z))
 
 
 def h_cost(instance: CgmInstance, t: int, i: int, z: int) -> float:
@@ -318,29 +369,8 @@ def h_cost(instance: CgmInstance, t: int, i: int, z: int) -> float:
     return h_noise_cost(model, y, z)
 
 
-def _h_sum(instance: CgmInstance, node: np.ndarray) -> float:
-    total = 0.0
-    obs = instance.observations
-    for t in range(instance.n_steps):
-        for i in range(instance.n_states):
-            model = instance.noise[t][i]
-            if model is MISSING:
-                continue
-            y = obs[t, i]
-            z = node[t, i]
-            if isinstance(model, Gaussian):
-                d = y - z
-                total += d * d / (2.0 * model.var)
-            else:  # Poisson
-                yi = int(y)
-                if z == 0:
-                    if yi != 0:
-                        return INF
-                else:
-                    total += -yi * math.log(z) + z + log_factorial(yi)
-            if total == INF:
-                return INF
-    return total
+def _h_total(instance: CgmInstance, node: np.ndarray) -> float:
+    return float(observation_cost(*instance.observation_arrays, node).sum())
 
 
 def objective(instance: CgmInstance, tables: ContingencyTables) -> float:
@@ -359,8 +389,7 @@ def objective(instance: CgmInstance, tables: ContingencyTables) -> float:
     interior = node[1 : instance.n_steps - 1]
     if interior.size:
         total -= float(log_factorial_array(interior).sum())
-    h = _h_sum(instance, node)
-    return INF if h == INF else total + h
+    return total + _h_total(instance, node)
 
 
 def _interp_log_factorial(z: np.ndarray) -> np.ndarray:
@@ -387,27 +416,7 @@ def objective_fractional(instance: CgmInstance, tables: Tables) -> float:
     interior = node[1 : instance.n_steps - 1]
     if interior.size:
         total -= float(_interp_log_factorial(interior).sum())
-
-    h = 0.0
-    obs = instance.observations
-    for t in range(instance.n_steps):
-        for i in range(instance.n_states):
-            model = instance.noise[t][i]
-            if model is MISSING:
-                continue
-            y = obs[t, i]
-            z = node[t, i]
-            if isinstance(model, Gaussian):
-                d = y - z
-                h += d * d / (2.0 * model.var)
-            else:  # Poisson at real-valued z
-                yi = int(y)
-                if z == 0.0:
-                    if yi != 0:
-                        return INF
-                else:
-                    h += -yi * math.log(z) + z + log_factorial(yi)
-    return total + h
+    return total + _h_total(instance, node)
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,35 @@ last exit layer drains into a sink.  Integer flows of value M on this network
 are in one-to-one correspondence with feasible contingency tables, and the
 flow cost equals the table objective.
 
-Both solvers handle convex edge costs natively on the residual network via
-incremental costs c(z+1) - c(z); edges whose cost is +inf below some z_min
-(a Poisson term with a positive observation) are treated as carrying a
-mandatory z_min units, realized as a pseudoflow whose excesses and deficits
-are shipped together with the source supply.
+A network is a set of arrays: tails, heads and capacities, plus the
+parameters of one closed-form cost per edge,
 
-The solver state is a set of arrays: an (E, max_cap + 1) cost table filled
-by one batched ``tables`` call per cost-handle class, and per-edge flow,
-lower bound and capacity plus per-node excess and potential.  The 2E
-residual arcs (forward and backward per edge) form one CSR graph whose
-structure is fixed for a solve; before each search only its weights, the
-reduced step increments clamped at 0, are refreshed.  SSP and capacity
-scaling share one search, a multi-source ``scipy.sparse.csgraph.dijkstra``
-from every node with enough excess, and initial potentials come from one
-``bellman_ford`` from a virtual root joined to every node.
+    c_e(z) = lf_e * ln z! + slope_e * z + offset_e + h_e(z),
+
+where h_e is core.observation_cost at the edge's (obs_kind, obs_y, obs_var):
+Gaussian, Poisson or none.  Transition edges have lf = 1 and slope = -log phi,
+boundary node edges carry only h, interior node edges carry lf = -1 on the
+as-built network and the affine surrogate (lf = 0) in a difference-of-convex
+iteration, and source and sink edges cost nothing.  Convexity holds by
+construction wherever lf >= 0: ln z! is discrete convex, the Gaussian term is
+a convex quadratic and the Poisson term z - y ln z is convex on z >= 1 and
++inf at z = 0 when y > 0.  Only edges with lf < 0 need a numeric check.
+
+Both solvers handle convex edge costs natively on the residual network via
+incremental costs c(z+1) - c(z); an edge with a Poisson observation y > 0
+carries a mandatory unit (its cost is +inf at z = 0), realized as a
+pseudoflow whose excesses and deficits are shipped together with the source
+supply.
+
+The solver state holds an (E, max_cap + 1) cost table filled in place from
+the parameters, and per-edge flow, lower bound and capacity plus per-node
+excess and potential.  The 2E residual arcs (forward and backward per edge)
+form one CSR graph whose structure is fixed for a solve; before each search
+only its weights, the reduced step increments clamped at 0, are refreshed.
+SSP and capacity scaling share one search, a multi-source
+``scipy.sparse.csgraph.dijkstra`` from every node with enough excess, and
+initial potentials come from one ``bellman_ford`` from a virtual root joined
+to every node.
 """
 
 from __future__ import annotations
@@ -30,39 +44,30 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
 
 from .core import (
-    MISSING,
+    GAUSSIAN,
+    POISSON,
     CgmInstance,
     ContingencyTables,
-    Gaussian,
-    NoiseModel,
-    Poisson,
-    h_noise_cost,
-    log_factorial,
     log_factorial_array,
+    observation_cost,
 )
 
 __all__ = [
     "InfeasibleError",
-    "CostHandle",
-    "ZeroCost",
-    "TransitionCost",
-    "ObservationCost",
-    "InteriorCost",
-    "SurrogateInteriorCost",
-    "Edge",
     "CgmLayout",
     "FlowNetwork",
     "Flow",
     "SolveStats",
     "build_flow_network",
     "build_surrogate_network",
+    "cost_table",
     "solve_ssp",
     "solve_capacity_scaling",
     "extract_tables",
@@ -80,149 +85,7 @@ class InfeasibleError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# edge cost handles
-
-
-class CostHandle:
-    """Cost c(z) of carrying z units on one edge, defined for z = 0..capacity.
-
-    tables() must agree with value() pointwise; solvers fill their cost table
-    with one tables() call per handle class, so subclasses should vectorize it.
-    """
-
-    def value(self, z: int) -> float:
-        raise NotImplementedError
-
-    def increment(self, z: int) -> float:
-        return self.value(z + 1) - self.value(z)
-
-    @classmethod
-    def tables(cls, handles: Sequence["CostHandle"], cap: int) -> np.ndarray:
-        """Values at z = 0..cap, one row per handle (all of this class)."""
-        return np.array([[h.value(z) for z in range(cap + 1)] for h in handles], dtype=float)
-
-    def table(self, cap: int) -> np.ndarray:
-        return type(self).tables([self], cap)[0]
-
-
-@dataclass(frozen=True)
-class ZeroCost(CostHandle):
-    def value(self, z: int) -> float:
-        return 0.0
-
-    @classmethod
-    def tables(cls, handles, cap):
-        return np.zeros((len(handles), cap + 1))
-
-
-@dataclass(frozen=True)
-class TransitionCost(CostHandle):
-    """log z! - z * log(phi) for one transition edge; discrete convex."""
-
-    log_phi: float
-
-    def value(self, z: int) -> float:
-        return log_factorial(z) - z * self.log_phi
-
-    @classmethod
-    def tables(cls, handles, cap):
-        z = np.arange(cap + 1)
-        log_phi = np.array([h.log_phi for h in handles], dtype=float)
-        return log_factorial_array(z) - z * log_phi[:, None]
-
-
-def _observation_tables(handles, cap: int) -> np.ndarray:
-    """h(z) = -log p(y | z) up to constants for z = 0..cap, one row per handle."""
-    models = [h.model for h in handles]
-    for model in models:
-        if model is not MISSING and not isinstance(model, (Gaussian, Poisson)):
-            raise TypeError(f"unknown noise model {model!r}")
-    z = np.arange(cap + 1, dtype=float)
-    ys = np.array([h.y for h in handles], dtype=float)
-    out = np.zeros((len(models), cap + 1))
-    gauss = np.array([isinstance(m, Gaussian) for m in models], dtype=bool)
-    var = np.array([m.var for m in models if isinstance(m, Gaussian)], dtype=float)
-    out[gauss] = (ys[gauss, None] - z) ** 2 / (2.0 * var[:, None])
-    poisson = np.array([isinstance(m, Poisson) for m in models], dtype=bool)
-    y = np.trunc(ys[poisson])
-    out[poisson, 0] = np.where(y == 0, 0.0, INF)
-    out[poisson, 1:] = (
-        -y[:, None] * np.log(z[1:]) + z[1:] + log_factorial_array(y.astype(np.int64))[:, None]
-    )
-    return out
-
-
-@dataclass(frozen=True)
-class ObservationCost(CostHandle):
-    """Negative log likelihood of the observation as a function of the count."""
-
-    model: NoiseModel
-    y: float
-
-    def value(self, z: int) -> float:
-        return h_noise_cost(self.model, self.y, z)
-
-    @classmethod
-    def tables(cls, handles, cap):
-        return _observation_tables(handles, cap)
-
-
-@dataclass(frozen=True)
-class InteriorCost(CostHandle):
-    """-log z! plus the observation cost.
-
-    Concave plus convex: NOT discrete convex in general, so the exact solvers
-    reject networks carrying it.  It exists so that the cost of a flow on the
-    as-built network equals the true objective of the corresponding tables.
-    """
-
-    model: NoiseModel
-    y: float
-
-    def value(self, z: int) -> float:
-        return -log_factorial(z) + h_noise_cost(self.model, self.y, z)
-
-    @classmethod
-    def tables(cls, handles, cap):
-        return -log_factorial_array(np.arange(cap + 1)) + _observation_tables(handles, cap)
-
-
-@dataclass(frozen=True)
-class SurrogateInteriorCost(CostHandle):
-    """Affine upper bound of -log z! anchored at n_lin, plus the observation cost.
-
-    alpha must be a supergradient of -log z! at n_lin; the result is discrete
-    convex whenever the observation term is.
-    """
-
-    model: NoiseModel
-    y: float
-    n_lin: int
-    alpha: float
-
-    def value(self, z: int) -> float:
-        affine = -log_factorial(self.n_lin) + self.alpha * (z - self.n_lin)
-        return affine + h_noise_cost(self.model, self.y, z)
-
-    @classmethod
-    def tables(cls, handles, cap):
-        z = np.arange(cap + 1, dtype=float)
-        n_lin = np.array([h.n_lin for h in handles], dtype=np.int64)
-        alpha = np.array([h.alpha for h in handles], dtype=float)
-        affine = -log_factorial_array(n_lin)[:, None] + alpha[:, None] * (z - n_lin[:, None])
-        return affine + _observation_tables(handles, cap)
-
-
-# ---------------------------------------------------------------------------
 # network
-
-
-@dataclass(frozen=True)
-class Edge:
-    tail: int
-    head: int
-    cost: CostHandle
-    capacity: int
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -269,11 +132,41 @@ class CgmLayout:
         return f"{'uw'[layer]}_{t + 1}_{i + 1}"
 
 
+_EDGE_ARRAYS = {
+    "tails": np.int64,
+    "heads": np.int64,
+    "capacity": np.int64,
+    "lf": float,
+    "slope": float,
+    "offset": float,
+    "obs_kind": np.int8,
+    "obs_y": float,
+    "obs_var": float,
+}
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
+    """Edges tails[e] -> heads[e] with capacity[e] and cost c_e(z) at z = 0..capacity[e].
+
+    c_e(z) = lf[e] * ln z! + slope[e] * z + offset[e] + h_e(z), with h_e the
+    observation cost of kind obs_kind[e] (0 none, GAUSSIAN or POISSON) at
+    obs_y[e] and Gaussian variance obs_var[e].  Every parameter must be
+    finite; capacities and Poisson observations are nonnegative integers and
+    Gaussian variances positive.
+    """
+
     n_nodes: int
-    edges: tuple[Edge, ...]
     supplies: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    capacity: np.ndarray
+    lf: np.ndarray
+    slope: np.ndarray
+    offset: np.ndarray
+    obs_kind: np.ndarray
+    obs_y: np.ndarray
+    obs_var: np.ndarray
     layout: Optional[CgmLayout] = None
 
     def __post_init__(self) -> None:
@@ -283,15 +176,39 @@ class FlowNetwork:
         if int(supplies.sum()) != 0:
             raise ValueError("supplies must sum to zero")
         object.__setattr__(self, "supplies", _readonly(supplies))
+        n_edges = np.shape(self.tails)
+        for name, dtype in _EDGE_ARRAYS.items():
+            values = np.asarray(getattr(self, name))
+            if values.shape != n_edges or values.ndim != 1:
+                raise ValueError(f"{name} must have one entry per edge")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+            cast = values.astype(dtype)
+            if not np.array_equal(cast, values):
+                raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
+            object.__setattr__(self, name, _readonly(cast))
+        ends = np.concatenate([self.tails, self.heads])
+        if ((ends < 0) | (ends >= self.n_nodes)).any():
+            raise ValueError("edge endpoints must be nodes")
+        if (self.capacity < 0).any():
+            raise ValueError("capacities must be nonnegative")
+        kind = self.obs_kind
+        if not np.isin(kind, (0, GAUSSIAN, POISSON)).all():
+            raise ValueError("obs_kind must be 0, GAUSSIAN or POISSON")
+        if (self.obs_var[kind == GAUSSIAN] <= 0).any():
+            raise ValueError("Gaussian variances must be positive")
+        y = self.obs_y[kind == POISSON]
+        if ((y < 0) | (y != np.trunc(y))).any():
+            raise ValueError("Poisson observations must be nonnegative integers")
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Integer flow values per edge, indexed like FlowNetwork.edges."""
+    """Integer flow values per edge, indexed like the FlowNetwork's edge arrays."""
 
     values: np.ndarray
 
@@ -300,60 +217,64 @@ class Flow:
         object.__setattr__(self, "values", _readonly(values))
 
 
+def cost_table(network: FlowNetwork) -> np.ndarray:
+    """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e].
+
+    Filled in place, so building it needs one further table-sized temporary.
+    """
+    net = network
+    z = np.arange(int(net.capacity.max(initial=0)) + 1)
+    table = np.multiply.outer(net.slope, z.astype(float))
+    table += net.offset[:, None]
+    table += np.multiply.outer(net.lf, log_factorial_array(z))
+    obs = np.flatnonzero(net.obs_kind)
+    table[obs] += observation_cost(
+        net.obs_kind[obs, None], net.obs_y[obs, None], net.obs_var[obs, None], z
+    )
+    table[z > net.capacity[:, None]] = INF
+    return table
+
+
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _build(instance: CgmInstance, interior: Callable[[int, int], CostHandle]) -> FlowNetwork:
+def _build(instance: CgmInstance, lf, slope, offset) -> FlowNetwork:
+    """Layered network; lf, slope and offset parameterize the interior node edges."""
     N, R, M = instance.n_steps, instance.n_states, instance.population
-    source_edges = np.empty(R, dtype=np.int64)
-    node_edges = np.empty((N, R), dtype=np.int64)
-    trans_edges = np.empty((max(N - 1, 0), R, R), dtype=np.int64)
-    sink_edges = np.empty(R, dtype=np.int64)
-    edges: list[Edge] = []
+    states = np.arange(R)
+    # edge order: source edges, then per step its node edges followed by its
+    # transition edges (row-major in i, j), then sink edges
+    block = R + R * R
+    node_edges = R + block * np.arange(N)[:, None] + states
+    trans_edges = (node_edges[:-1, :1, None] + R) + R * states[:, None] + states
+    n_edges = 2 * R + N * R + (N - 1) * R * R
+    sink_edges = n_edges - R + states
+    u = 2 + 2 * R * np.arange(N)[:, None] + states
+    w = u + R
 
-    def u_node(t: int, i: int) -> int:
-        return 2 + 2 * t * R + i
+    tails = np.empty(n_edges, dtype=np.int64)
+    heads = np.empty(n_edges, dtype=np.int64)
+    tails[states], heads[states] = 0, u[0]
+    tails[node_edges], heads[node_edges] = u, w
+    tails[trans_edges], heads[trans_edges] = w[:-1, :, None], u[1:, None, :]
+    tails[sink_edges], heads[sink_edges] = w[-1], 1
 
-    def w_node(t: int, i: int) -> int:
-        return 2 + (2 * t + 1) * R + i
-
-    for i in range(R):
-        source_edges[i] = len(edges)
-        edges.append(Edge(0, u_node(0, i), ZeroCost(), M))
-    log_phi = instance.log_potentials if N > 1 else None
-    for t in range(N):
-        boundary = t == 0 or t == N - 1
-        for i in range(R):
-            node_edges[t, i] = len(edges)
-            if boundary:
-                handle: CostHandle = ObservationCost(
-                    instance.noise[t][i], float(instance.observations[t, i])
-                )
-            else:
-                handle = interior(t, i)
-            edges.append(Edge(u_node(t, i), w_node(t, i), handle, M))
-        if t < N - 1:
-            for i in range(R):
-                for j in range(R):
-                    trans_edges[t, i, j] = len(edges)
-                    edges.append(
-                        Edge(
-                            w_node(t, i),
-                            u_node(t + 1, j),
-                            TransitionCost(float(log_phi[t, i, j])),
-                            M,
-                        )
-                    )
-    for i in range(R):
-        sink_edges[i] = len(edges)
-        edges.append(Edge(w_node(N - 1, i), 1, ZeroCost(), M))
+    lf_e, slope_e, offset_e = np.zeros(n_edges), np.zeros(n_edges), np.zeros(n_edges)
+    lf_e[trans_edges] = 1.0
+    slope_e[trans_edges] = -instance.log_potentials
+    interior = node_edges[1 : N - 1]
+    lf_e[interior], slope_e[interior], offset_e[interior] = lf, slope, offset
+    obs_kind = np.zeros(n_edges, dtype=np.int8)
+    obs_y, obs_var = np.zeros(n_edges), np.ones(n_edges)
+    kind, y, var = instance.observation_arrays
+    obs_kind[node_edges], obs_y[node_edges], obs_var[node_edges] = kind, y, var
 
     layout = CgmLayout(
         n_steps=N,
         n_states=R,
         population=M,
-        source_edges=source_edges,
+        source_edges=states,
         node_edges=node_edges,
         trans_edges=trans_edges,
         sink_edges=sink_edges,
@@ -362,7 +283,18 @@ def _build(instance: CgmInstance, interior: Callable[[int, int], CostHandle]) ->
     supplies[0] = M
     supplies[1] = -M
     return FlowNetwork(
-        n_nodes=2 + 2 * N * R, edges=tuple(edges), supplies=supplies, layout=layout
+        n_nodes=2 + 2 * N * R,
+        supplies=supplies,
+        tails=tails,
+        heads=heads,
+        capacity=np.full(n_edges, M),
+        lf=lf_e,
+        slope=slope_e,
+        offset=offset_e,
+        obs_kind=obs_kind,
+        obs_y=obs_y,
+        obs_var=obs_var,
+        layout=layout,
     )
 
 
@@ -370,14 +302,10 @@ def build_flow_network(instance: CgmInstance) -> FlowNetwork:
     """Network whose minimum-cost flows are exactly the MAP tables.
 
     Interior node edges carry the true (nonconvex) cost -log z! + h(z); the
-    exact solvers refuse such networks, but flow_cost on them reproduces the
-    true objective of any feasible flow.
+    exact solvers refuse such networks unless that sum is discrete convex,
+    but flow_cost on them reproduces the true objective of any feasible flow.
     """
-
-    def interior(t: int, i: int) -> CostHandle:
-        return InteriorCost(instance.noise[t][i], float(instance.observations[t, i]))
-
-    return _build(instance, interior)
+    return _build(instance, lf=-1.0, slope=0.0, offset=0.0)
 
 
 def build_surrogate_network(
@@ -387,35 +315,22 @@ def build_surrogate_network(
 
     Interior node edges carry the affine surrogate of -log z! anchored at the
     linearization table (which need not be feasible; the all-zero table is
-    the customary starting point) plus the observation cost.  All installed
-    handles are discrete convex.
+    the customary starting point), -log n! + alpha * (z - n), plus the
+    observation cost.  All edge costs are discrete convex.
     """
     from .dca import alpha_value
 
     if linearization.node.shape != (instance.n_steps, instance.n_states):
         raise ValueError("linearization shape does not match instance")
-
-    def interior(t: int, i: int) -> CostHandle:
-        n_lin = int(linearization.node[t, i])
-        return SurrogateInteriorCost(
-            instance.noise[t][i],
-            float(instance.observations[t, i]),
-            n_lin,
-            alpha_value(strategy, n_lin),
-        )
-
-    return _build(instance, interior)
+    n_lin = linearization.node[1 : instance.n_steps - 1]
+    alpha = np.array([alpha_value(strategy, int(n)) for n in n_lin.ravel()])
+    alpha = alpha.reshape(n_lin.shape)
+    offset = -log_factorial_array(n_lin) - alpha * n_lin
+    return _build(instance, lf=0.0, slope=alpha, offset=offset)
 
 
 # ---------------------------------------------------------------------------
 # flow inspection
-
-
-def _endpoints(network: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
-    count = network.n_edges
-    tails = np.fromiter((e.tail for e in network.edges), dtype=np.int64, count=count)
-    heads = np.fromiter((e.head for e in network.edges), dtype=np.int64, count=count)
-    return tails, heads
 
 
 def _balance(tails: np.ndarray, heads: np.ndarray, values, n_nodes: int) -> np.ndarray:
@@ -426,18 +341,21 @@ def _balance(tails: np.ndarray, heads: np.ndarray, values, n_nodes: int) -> np.n
 
 def flow_balance(network: FlowNetwork, values: np.ndarray) -> np.ndarray:
     """Out minus in at every node; equals supplies for a feasible flow."""
-    return _balance(*_endpoints(network), np.asarray(values), network.n_nodes)
+    return _balance(network.tails, network.heads, np.asarray(values), network.n_nodes)
+
+
+def _check_bounds(network: FlowNetwork, values: np.ndarray) -> None:
+    if values.shape != (network.n_edges,):
+        raise ValueError("flow does not match network")
+    if (values < 0).any() or (values > network.capacity).any():
+        raise ValueError("flow violates edge bounds")
 
 
 def flow_cost(network: FlowNetwork, flow: Flow) -> float:
     """Sum of edge costs at the flow's values; +inf if any term is."""
-    total = 0.0
-    for e, z in zip(network.edges, flow.values):
-        c = e.cost.value(int(z))
-        if c == INF:
-            return INF
-        total += c
-    return total
+    values = flow.values
+    _check_bounds(network, values)
+    return float(cost_table(network)[np.arange(network.n_edges), values].sum())
 
 
 def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
@@ -446,12 +364,7 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
     if layout is None:
         raise ValueError("network has no table layout")
     values = flow.values
-    if values.shape != (network.n_edges,):
-        raise ValueError("flow does not match network")
-    if (values < 0).any() or any(
-        int(z) > e.capacity for e, z in zip(network.edges, values)
-    ):
-        raise ValueError("flow violates edge bounds")
+    _check_bounds(network, values)
     if not np.array_equal(flow_balance(network, values), network.supplies):
         raise ValueError("flow violates conservation")
     node = values[layout.node_edges]
@@ -521,43 +434,24 @@ class _ResidualState:
         self.stats = stats
         E, n = network.n_edges, network.n_nodes
         self.n_nodes = n
-        self.tails, self.heads = _endpoints(network)
-        self.cap = np.fromiter((e.capacity for e in network.edges), np.int64, E)
-        width = int(self.cap.max(initial=0)) + 1
-        table = np.empty((E, width))
-        groups: dict = {}
-        for idx, e in enumerate(network.edges):
-            groups.setdefault(type(e.cost), []).append(idx)
-        for cls, idxs in groups.items():
-            table[idxs] = cls.tables([network.edges[i].cost for i in idxs], width - 1)
-        table[np.arange(width) > self.cap[:, None]] = INF
-        self.table = table
-
-        finite = np.isfinite(table)
-        self.lower = finite.argmax(axis=1)
-        empty = ~finite.any(axis=1)
-        gaps = finite.sum(axis=1) != self.cap - self.lower + 1
-        bad = np.flatnonzero(empty | gaps)
-        if bad.size:
-            idx = int(bad[0])
-            if empty[idx]:
-                raise InfeasibleError(f"edge {idx} has no finite cost at any flow value")
-            raise ValueError(f"edge {idx} cost has interior +inf values")
-        with np.errstate(invalid="ignore"):
-            diffs = np.diff(table, axis=1)
-            bends = np.diff(diffs, axis=1)
-        k = np.arange(width - 2)
-        inside = (k >= self.lower[:, None]) & (k <= self.cap[:, None] - 2)
-        bad = np.flatnonzero((inside & (bends < -1e-9)).any(axis=1))
-        del bends
-        if bad.size:
-            raise ValueError(
-                f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
-                "convex edge costs"
-            )
-        # in place: diffs is as large as the cost table
-        diffs[~np.isfinite(diffs)] = 0.0
-        self.scale = max(1.0, float(np.abs(diffs, out=diffs).max(initial=0.0)))
+        self.tails, self.heads, self.cap = network.tails, network.heads, network.capacity
+        # the only +inf cost within 0..capacity: a Poisson y > 0 at z = 0
+        self.lower = ((network.obs_kind == POISSON) & (network.obs_y > 0)).astype(np.int64)
+        empty = np.flatnonzero(self.lower > self.cap)
+        if empty.size:
+            raise InfeasibleError(f"edge {int(empty[0])} has no finite cost at any flow value")
+        self.table = table = cost_table(network)
+        self._check_convex(np.flatnonzero(network.lf < 0))
+        # a convex row's increments are nondecreasing, so its first and last
+        # steps bound the magnitude of all of them
+        rows = np.flatnonzero(self.cap > self.lower)
+        lo, hi = self.lower[rows], self.cap[rows]
+        steps = np.concatenate(
+            [table[rows, lo + 1] - table[rows, lo], table[rows, hi] - table[rows, hi - 1]]
+        )
+        if not np.isfinite(steps).all():
+            raise ValueError("edge costs overflow the floating-point range")
+        self.scale = max(1.0, float(np.abs(steps).max(initial=0.0)))
 
         self.z = self.lower.copy()
         self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
@@ -577,6 +471,21 @@ class _ResidualState:
         self.inc = np.empty(2 * E)
         self._refresh(1)
         self.pi = self._initial_potentials()
+
+    def _check_convex(self, rows: np.ndarray) -> None:
+        """Raise unless the cost rows (edges with lf < 0) are discrete convex."""
+        if not rows.size:
+            return
+        with np.errstate(invalid="ignore"):
+            bends = np.diff(self.table[rows], n=2, axis=1)
+        k = np.arange(bends.shape[1])
+        inside = (k >= self.lower[rows, None]) & (k <= self.cap[rows, None] - 2)
+        bad = rows[(inside & (bends < -1e-9)).any(axis=1)]
+        if bad.size:
+            raise ValueError(
+                f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
+                "convex edge costs"
+            )
 
     def _refresh(self, delta: int, pos=slice(None)) -> None:
         """Recompute the delta-step increments of the residual arcs at pos."""
@@ -756,27 +665,37 @@ def network_to_dot(network: FlowNetwork) -> str:
         b = int(network.supplies[v])
         extra = f' [xlabel="{b:+d}"]' if b else ""
         lines.append(f'  "{_node_label(network, v)}"{extra};')
-    for e in network.edges:
+    for tail, head, cap in zip(network.tails, network.heads, network.capacity):
         lines.append(
-            f'  "{_node_label(network, e.tail)}" -> "{_node_label(network, e.head)}"'
-            f' [label="cap {e.capacity}"];'
+            f'  "{_node_label(network, int(tail))}" -> "{_node_label(network, int(head))}"'
+            f' [label="cap {int(cap)}"];'
         )
     lines.append("}")
     return "\n".join(lines)
 
 
 def network_to_json(network: FlowNetwork) -> dict:
+    """Nodes, supplies and edges; each edge's cost is its parameter record."""
+    net = network
+    kinds = ("none", "gaussian", "poisson")
     return {
-        "n_nodes": network.n_nodes,
-        "nodes": [_node_label(network, v) for v in range(network.n_nodes)],
-        "supplies": network.supplies.tolist(),
+        "n_nodes": net.n_nodes,
+        "nodes": [_node_label(net, v) for v in range(net.n_nodes)],
+        "supplies": net.supplies.tolist(),
         "edges": [
             {
-                "tail": _node_label(network, e.tail),
-                "head": _node_label(network, e.head),
-                "capacity": e.capacity,
-                "cost": repr(e.cost),
+                "tail": _node_label(net, int(net.tails[e])),
+                "head": _node_label(net, int(net.heads[e])),
+                "capacity": int(net.capacity[e]),
+                "cost": {
+                    "lf": float(net.lf[e]),
+                    "slope": float(net.slope[e]),
+                    "offset": float(net.offset[e]),
+                    "obs_kind": kinds[net.obs_kind[e]],
+                    "obs_y": float(net.obs_y[e]),
+                    "obs_var": float(net.obs_var[e]),
+                },
             }
-            for e in network.edges
+            for e in range(net.n_edges)
         ],
     }

@@ -1,4 +1,4 @@
-"""Instance generation, the sparsity statistic, and JSON/CSV serialization.
+"""Instance generation, the sparsity statistic, and JSON serialization.
 
 All randomness flows through numpy's default_rng (PCG64) seeded explicitly,
 with a fixed draw order per generator, so a (generator, seed) pair produces
@@ -39,8 +39,6 @@ __all__ = [
     "load_instance",
     "save_tables",
     "load_tables",
-    "write_node_heatmap",
-    "write_edge_heatmap",
 ]
 
 FORMAT_VERSION = 1
@@ -374,26 +372,3 @@ def load_tables(path: Union[str, Path]) -> Union[ContingencyTables, FractionalTa
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def write_node_heatmap(tables: Union[ContingencyTables, FractionalTables],
-                       path: Union[str, Path]) -> None:
-    """CSV rows t,i,value over the node table (indices 1-based)."""
-    node = np.asarray(tables.node)
-    lines = ["t,i,value"]
-    for t in range(node.shape[0]):
-        for i in range(node.shape[1]):
-            lines.append(f"{t + 1},{i + 1},{node[t, i]}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_edge_heatmap(tables: Union[ContingencyTables, FractionalTables],
-                       path: Union[str, Path]) -> None:
-    """CSV rows t,i,j,value over the transition table (indices 1-based)."""
-    edge = np.asarray(tables.edge)
-    lines = ["t,i,j,value"]
-    for t in range(edge.shape[0]):
-        for i in range(edge.shape[1]):
-            for j in range(edge.shape[2]):
-                lines.append(f"{t + 1},{i + 1},{j + 1},{edge[t, i, j]}")
-    Path(path).write_text("\n".join(lines) + "\n")

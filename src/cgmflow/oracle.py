@@ -16,8 +16,14 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CgmInstance, ContingencyTables, objective
-from .flow import Flow, FlowNetwork, InfeasibleError
+from .core import (
+    CgmInstance,
+    ContingencyTables,
+    log_factorial_array,
+    objective,
+    observation_cost,
+)
+from .flow import Flow, FlowNetwork, InfeasibleError, cost_table
 
 __all__ = [
     "EnumerationBudget",
@@ -186,22 +192,14 @@ def enumerate_feasible(
             )
 
 
-def _node_term_tables(instance: CgmInstance) -> list[list[np.ndarray]]:
+def _node_term_tables(instance: CgmInstance) -> list:
     """Per-(t, i) cost of a node count z = 0..M, on the true objective."""
-    from .flow import InteriorCost, ObservationCost
-
-    N, R, M = instance.n_steps, instance.n_states, instance.population
-    out = []
-    for t in range(N):
-        row = []
-        boundary = t == 0 or t == N - 1
-        for i in range(R):
-            model = instance.noise[t][i]
-            y = float(instance.observations[t, i])
-            handle = ObservationCost(model, y) if boundary else InteriorCost(model, y)
-            row.append(handle.table(M))
-        out.append(row)
-    return out
+    N, M = instance.n_steps, instance.population
+    kind, y, var = instance.observation_arrays
+    z = np.arange(M + 1)
+    terms = observation_cost(kind[..., None], y[..., None], var[..., None], z)
+    terms[1 : N - 1] -= log_factorial_array(z)
+    return terms.tolist()
 
 
 def brute_force_map(
@@ -301,7 +299,7 @@ def brute_force_flow(
 def _layout_min_flow(network: FlowNetwork, counter: _Counter) -> tuple[Flow, float]:
     lay = network.layout
     N, R, M = lay.n_steps, lay.n_states, lay.population
-    tables = [e.cost.table(e.capacity).tolist() for e in network.edges]
+    tables = cost_table(network).tolist()
     src = [tables[int(lay.source_edges[i])] for i in range(R)]
     snk = [tables[int(lay.sink_edges[i])] for i in range(R)]
     nod = [[tables[int(lay.node_edges[t, i])] for i in range(R)] for t in range(N)]
@@ -381,10 +379,10 @@ def _layout_min_flow(network: FlowNetwork, counter: _Counter) -> tuple[Flow, flo
 def _generic_min_flow(network: FlowNetwork, counter: _Counter) -> tuple[Flow, float]:
     n_edges = network.n_edges
     supplies = network.supplies.tolist()
-    caps = [e.capacity for e in network.edges]
-    tables = [e.cost.table(e.capacity).tolist() for e in network.edges]
-    tails = [e.tail for e in network.edges]
-    heads = [e.head for e in network.edges]
+    caps = network.capacity.tolist()
+    tables = cost_table(network).tolist()
+    tails = network.tails.tolist()
+    heads = network.heads.tolist()
 
     rem_out = [0] * network.n_nodes
     rem_in = [0] * network.n_nodes

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cgmflow.baseline import RelaxedProblem, approx_objective, solve_approximate
+from cgmflow.baseline import approx_objective, solve_approximate
 from cgmflow.core import (
     CgmInstance,
     FractionalTables,
@@ -103,23 +103,6 @@ class TestApproxObjective:
                     continue
                 mid = approx_objective(inst, blend(a, b, 0.5))
                 assert mid <= 0.5 * (fa + fb) + 1e-9
-
-
-class TestRelaxedProblem:
-    def test_objective_and_feasibility(self):
-        inst = free_instance(2, 2, 4)
-        prob = RelaxedProblem(instance=inst)
-        good = FractionalTables(
-            node=[[2.0, 2.0], [1.0, 3.0]],
-            edge=[[[1.0, 1.0], [0.0, 2.0]]],
-        )
-        assert prob.feasible(good)
-        assert prob.objective(good) == pytest.approx(approx_objective(inst, good))
-        bad = FractionalTables(
-            node=[[3.0, 1.0], [1.0, 3.0]],
-            edge=[[[1.0, 1.0], [0.0, 2.0]]],
-        )
-        assert not prob.feasible(bad)
 
 
 class TestSolveApproximate:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cgmflow.cli import RunManifest, main
-from cgmflow.core import CgmInstance, MISSING, Poisson
+from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
 from cgmflow.instances import load_instance, load_tables, save_instance
 
 
@@ -173,6 +173,23 @@ class TestSolve:
         path = tmp_path / "bad.json"
         save_instance(inst, path)
         assert main(["solve", "--in", str(path), "--out", str(tmp_path / "r")]) == 3
+
+    def test_infinite_observation_is_format_error(self, tmp_path):
+        inst = CgmInstance(
+            n_steps=2,
+            n_states=2,
+            population=3,
+            potentials=np.ones((1, 2, 2)),
+            observations=np.array([[1.0, 2.0], [np.nan, np.nan]]),
+            noise=((Gaussian(2.0), Gaussian(2.0)), (MISSING, MISSING)),
+        )
+        path = tmp_path / "inf.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["observations"][0][1] = math.inf
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        assert main(["solve", "--in", str(path), "--out", str(tmp_path / "r")]) == 4
 
     def test_oracle_budget_exit_code(self, tmp_path):
         inst_path = free_instance_file(tmp_path, N=3, R=2, M=4)

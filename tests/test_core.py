@@ -306,6 +306,29 @@ class TestInstanceValidation:
                 noise=((MISSING,), (MISSING,)),
             )
 
+    def test_rejects_infinite_potential(self):
+        with pytest.raises(ValueError, match="finite"):
+            CgmInstance(
+                n_steps=2,
+                n_states=2,
+                population=1,
+                potentials=np.array([[[1.0, math.inf], [1.0, 1.0]]]),
+                observations=np.full((2, 2), np.nan),
+                noise=tuple(tuple(MISSING for _ in range(2)) for _ in range(2)),
+            )
+
+    @pytest.mark.parametrize("model", [Gaussian(2.0), Poisson()])
+    def test_rejects_infinite_observation(self, model):
+        with pytest.raises(ValueError, match="finite"):
+            CgmInstance(
+                n_steps=1,
+                n_states=2,
+                population=1,
+                potentials=np.ones((0, 2, 2)),
+                observations=np.array([[1.0, math.inf]]),
+                noise=((model, model),),
+            )
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             CgmInstance(

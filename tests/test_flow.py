@@ -7,30 +7,29 @@ import numpy as np
 import pytest
 
 from cgmflow.core import (
+    GAUSSIAN,
+    POISSON,
     CgmInstance,
     ContingencyTables,
     Gaussian,
     MISSING,
     Poisson,
+    f_cost,
+    g_cost,
+    h_cost,
     objective,
     validate_tables,
 )
-from cgmflow.dca import AlphaStrategy
+from cgmflow.dca import AlphaStrategy, alpha_value, surrogate_g
 from cgmflow.flow import (
-    CostHandle,
-    Edge,
     Flow,
     FlowNetwork,
     InfeasibleError,
-    InteriorCost,
-    ObservationCost,
     SolveStats,
-    SurrogateInteriorCost,
-    TransitionCost,
-    ZeroCost,
     _ResidualState,
     build_flow_network,
     build_surrogate_network,
+    cost_table,
     extract_tables,
     flow_balance,
     flow_cost,
@@ -92,20 +91,23 @@ class TestConstruction:
     def test_edge_wiring(self):
         net = build_flow_network(free_instance(3, 2, 5))
         layout = net.layout
+
+        def ends(e):
+            return (int(net.tails[e]), int(net.heads[e]))
+
         for i in range(2):
-            src = net.edges[layout.source_edges[i]]
-            assert (src.tail, src.head) == (0, layout.u_node(0, i))
-            snk = net.edges[layout.sink_edges[i]]
-            assert (snk.tail, snk.head) == (layout.w_node(2, i), 1)
+            assert ends(layout.source_edges[i]) == (0, layout.u_node(0, i))
+            assert ends(layout.sink_edges[i]) == (layout.w_node(2, i), 1)
         for t in range(3):
             for i in range(2):
-                e = net.edges[layout.node_edges[t, i]]
-                assert (e.tail, e.head) == (layout.u_node(t, i), layout.w_node(t, i))
+                assert ends(layout.node_edges[t, i]) == (
+                    layout.u_node(t, i),
+                    layout.w_node(t, i),
+                )
         for t in range(2):
             for i in range(2):
                 for j in range(2):
-                    e = net.edges[layout.trans_edges[t, i, j]]
-                    assert (e.tail, e.head) == (
+                    assert ends(layout.trans_edges[t, i, j]) == (
                         layout.w_node(t, i),
                         layout.u_node(t + 1, j),
                     )
@@ -119,7 +121,7 @@ class TestConstruction:
 
     def test_capacities_are_population(self):
         net = build_flow_network(free_instance(2, 2, 9))
-        assert all(e.capacity == 9 for e in net.edges)
+        assert (net.capacity == 9).all()
 
     def test_surrogate_shape_mismatch(self):
         inst = free_instance(3, 2, 4)
@@ -128,29 +130,176 @@ class TestConstruction:
             build_surrogate_network(inst, bad, AlphaStrategy.L)
 
 
+def mixed_instance(M=6):
+    """N=3, R=4 with Gaussian, Poisson y=0, Poisson y>0 and missing at every step."""
+    noise = (Gaussian(2.0), Poisson(), Poisson(), MISSING)
+    observations = np.array([[3.5, 0.0, 2.0, np.nan]] * 3)
+    observations[1, 0] = 1.25
+    return CgmInstance(
+        n_steps=3,
+        n_states=4,
+        population=M,
+        potentials=np.linspace(0.3, 4.0, 2 * 16).reshape(2, 4, 4),
+        observations=observations,
+        noise=(noise,) * 3,
+    )
+
+
+def reference_table(inst, net, linearization=None, strategy=AlphaStrategy.L):
+    """Cell-by-cell cost of every edge from the core cost functions.
+
+    Interior node edges get g + h on the as-built network, or the affine
+    surrogate plus h when a linearization is given.
+    """
+    layout = net.layout
+    N, R, M = inst.n_steps, inst.n_states, inst.population
+    want = np.zeros((net.n_edges, M + 1))
+    for z in range(M + 1):
+        for t in range(N):
+            for i in range(R):
+                h = h_cost(inst, t, i, z)
+                if t in inst.interior_steps():
+                    if linearization is None:
+                        inner = g_cost(z)
+                    else:
+                        n_lin = int(linearization.node[t, i])
+                        inner = surrogate_g(n_lin, alpha_value(strategy, n_lin), z)
+                    h += inner
+                want[layout.node_edges[t, i], z] = h
+        for t in range(N - 1):
+            for i in range(R):
+                for j in range(R):
+                    want[layout.trans_edges[t, i, j], z] = f_cost(inst, t, i, j, z)
+    return want
+
+
+def assert_tables_equal(got, want):
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
+
+
+ARC_FIELDS = (
+    "tails", "heads", "capacity", "lf", "slope", "offset", "obs_kind", "obs_y", "obs_var"
+)
+
+
+def array_network(n_nodes, supplies, arcs):
+    """FlowNetwork from one row of ARC_FIELDS values per edge."""
+    return FlowNetwork(
+        n_nodes=n_nodes,
+        supplies=np.array(supplies),
+        **{name: np.array(col) for name, col in zip(ARC_FIELDS, zip(*arcs))},
+    )
+
+
 class TestCostTables:
-    def test_batched_tables_match_values(self):
-        groups = [
-            [ZeroCost(), ZeroCost()],
-            [TransitionCost(0.7), TransitionCost(-1.2)],
-            [
-                ObservationCost(Gaussian(2.0), 3.5),
-                ObservationCost(Poisson(), 2.0),
-                ObservationCost(Poisson(), 0.0),
-                ObservationCost(MISSING, math.nan),
-            ],
-            [InteriorCost(Gaussian(0.5), 1.0), InteriorCost(Poisson(), 3.0)],
-            [
-                SurrogateInteriorCost(Poisson(), 1.0, 0, 0.0),
-                SurrogateInteriorCost(Gaussian(4.0), 2.0, 3, -math.log(3)),
-            ],
+    def test_as_built_network_matches_core_costs(self):
+        inst = mixed_instance()
+        net = build_flow_network(inst)
+        assert_tables_equal(cost_table(net), reference_table(inst, net))
+
+    @pytest.mark.parametrize("strategy", list(AlphaStrategy))
+    def test_surrogate_network_matches_core_costs(self, strategy):
+        inst = mixed_instance()
+        lin = ContingencyTables(
+            node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
+            edge=np.zeros((2, 4, 4), dtype=np.int64),
+        )
+        net = build_surrogate_network(inst, lin, strategy)
+        got = cost_table(net)
+        assert_tables_equal(got, reference_table(inst, net, lin, strategy))
+        # the state solves on the same table, with +inf only below the lower bound
+        state = _ResidualState(net, SolveStats())
+        np.testing.assert_array_equal(state.table, got)
+        assert np.array_equal(state.lower, np.isinf(got[:, 0]).astype(np.int64))
+
+    def test_scale_is_largest_increment(self):
+        for seed in range(12):
+            inst = make_tiny_instance(seed)
+            lin = ContingencyTables(
+                node=np.full((inst.n_steps, inst.n_states), seed % 3),
+                edge=np.zeros((max(inst.n_steps - 1, 0),) + (inst.n_states,) * 2),
+            )
+            net = build_surrogate_network(inst, lin, AlphaStrategy.M)
+            want = reference_table(inst, net, lin, AlphaStrategy.M)
+            with np.errstate(invalid="ignore"):
+                steps = np.diff(want, axis=1)
+            steps = steps[np.isfinite(steps)]
+            expected = max(1.0, float(np.abs(steps).max(initial=0.0)))
+            state = _ResidualState(net, SolveStats())
+            assert state.scale == pytest.approx(expected, rel=1e-12)
+
+    def test_convex_interior_of_as_built_network_is_solved(self):
+        # Gaussian var 0.5 adds a second difference of 2, more than -log z!
+        # takes away, so the lf < 0 rows pass the numeric convexity check
+        inst = CgmInstance(
+            n_steps=3,
+            n_states=2,
+            population=4,
+            potentials=np.array([[[1.0, 2.0], [0.5, 3.0]], [[2.0, 1.0], [1.0, 0.7]]]),
+            observations=np.array([[1.0, np.nan], [2.0, 1.0], [np.nan, 3.0]]),
+            noise=((Poisson(), MISSING), (Gaussian(0.5), Gaussian(0.5)), (MISSING, Poisson())),
+        )
+        net = build_flow_network(inst)
+        assert (net.lf < 0).sum() == 2
+        _, best = brute_force_flow(net)
+        for solver in (solve_ssp, solve_capacity_scaling):
+            flow, cost, _ = solver(net)
+            assert cost == pytest.approx(best, abs=1e-9)
+            assert objective(inst, extract_tables(net, flow)) == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "column,value,match",
+        [
+            ("lf", math.nan, "lf must be finite"),
+            ("slope", math.inf, "slope must be finite"),
+            ("offset", -math.inf, "offset must be finite"),
+            ("obs_y", math.nan, "obs_y must be finite"),
+            ("obs_var", math.inf, "obs_var must be finite"),
+            ("capacity", -1, "capacities must be nonnegative"),
+            ("capacity", 1.5, "capacity must hold int64"),
+            ("obs_kind", 3, "obs_kind"),
+            ("obs_var", 0.0, "Gaussian variances must be positive"),
+            ("obs_var", -2.0, "Gaussian variances must be positive"),
+            ("obs_y", -1.0, "Poisson observations"),
+            ("obs_y", 0.5, "Poisson observations"),
+            ("heads", 2, "endpoints"),
+        ],
+    )
+    def test_network_rejects_bad_parameters(self, column, value, match):
+        # edge 0 is Gaussian, edge 1 Poisson; the bad value goes where it matters
+        arcs = [
+            [0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0],
+            [0, 1, 2, 0.0, 0.0, 0.0, POISSON, 1.0, 1.0],
         ]
-        for handles in groups:
-            got = type(handles[0]).tables(handles, 6)
-            # the per-value loop of the base class is the reference
-            want = CostHandle.tables.__func__(CostHandle, handles, 6)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(handles[-1].table(6), got[-1])
+        row = 1 if column == "obs_y" and match.startswith("Poisson") else 0
+        arcs[row][ARC_FIELDS.index(column)] = value
+        with pytest.raises(ValueError, match=match):
+            array_network(2, [2, -2], arcs)
+
+    def test_solvers_reject_overflowing_costs(self):
+        # finite, valid parameters whose Gaussian term overflows at z = 1
+        net = array_network(2, [1, -1], [[0, 1, 1, 0.0, 0.0, 0.0, GAUSSIAN, 0.0, 1e-310]])
+        for solver in (solve_ssp, solve_capacity_scaling):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+                solver(net)
+
+    def test_network_rejects_misshapen_arrays(self):
+        with pytest.raises(ValueError, match="one entry per edge"):
+            FlowNetwork(
+                n_nodes=2,
+                supplies=np.array([1, -1]),
+                tails=np.array([0]),
+                heads=np.array([1]),
+                capacity=np.array([1, 1]),
+                lf=np.zeros(1),
+                slope=np.zeros(1),
+                offset=np.zeros(1),
+                obs_kind=np.zeros(1),
+                obs_y=np.zeros(1),
+                obs_var=np.ones(1),
+            )
 
 
 class TestFlowTableCorrespondence:
@@ -262,17 +411,23 @@ class TestSolvers:
         # hand-made network the layered builders never produce: two parallel
         # 1 -> 2 edges with different convex costs, an antiparallel 0 <-> 1
         # pair whose 1 -> 0 edge carries a mandatory unit (Poisson, y = 1)
-        edges = (
-            Edge(0, 1, TransitionCost(0.1), 3),
-            Edge(1, 0, ObservationCost(Poisson(), 1.0), 3),
-            Edge(0, 2, ObservationCost(Gaussian(2.0), 1.0), 3),
-            Edge(1, 2, TransitionCost(1.2), 2),
-            Edge(1, 2, ObservationCost(Gaussian(1.0), 2.0), 3),
-            Edge(1, 3, ZeroCost(), 1),
-            Edge(0, 3, TransitionCost(-0.5), 2),
-            Edge(2, 3, SurrogateInteriorCost(MISSING, math.nan, 2, -math.log(2)), 2),
+        log2 = math.log(2)
+        net = array_network(
+            4,
+            [2, 1, -2, -1],
+            [
+                # tail, head, cap, lf, slope, offset, obs kind, y, var
+                [0, 1, 3, 1.0, -0.1, 0.0, 0, 0.0, 1.0],
+                [1, 0, 3, 0.0, 0.0, 0.0, POISSON, 1.0, 1.0],
+                [0, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 1.0, 2.0],
+                [1, 2, 2, 1.0, -1.2, 0.0, 0, 0.0, 1.0],
+                [1, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 2.0, 1.0],
+                [1, 3, 1, 0.0, 0.0, 0.0, 0, 0.0, 1.0],
+                [0, 3, 2, 1.0, 0.5, 0.0, 0, 0.0, 1.0],
+                # affine surrogate of -log z! anchored at 2 with slope -log 2
+                [2, 3, 2, 0.0, -log2, -log2 + 2 * log2, 0, 0.0, 1.0],
+            ],
         )
-        net = FlowNetwork(n_nodes=4, edges=edges, supplies=np.array([2, 1, -2, -1]))
         _, best = brute_force_flow(net)
         for solver in (solve_ssp, solve_capacity_scaling):
             flow, cost, _ = solver(net)
@@ -281,11 +436,14 @@ class TestSolvers:
             assert np.array_equal(flow_balance(net, flow.values), net.supplies)
 
     def test_negative_cycle_raises(self):
-        edges = (
-            Edge(0, 1, TransitionCost(2.0), 2),
-            Edge(1, 0, TransitionCost(2.0), 2),
+        net = array_network(
+            2,
+            [1, -1],
+            [
+                [0, 1, 2, 1.0, -2.0, 0.0, 0, 0.0, 1.0],
+                [1, 0, 2, 1.0, -2.0, 0.0, 0, 0.0, 1.0],
+            ],
         )
-        net = FlowNetwork(n_nodes=2, edges=edges, supplies=np.array([1, -1]))
         for solver in (solve_ssp, solve_capacity_scaling):
             with pytest.raises(ValueError, match="negative-cost cycle"):
                 solver(net)

@@ -25,8 +25,6 @@ from cgmflow.instances import (
     save_instance,
     save_tables,
     sparsity,
-    write_edge_heatmap,
-    write_node_heatmap,
 )
 
 
@@ -304,28 +302,3 @@ class TestTablesIO:
         p.write_text(json.dumps({"format_version": 1, "node": [], "edge": []}))
         with pytest.raises(FormatError, match="integral"):
             load_tables(p)
-
-
-class TestHeatmaps:
-    def test_node_csv(self, tmp_path):
-        tab = ContingencyTables(
-            node=np.array([[2, 0], [1, 1]]), edge=np.array([[[1, 1], [0, 0]]])
-        )
-        p = tmp_path / "node.csv"
-        write_node_heatmap(tab, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "t,i,value"
-        assert lines[1] == "1,1,2"
-        assert len(lines) == 5
-
-    def test_edge_csv(self, tmp_path):
-        tab = FractionalTables(
-            node=np.array([[2.0, 0.0], [1.0, 1.0]]),
-            edge=np.array([[[1.0, 1.0], [0.0, 0.0]]]),
-        )
-        p = tmp_path / "edge.csv"
-        write_edge_heatmap(tab, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "t,i,j,value"
-        assert lines[1] == "1,1,1,1.0"
-        assert len(lines) == 5
