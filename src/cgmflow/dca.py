@@ -6,6 +6,10 @@ the concave part with an affine upper bound tangent at the current tables,
 solves the resulting convex-cost flow problem exactly, and repeats.  The
 true objective never increases along the iterates and the loop reaches a
 fixed point after finitely many steps.
+
+Consecutive surrogates differ only in the interior node-edge slopes, so each
+inner solve after the first starts from the previous optimal flow and its
+duals and repairs them, instead of shipping the whole population again.
 """
 
 from __future__ import annotations
@@ -128,11 +132,15 @@ class DcaReport:
     """Trajectory and bookkeeping of one outer-loop run.
 
     objectives holds the true objective of every feasible iterate, one per
-    inner solve, and is non-increasing; converged is False only when the
-    iteration cap stopped the loop first.
+    inner solve, and is non-increasing; surrogates holds each inner optimal
+    cost, the surrogate bound at that iterate, and changed_cells the number
+    of node cells where the iterate differs from its linearization point.
+    converged is False only when the iteration cap stopped the loop first.
     """
 
     objectives: list = field(default_factory=list)
+    surrogates: list = field(default_factory=list)
+    changed_cells: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     strategy: str = "L"
@@ -143,6 +151,8 @@ class DcaReport:
     def to_dict(self) -> dict:
         return {
             "objectives": list(self.objectives),
+            "surrogates": list(self.surrogates),
+            "changed_cells": list(self.changed_cells),
             "iterations": self.iterations,
             "converged": self.converged,
             "strategy": self.strategy,
@@ -163,6 +173,10 @@ def run_dca(
     objective_tol, or at max_iters (flagged via report.converged = False).
     Returns the best iterate visited.  With at most two steps the surrogate
     equals the true objective, so the first solve is already exact.
+
+    The first inner solve starts cold; each later one is warm-started from
+    the previous iteration's optimal flow and its duals (see solve_ssp), so
+    its shipments count only the units that move.
     """
     config = config or DcaConfig()
     solver = solve_ssp if config.inner_solver == "ssp" else solve_capacity_scaling
@@ -174,13 +188,16 @@ def run_dca(
     prev_obj = math.inf
     best_tables: Optional[ContingencyTables] = None
     best_obj = math.inf
+    flow = None
 
     for _ in range(config.max_iters):
         network = build_surrogate_network(instance, linearization, config.strategy)
-        flow, _, stats = solver(network)
+        flow, surrogate, stats = solver(network, flow)
         tables = extract_tables(network, flow)
         value = objective(instance, tables)
         report.objectives.append(value)
+        report.surrogates.append(surrogate)
+        report.changed_cells.append(int((tables.node != linearization.node).sum()))
         report.inner_stats.append(stats)
         report.iterations += 1
         if value < best_obj:

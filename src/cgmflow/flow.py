@@ -37,6 +37,15 @@ SSP and capacity scaling share one search, a multi-source
 ``scipy.sparse.csgraph.dijkstra`` from every node with enough excess, and
 initial potentials come from one ``bellman_ford`` from a virtual root joined
 to every node.
+
+Both solvers also accept a warm start: a feasible flow of the same shape
+together with node potentials (``Flow.duals``, which every solver returns
+with its flow).  The state then begins at that flow and those potentials
+and repairs, in edge order, each edge with a negative unit-step reduced
+cost: it pushes one unit in the negative direction and ships it straight
+back, so only the units the new optimum needs move.  A difference-of-convex
+iteration changes only the interior node-edge slopes, so the previous
+optimum is nearly optimal for the next surrogate.
 """
 
 from __future__ import annotations
@@ -208,30 +217,45 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class Flow:
-    """Integer flow values per edge, indexed like the FlowNetwork's edge arrays."""
+    """Integer flow values per edge, indexed like the FlowNetwork's edge arrays.
+
+    duals, set by the exact solvers and None elsewhere, are node potentials
+    under which no unit step of the flow has a negative reduced cost: the
+    optimality certificate, and with the flow a warm start for a later solve.
+    """
 
     values: np.ndarray
+    duals: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.int64)
         object.__setattr__(self, "values", _readonly(values))
+        if self.duals is not None:
+            object.__setattr__(self, "duals", _readonly(np.array(self.duals, dtype=float)))
+
+
+def _edge_costs(network: FlowNetwork, z: np.ndarray) -> np.ndarray:
+    """c_e(z) with z broadcast against one row per edge: z is (1, K) or (E, 1).
+
+    Filled in place, so a (E, K) result needs one further temporary of its size.
+    """
+    net = network
+    costs = net.slope[:, None] * z.astype(float)
+    costs += net.offset[:, None]
+    costs += net.lf[:, None] * log_factorial_array(z)
+    obs = np.flatnonzero(net.obs_kind)
+    z_obs = z if z.shape[0] == 1 else z[obs]  # one row shared by all edges, or one per edge
+    costs[obs] += observation_cost(
+        net.obs_kind[obs, None], net.obs_y[obs, None], net.obs_var[obs, None], z_obs
+    )
+    return costs
 
 
 def cost_table(network: FlowNetwork) -> np.ndarray:
-    """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e].
-
-    Filled in place, so building it needs one further table-sized temporary.
-    """
-    net = network
-    z = np.arange(int(net.capacity.max(initial=0)) + 1)
-    table = np.multiply.outer(net.slope, z.astype(float))
-    table += net.offset[:, None]
-    table += np.multiply.outer(net.lf, log_factorial_array(z))
-    obs = np.flatnonzero(net.obs_kind)
-    table[obs] += observation_cost(
-        net.obs_kind[obs, None], net.obs_y[obs, None], net.obs_var[obs, None], z
-    )
-    table[z > net.capacity[:, None]] = INF
+    """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e]."""
+    z = np.arange(int(network.capacity.max(initial=0)) + 1)
+    table = _edge_costs(network, z[None, :])
+    table[z > network.capacity[:, None]] = INF
     return table
 
 
@@ -352,10 +376,14 @@ def _check_bounds(network: FlowNetwork, values: np.ndarray) -> None:
 
 
 def flow_cost(network: FlowNetwork, flow: Flow) -> float:
-    """Sum of edge costs at the flow's values; +inf if any term is."""
+    """Sum of edge costs at the flow's values; +inf if any term is.
+
+    Evaluates each edge's cost at its value only, bit for bit as cost_table
+    would, so it needs O(E) memory.
+    """
     values = flow.values
     _check_bounds(network, values)
-    return float(cost_table(network)[np.arange(network.n_edges), values].sum())
+    return float(_edge_costs(network, values[:, None]).sum())
 
 
 def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
@@ -386,6 +414,9 @@ class SolveStats:
     reduced cost over the final residual network, which is never below
     -1e-9 * max(1, largest finite |increment|) once a solver returns.
     path_costs holds the true cost of every shipment; to_dict summarizes it.
+    restoration_pushes counts the single-edge pushes that restore
+    nonnegative reduced costs: capacity scaling's per-phase saturations, and
+    under either solver the unit pushes that repair a warm start.
     """
 
     method: str = ""
@@ -426,10 +457,11 @@ class _ResidualState:
     and arc_fwd name the edge behind each arc and its direction, and inc holds
     each arc's per-unit cost of one step of the current size (+inf when the
     step leaves the edge's range).  Potentials keep every reduced increment
-    nonnegative up to rounding, so every search is label-setting.
+    nonnegative up to rounding, so every search is label-setting; during a
+    warm-start repair only the edges still waiting for it may be negative.
     """
 
-    def __init__(self, network: FlowNetwork, stats: SolveStats):
+    def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
         self.network = network
         self.stats = stats
         E, n = network.n_edges, network.n_nodes
@@ -453,7 +485,7 @@ class _ResidualState:
             raise ValueError("edge costs overflow the floating-point range")
         self.scale = max(1.0, float(np.abs(steps).max(initial=0.0)))
 
-        self.z = self.lower.copy()
+        self.z = self.lower.copy() if start is None else self._check_start(start)
         self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
 
         arc_src = np.concatenate([self.tails, self.heads])
@@ -470,7 +502,24 @@ class _ResidualState:
         )
         self.inc = np.empty(2 * E)
         self._refresh(1)
-        self.pi = self._initial_potentials()
+        if start is None:
+            self.pi = self._initial_potentials()
+        else:
+            self.pi = start.duals.copy()
+            self._repair()
+
+    def _check_start(self, start: Flow) -> np.ndarray:
+        """The start's values, after checking it is a feasible flow with duals."""
+        net, values, duals = self.network, start.values, start.duals
+        if values.shape != (net.n_edges,):
+            raise ValueError("start flow does not match network")
+        if (values < self.lower).any() or (values > self.cap).any():
+            raise ValueError("start flow violates edge bounds")
+        if not np.array_equal(flow_balance(net, values), net.supplies):
+            raise ValueError("start flow violates conservation")
+        if duals is None or duals.shape != (net.n_nodes,) or not np.isfinite(duals).all():
+            raise ValueError("start flow needs finite duals, one per node")
+        return values.copy()
 
     def _check_convex(self, rows: np.ndarray) -> None:
         """Raise unless the cost rows (edges with lf < 0) are discrete convex."""
@@ -496,8 +545,8 @@ class _ResidualState:
         zn = np.where(ok, zn, ze)
         self.inc[pos] = np.where(ok, (self.table[e, zn] - self.table[e, ze]) / delta, INF)
 
-    def _reduced(self) -> np.ndarray:
-        return self.inc - self.pi[self.arc_src] + self.pi[self.arc_dst]
+    def _reduced(self, pos=slice(None)) -> np.ndarray:
+        return self.inc[pos] - self.pi[self.arc_src[pos]] + self.pi[self.arc_dst[pos]]
 
     def _initial_potentials(self) -> np.ndarray:
         """Bellman-Ford over the open arcs from a virtual root n joined to every node."""
@@ -517,6 +566,35 @@ class _ResidualState:
         except NegativeCycleError:
             raise ValueError("negative-cost cycle in network") from None
         return -dist[:n]
+
+    def _repair(self) -> None:
+        """Make a warm start's unit-step reduced costs nonnegative, edge by edge.
+
+        While an edge has a negative step (below -1e-12 * scale) in either
+        direction, one unit is pushed that way and ship(1) routes it back from
+        the edge's new excess end to its deficit end.  The search clamps the
+        negative arcs of edges still waiting at 0, so by the triangle
+        inequality every repaired or untouched arc stays nonnegative.  Each
+        round either lowers the cost strictly (the unit returns by a cheaper
+        path) or leaves the pushed step at reduced cost 0, which ends it.
+        """
+        E = len(self.z)
+        tol = -1e-12 * self.scale
+        pairs = np.stack([self.arc_pos[:E], self.arc_pos[E:]], axis=1)
+        red = self._reduced()[pairs]
+        for e in np.flatnonzero((red < tol).any(axis=1)):
+            arcs = pairs[e]
+            while True:
+                fwd, bwd = self._reduced(arcs)
+                step = 1 if fwd < tol else -1 if bwd < tol else 0
+                if not step:
+                    break
+                self.z[e] += step
+                self.excess[self.heads[e]] += step
+                self.excess[self.tails[e]] -= step
+                self._refresh(1, arcs)
+                self.stats.restoration_pushes += 1
+                self.ship(1)
 
     def ship(self, delta: int) -> bool:
         """Move delta units from a nearest (excess, deficit) pair; False if none."""
@@ -591,7 +669,7 @@ class _ResidualState:
                 f"optimality certificate failed: min reduced cost {worst!r} below "
                 f"-1e-9 * {self.scale!r}"
             )
-        return Flow(values=values), cost
+        return Flow(values=values, duals=self.pi.copy()), cost
 
 
 def _infeasible_detail(state: _ResidualState) -> str:
@@ -601,17 +679,29 @@ def _infeasible_detail(state: _ResidualState) -> str:
     )
 
 
-def solve_ssp(network: FlowNetwork) -> tuple[Flow, float, SolveStats]:
+def solve_ssp(
+    network: FlowNetwork, start: Optional[Flow] = None
+) -> tuple[Flow, float, SolveStats]:
     """Exact min-cost flow by unit augmentations along shortest residual paths.
 
     Requires every edge cost to be discrete convex.  Deterministic: reruns
     are bit-identical.  Among equally short paths the one csgraph's Dijkstra
     settles (its heap order) is taken, and among equally near deficits the
     lowest node index.
+
+    Without start the flow begins at the lower bounds with Bellman-Ford
+    potentials.  start is a feasible flow on this network (values within
+    the bounds, conservation equal to supplies) with finite duals, one per
+    node, such as the Flow a solver returned for a network differing only in
+    edge costs; otherwise ValueError.  The solve then begins at start and its
+    duals, repairs every edge with a negative unit step by pushing one unit
+    and shipping it back (restoration_pushes counts these pushes, shipments
+    their return trips), and so moves only the units the new optimum needs.
+    The returned Flow carries the final potentials as duals.
     """
     t0 = time.perf_counter()
     stats = SolveStats(method="ssp")
-    state = _ResidualState(network, stats)
+    state = _ResidualState(network, stats, start)
     while state.ship(1):
         pass
     if (state.excess > 0).any():
@@ -621,17 +711,21 @@ def solve_ssp(network: FlowNetwork) -> tuple[Flow, float, SolveStats]:
     return flow, cost, stats
 
 
-def solve_capacity_scaling(network: FlowNetwork) -> tuple[Flow, float, SolveStats]:
+def solve_capacity_scaling(
+    network: FlowNetwork, start: Optional[Flow] = None
+) -> tuple[Flow, float, SolveStats]:
     """Exact min-cost flow shipping geometrically shrinking blocks.
 
     Each phase halves the block size delta, restores delta-step optimality
     with saturating pushes, then ships blocks between large excesses and
     deficits.  The final unit phase guarantees exactness, so the result
-    matches solve_ssp's cost (flows may differ on ties).
+    matches solve_ssp's cost (flows may differ on ties).  start is checked
+    and repaired as in solve_ssp; the repair leaves no excess, so a warm
+    solve runs the unit phase only.
     """
     t0 = time.perf_counter()
     stats = SolveStats(method="cs")
-    state = _ResidualState(network, stats)
+    state = _ResidualState(network, stats, start)
     top = int(state.excess.max(initial=0))
     delta = 1 << (top.bit_length() - 1) if top > 0 else 1
     while delta >= 1:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgmflow.dca
+from cgmflow import flow
 from cgmflow.core import ContingencyTables, log_factorial, objective, validate_tables
 from cgmflow.dca import (
     AlphaStrategy,
@@ -16,6 +18,7 @@ from cgmflow.dca import (
     surrogate_g,
     surrogate_objective,
 )
+from cgmflow.instances import PotentialKind, gen_synthetic
 from cgmflow.oracle import brute_force_map, enumerate_feasible
 from conftest import make_tiny_instance
 
@@ -169,3 +172,123 @@ class TestRunDca:
         assert isinstance(doc["objectives"], list)
         assert doc["strategy"] in ("L", "M", "R")
         assert len(doc["inner"]) == report.iterations
+        assert doc["surrogates"] == report.surrogates
+        assert doc["changed_cells"] == report.changed_cells
+        assert len(doc["surrogates"]) == len(doc["changed_cells"]) == report.iterations
+
+
+class Calls:
+    """Counting wrappers around the names run_dca looks up in cgmflow.dca."""
+
+    NAMES = (
+        "solve_ssp", "solve_capacity_scaling", "build_surrogate_network",
+        "extract_tables", "objective",
+    )
+
+    def __init__(self, monkeypatch):
+        self.log = []
+        for name in self.NAMES:
+            monkeypatch.setattr(cgmflow.dca, name, self.wrap(name, getattr(cgmflow.dca, name)))
+
+    def wrap(self, name, original):
+        def traced(*args):
+            result = original(*args)
+            self.log.append((name, args, result))
+            return result
+
+        return traced
+
+    def of(self, name):
+        return [(args, result) for n, args, result in self.log if n == name]
+
+
+def gate3_instances():
+    kinds = [PotentialKind.UNIFORM, PotentialKind.DISTANCE_1D]
+    combos = [(R, M) for R in (5, 10) for M in (10, 100)]
+    for run in range(50):
+        R, M = combos[run % len(combos)]
+        yield gen_synthetic(
+            n_steps=5, n_states=R, population=M, kind=kinds[run % 2], seed=run
+        )
+
+
+def gate4_instances():
+    for seed in range(200, 250):
+        yield make_tiny_instance(seed, max_steps=4, max_states=3, max_population=6)
+
+
+class TestWarmStartedLoop:
+    @pytest.mark.parametrize("inner", ["ssp", "cs"])
+    def test_one_call_per_iteration_and_chained_starts(self, monkeypatch, inner):
+        calls = Calls(monkeypatch)
+        inst = gen_synthetic(n_steps=5, n_states=5, population=40, seed=6)
+        _, report = run_dca(inst, DcaConfig(inner_solver=inner))
+        n = report.iterations
+        assert n >= 3
+        used = "solve_ssp" if inner == "ssp" else "solve_capacity_scaling"
+        unused = "solve_capacity_scaling" if inner == "ssp" else "solve_ssp"
+        solves = calls.of(used)
+        assert len(solves) == n and calls.of(unused) == []
+        assert [len(args) for args, _ in solves] == [2] * n
+        assert solves[0][0][1] is None
+        for (args, _), (_, previous) in zip(solves[1:], solves):
+            assert args[1] is previous[0]
+        for name in ("build_surrogate_network", "extract_tables", "objective"):
+            assert len(calls.of(name)) == n
+        assert report.surrogates == [result[1] for _, result in solves]
+
+    def test_surrogate_bounds_and_changed_cells(self, monkeypatch):
+        stopped_on_fixed_point = 0
+        for seed in range(8):
+            calls = Calls(monkeypatch)
+            inst = make_tiny_instance(seed + 500, max_steps=5, max_population=8)
+            strategy = STRATEGIES[seed % 3]
+            _, report = run_dca(inst, DcaConfig(strategy=strategy))
+            tables = [result for _, result in calls.of("extract_tables")]
+            anchors = [args[1] for args, _ in calls.of("build_surrogate_network")]
+            assert len(report.surrogates) == len(report.changed_cells) == report.iterations
+            for k in range(report.iterations):
+                assert report.surrogates[k] >= report.objectives[k] - 1e-9
+                want = surrogate_objective(inst, anchors[k], strategy, tables[k])
+                assert report.surrogates[k] == pytest.approx(want, abs=1e-9)
+                changed = int((tables[k].node != anchors[k].node).sum())
+                assert report.changed_cells[k] == changed
+            if len(tables) >= 2 and tables[-1].same_values(tables[-2]):
+                stopped_on_fixed_point += 1
+                assert report.changed_cells[-1] == 0
+            monkeypatch.undo()
+        assert stopped_on_fixed_point >= 3
+
+    @pytest.mark.parametrize("inner", ["ssp", "cs"])
+    def test_warm_inner_optima_equal_cold(self, monkeypatch, inner):
+        name = "solve_ssp" if inner == "ssp" else "solve_capacity_scaling"
+        warm_solver = getattr(cgmflow.dca, name)
+        checked = []
+
+        def checked_solver(network, start):
+            result = warm_solver(network, start)
+            _, cold, _ = flow.solve_ssp(network)
+            assert result[1] == pytest.approx(cold, abs=1e-9)
+            checked.append(start is not None)
+            return result
+
+        monkeypatch.setattr(cgmflow.dca, name, checked_solver)
+        for inst in list(gate3_instances()) + list(gate4_instances()):
+            run_dca(inst, DcaConfig(inner_solver=inner))
+        assert sum(checked) >= 200  # warm solves, after each first iteration
+
+    def test_later_iterations_ship_few_units(self):
+        M = 1000
+        inst = gen_synthetic(n_steps=5, n_states=5, population=M, seed=0)
+        _, report = run_dca(inst)
+        units = [s.units for s in report.inner_stats]
+        assert report.iterations >= 3
+        assert units[0] == M
+        assert max(units[1:]) <= M // 4
+
+    def test_reruns_are_identical(self):
+        inst = gen_synthetic(n_steps=5, n_states=8, population=150, seed=12)
+        _, r1 = run_dca(inst)
+        _, r2 = run_dca(inst)
+        assert r1.objectives == r2.objectives
+        assert [s.shipments for s in r1.inner_stats] == [s.shipments for s in r2.inner_stats]

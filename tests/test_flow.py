@@ -1,7 +1,10 @@
 """Layered network construction and the exact min convex-cost flow solvers."""
 
+import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +217,41 @@ class TestCostTables:
         np.testing.assert_array_equal(state.table, got)
         assert np.array_equal(state.lower, np.isinf(got[:, 0]).astype(np.int64))
 
+    def test_flow_cost_equals_table_lookup(self):
+        inst = mixed_instance()
+        lin = ContingencyTables(
+            node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
+            edge=np.zeros((2, 4, 4), dtype=np.int64),
+        )
+        rng = np.random.default_rng(5)
+        for net in (build_flow_network(inst), build_surrogate_network(inst, lin, "M")):
+            table = cost_table(net)
+            rows = np.arange(net.n_edges)
+            hits_inf = 0
+            for _ in range(40):
+                values = rng.integers(0, net.capacity + 1)
+                want = table[rows, values].sum()
+                hits_inf += math.isinf(want)
+                # bit for bit, +inf included (a Poisson y > 0 at z = 0)
+                assert flow_cost(net, Flow(values=values)) == want
+            assert 0 < hits_inf < 40
+            with pytest.raises(ValueError, match="edge bounds"):
+                flow_cost(net, Flow(values=net.capacity + (rows == 3)))
+
+    def test_flow_cost_needs_no_table(self):
+        inst = gen_synthetic(n_steps=5, n_states=10, population=2000, seed=2)
+        net = surrogate_zero(inst)
+        flow = Flow(values=np.random.default_rng(0).integers(0, net.capacity + 1))
+        want = flow_cost(net, flow)
+        assert cost_table(net).nbytes > 7 * 2**20
+        tracemalloc.start()
+        try:
+            assert flow_cost(net, flow) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_scale_is_largest_increment(self):
         for seed in range(12):
             inst = make_tiny_instance(seed)
@@ -339,6 +377,32 @@ class TestFlowTableCorrespondence:
             extract_tables(net, Flow(values=vals))
 
 
+def parallel_antiparallel_network():
+    """Hand-made network the layered builders never produce.
+
+    Two parallel 1 -> 2 edges with different convex costs, and an
+    antiparallel 0 <-> 1 pair whose 1 -> 0 edge carries a mandatory unit
+    (Poisson, y = 1).
+    """
+    log2 = math.log(2)
+    return array_network(
+        4,
+        [2, 1, -2, -1],
+        [
+            # tail, head, cap, lf, slope, offset, obs kind, y, var
+            [0, 1, 3, 1.0, -0.1, 0.0, 0, 0.0, 1.0],
+            [1, 0, 3, 0.0, 0.0, 0.0, POISSON, 1.0, 1.0],
+            [0, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 1.0, 2.0],
+            [1, 2, 2, 1.0, -1.2, 0.0, 0, 0.0, 1.0],
+            [1, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 2.0, 1.0],
+            [1, 3, 1, 0.0, 0.0, 0.0, 0, 0.0, 1.0],
+            [0, 3, 2, 1.0, 0.5, 0.0, 0, 0.0, 1.0],
+            # affine surrogate of -log z! anchored at 2 with slope -log 2
+            [2, 3, 2, 0.0, -log2, -log2 + 2 * log2, 0, 0.0, 1.0],
+        ],
+    )
+
+
 class TestSolvers:
     def test_matches_brute_force(self):
         for seed in range(20):
@@ -408,26 +472,7 @@ class TestSolvers:
         }
 
     def test_parallel_and_antiparallel_edges(self):
-        # hand-made network the layered builders never produce: two parallel
-        # 1 -> 2 edges with different convex costs, an antiparallel 0 <-> 1
-        # pair whose 1 -> 0 edge carries a mandatory unit (Poisson, y = 1)
-        log2 = math.log(2)
-        net = array_network(
-            4,
-            [2, 1, -2, -1],
-            [
-                # tail, head, cap, lf, slope, offset, obs kind, y, var
-                [0, 1, 3, 1.0, -0.1, 0.0, 0, 0.0, 1.0],
-                [1, 0, 3, 0.0, 0.0, 0.0, POISSON, 1.0, 1.0],
-                [0, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 1.0, 2.0],
-                [1, 2, 2, 1.0, -1.2, 0.0, 0, 0.0, 1.0],
-                [1, 2, 3, 0.0, 0.0, 0.0, GAUSSIAN, 2.0, 1.0],
-                [1, 3, 1, 0.0, 0.0, 0.0, 0, 0.0, 1.0],
-                [0, 3, 2, 1.0, 0.5, 0.0, 0, 0.0, 1.0],
-                # affine surrogate of -log z! anchored at 2 with slope -log 2
-                [2, 3, 2, 0.0, -log2, -log2 + 2 * log2, 0, 0.0, 1.0],
-            ],
-        )
+        net = parallel_antiparallel_network()
         _, best = brute_force_flow(net)
         for solver in (solve_ssp, solve_capacity_scaling):
             flow, cost, _ = solver(net)
@@ -520,3 +565,141 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert "o" in dot and "d" in dot
         assert "u_1_1" in dot and "w_2_2" in dot
+
+
+SOLVERS = (solve_ssp, solve_capacity_scaling)
+
+
+def feasible_starts(net, tables, rng):
+    """Finite-cost flows on net built from enumerated tables, a few spread out."""
+    flows = [tables_to_flow(net, t) for t in tables]
+    flows = [f for f in flows if math.isfinite(flow_cost(net, f))]
+    picks = rng.choice(len(flows), size=min(3, len(flows)), replace=False)
+    return [flows[k] for k in sorted(picks)]
+
+
+def with_duals(flow, duals):
+    return Flow(values=flow.values, duals=duals)
+
+
+class TestWarmStart:
+    def network_and_optimum(self):
+        inst = gen_synthetic(n_steps=3, n_states=3, population=5, seed=1)
+        net = surrogate_zero(inst)
+        flow, cost, _ = solve_ssp(net)
+        return net, flow, cost
+
+    def test_returns_certifying_duals(self):
+        net, flow, _ = self.network_and_optimum()
+        assert flow.duals.shape == (net.n_nodes,)
+        assert not flow.duals.flags.writeable
+        assert Flow(values=flow.values).duals is None
+        for solver in SOLVERS:
+            again, _, stats = solver(net, flow)
+            # an optimal start with its own duals needs no repair and no shipment
+            assert np.array_equal(again.values, flow.values)
+            assert stats.shipments == stats.restoration_pushes == 0
+
+    @pytest.mark.parametrize(
+        "defect,match",
+        [
+            ("short", "does not match"),
+            ("negative", "edge bounds"),
+            ("over capacity", "edge bounds"),
+            ("unbalanced", "conservation"),
+            ("no duals", "duals"),
+            ("short duals", "duals"),
+            ("nan dual", "duals"),
+            ("inf dual", "duals"),
+        ],
+    )
+    def test_rejects_invalid_start(self, defect, match):
+        net, flow, _ = self.network_and_optimum()
+        values, duals = flow.values.copy(), flow.duals.copy()
+        spare = int(np.flatnonzero(values < net.capacity)[0])
+        if defect == "short":
+            values = values[:-1]
+        elif defect == "negative":
+            values[0] = -1
+        elif defect == "over capacity":
+            values[0] = net.capacity[0] + 1
+        elif defect == "unbalanced":
+            values[spare] += 1
+        elif defect == "no duals":
+            duals = None
+        elif defect == "short duals":
+            duals = duals[:-1]
+        else:
+            duals[2] = math.nan if defect == "nan dual" else math.inf
+        for solver in SOLVERS:
+            with pytest.raises(ValueError, match=match):
+                solver(net, Flow(values=values, duals=duals))
+
+    def test_rejects_start_below_mandatory_unit(self):
+        # the Poisson y = 1 edge 1 -> 0 must carry a unit; a flow of zero there
+        # is conservation-feasible yet outside the edge's bounds
+        net = array_network(
+            2,
+            [0, 0],
+            [[0, 1, 2, 0.0, 0.0, 0.0, 0, 0.0, 1.0], [1, 0, 2, 0.0, 0.0, 0.0, POISSON, 1.0, 1.0]],
+        )
+        start = Flow(values=np.zeros(2, dtype=np.int64), duals=np.zeros(2))
+        for solver in SOLVERS:
+            with pytest.raises(ValueError, match="edge bounds"):
+                solver(net, start)
+            assert solver(net)[0].values.tolist() == [1, 1]
+
+    def test_feasible_starts_reach_brute_force(self):
+        rng = np.random.default_rng(3)
+        checked = 0
+        for seed in range(12):
+            inst = make_tiny_instance(seed + 300, max_steps=4, max_population=4)
+            lin = ContingencyTables(
+                node=rng.integers(0, inst.population + 1, size=(inst.n_steps, inst.n_states)),
+                edge=np.zeros((max(inst.n_steps - 1, 0),) + (inst.n_states,) * 2),
+            )
+            net = build_surrogate_network(inst, lin, AlphaStrategy.M)
+            _, best = brute_force_flow(net)
+            other = solve_ssp(surrogate_zero(inst, AlphaStrategy.R))[0]
+            tables = list(itertools.islice(enumerate_feasible(inst), 2000))
+            starts = [other] + feasible_starts(net, tables, rng)
+            for start in starts:
+                for duals in (start.duals, np.zeros(net.n_nodes),
+                              rng.normal(0.0, 5.0, net.n_nodes)):
+                    if duals is None:
+                        continue
+                    for solver in SOLVERS:
+                        flow, cost, stats = solver(net, with_duals(start, duals))
+                        assert cost == pytest.approx(best, abs=1e-9)
+                        assert flow_cost(net, flow) == pytest.approx(cost, abs=1e-9)
+                        assert validate_tables(inst, extract_tables(net, flow)) == []
+                        assert stats.min_reduced_cost >= -1e-9 * max(1.0, abs(best))
+                        checked += 1
+        assert checked > 100
+
+    def test_hand_made_network_from_other_optima(self):
+        net = parallel_antiparallel_network()
+        _, best = brute_force_flow(net)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            resloped = dataclasses.replace(net, slope=rng.normal(0.0, 3.0, net.n_edges))
+            start, _ = brute_force_flow(resloped)
+            for duals in (np.zeros(4), rng.normal(0.0, 10.0, 4)):
+                for solver in SOLVERS:
+                    flow, cost, _ = solver(net, with_duals(start, duals))
+                    assert cost == pytest.approx(best, abs=1e-9)
+                    assert np.array_equal(flow_balance(net, flow.values), net.supplies)
+
+    def test_warm_ships_few_units(self):
+        # consecutive surrogates differ in the interior node slopes only
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first = surrogate_zero(inst)
+        flow, _, _ = solve_ssp(first)
+        lin = extract_tables(first, flow)
+        nxt = build_surrogate_network(inst, lin, AlphaStrategy.L)
+        _, cold, _ = solve_ssp(nxt)
+        for solver in SOLVERS:
+            _, warm, stats = solver(nxt, flow)
+            assert warm == pytest.approx(cold, abs=1e-9)
+            assert stats.restoration_pushes > 0
+            assert stats.units < inst.population // 4
