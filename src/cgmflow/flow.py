@@ -38,14 +38,26 @@ SSP and capacity scaling share one search, a multi-source
 initial potentials come from one ``bellman_ford`` from a virtual root joined
 to every node.
 
+Each search ships one path per tree of the shortest-path forest it grows:
+from each root to the nearest deficit in its tree.  Potentials fall by
+min(dist, D), D the largest distance of a chosen deficit, which keeps every
+reduced cost nonnegative and sets every chosen path's to 0; the trees share
+no node, so the paths are disjoint and ship together (``ship``).  A cold
+SSP solve on a network with one supply node and no mandatory unit has one
+root per search and is plain successive shortest paths; capacity scaling
+and warm starts, which hold many excesses at once, need far fewer searches
+than paths.
+
 Both solvers also accept a warm start: a feasible flow of the same shape
 together with node potentials (``Flow.duals``, which every solver returns
 with its flow).  The state then begins at that flow and those potentials
-and repairs, in edge order, each edge with a negative unit-step reduced
-cost: it pushes one unit in the negative direction and ships it straight
-back, so only the units the new optimum needs move.  A difference-of-convex
-iteration changes only the interior node-edge slopes, so the previous
-optimum is nearly optimal for the next surrogate.
+and repairs in rounds: each round pushes one unit along every edge with a
+negative unit-step reduced cost and ships all of them back, so only the
+units the new optimum needs move.  While an edge waits for repair its flow
+moves one way only, so the rounds end within the total edge range
+(``_repair``).  A difference-of-convex iteration changes only the interior
+node-edge slopes, so the previous optimum is nearly optimal for the next
+surrogate.
 """
 
 from __future__ import annotations
@@ -408,12 +420,16 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
 class SolveStats:
     """Counters of one solve.
 
-    dijkstra_pops sums, over all searches, the nodes a search settles (those
-    at finite distance from the sources); every search runs to completion.
+    searches counts the Dijkstra calls.  dijkstra_pops sums, over all
+    searches, the nodes a search settles (those at finite distance from the
+    sources); every search runs to completion, so pops are per search.  A
+    search ships one path per tree of its shortest-path forest, so
+    shipments (and units) count paths, and path_costs holds one entry per
+    path: searches == shipments exactly when every search has one root.
     min_reduced_cost is the optimality certificate: the smallest unit-step
     reduced cost over the final residual network, which is never below
     -1e-9 * max(1, largest finite |increment|) once a solver returns.
-    path_costs holds the true cost of every shipment; to_dict summarizes it.
+    path_costs holds the true cost of every path; to_dict summarizes it.
     restoration_pushes counts the single-edge pushes that restore
     nonnegative reduced costs: capacity scaling's per-phase saturations, and
     under either solver the unit pushes that repair a warm start.
@@ -425,6 +441,7 @@ class SolveStats:
     path_costs: list = field(default_factory=list)
     phases: list = field(default_factory=list)
     restoration_pushes: int = 0
+    searches: int = 0
     dijkstra_pops: int = 0
     min_reduced_cost: float = 0.0
     wall_time: float = 0.0
@@ -443,6 +460,7 @@ class SolveStats:
             },
             "phases": list(self.phases),
             "restoration_pushes": self.restoration_pushes,
+            "searches": self.searches,
             "dijkstra_pops": self.dijkstra_pops,
             "min_reduced_cost": self.min_reduced_cost,
             "wall_time": self.wall_time,
@@ -568,61 +586,108 @@ class _ResidualState:
         return -dist[:n]
 
     def _repair(self) -> None:
-        """Make a warm start's unit-step reduced costs nonnegative, edge by edge.
+        """Make a warm start's unit-step reduced costs nonnegative, in rounds.
 
-        While an edge has a negative step (below -1e-12 * scale) in either
-        direction, one unit is pushed that way and ship(1) routes it back from
-        the edge's new excess end to its deficit end.  The search clamps the
-        negative arcs of edges still waiting at 0, so by the triangle
-        inequality every repaired or untouched arc stays nonnegative.  Each
-        round either lowers the cost strictly (the unit returns by a cheaper
-        path) or leaves the pushed step at reduced cost 0, which ends it.
+        Each round pushes one unit along every edge with a negative unit step
+        (_push_negative), then ship(1) routes all the pushed units back from
+        the excesses they made to the deficits, many per search, until the
+        flow is feasible again; the start's feasibility guarantees the way
+        back.  An edge stays waiting while its pushed direction is negative.
+
+        Termination: ship clamps waiting arcs at 0, so by the argument in
+        ship a nonnegative arc never turns negative, and a waiting arc's
+        reduced cost never falls (its head ends no farther than its tail).
+        A push or a ship along a waiting arc leaves the reverse arc positive
+        and, by convexity, the next step no cheaper; a ship against it leaves
+        that step at reduced cost 0, which ends the wait.  So while an edge
+        waits its flow moves one way only, it is pushed at most
+        capacity - lower times and never again after, and each round pushes
+        at least once: the rounds are at most the total edge range.  Only
+        floating-point rounding could exceed that bound; doing so raises
+        RuntimeError.
         """
-        E = len(self.z)
-        tol = -1e-12 * self.scale
-        pairs = np.stack([self.arc_pos[:E], self.arc_pos[E:]], axis=1)
-        red = self._reduced()[pairs]
-        for e in np.flatnonzero((red < tol).any(axis=1)):
-            arcs = pairs[e]
-            while True:
-                fwd, bwd = self._reduced(arcs)
-                step = 1 if fwd < tol else -1 if bwd < tol else 0
-                if not step:
-                    break
-                self.z[e] += step
-                self.excess[self.heads[e]] += step
-                self.excess[self.tails[e]] -= step
-                self._refresh(1, arcs)
-                self.stats.restoration_pushes += 1
-                self.ship(1)
+        for _ in range(int((self.cap - self.lower).sum()) + 1):
+            if not self._push_negative(1):
+                return
+            while self.ship(1):
+                pass
+        raise RuntimeError("warm-start repair did not settle within its round bound")
+
+    def _push_negative(self, delta: int) -> int:
+        """Push delta units along every edge whose delta step is negative.
+
+        Negative means below -1e-12 * scale, so the rule does not depend on
+        the cost units.  The forward step goes first; by convexity the two
+        directions of an edge are never both negative.  Returns how many
+        edges were pushed.
+        """
+        E, tol = len(self.z), -1e-12 * self.scale
+        fwd, bwd = self.arc_pos[:E], self.arc_pos[E:]
+        red = self._reduced()
+        up = red[fwd] < tol
+        step = delta * (up.astype(np.int64) - ((red[bwd] < tol) & ~up))
+        pushed = np.flatnonzero(step)
+        self.z += step
+        self.excess -= _balance(self.tails, self.heads, step, self.n_nodes)
+        self._refresh(delta, np.concatenate([fwd[pushed], bwd[pushed]]))
+        self.stats.restoration_pushes += pushed.size
+        return pushed.size
 
     def ship(self, delta: int) -> bool:
-        """Move delta units from a nearest (excess, deficit) pair; False if none."""
+        """Move delta units along one shortest path per search tree; False if none.
+
+        One multi-source Dijkstra from every node with excess >= delta grows a
+        shortest-path forest (min_only puts each node in the tree of its
+        nearest root).  In every tree that holds a deficit <= -delta, delta
+        units go from the root to its nearest such deficit (lowest node index
+        on ties).  With D the largest distance among those targets, every
+        potential is lowered by min(dist, D).  Optimality: min(dist, D) grows
+        by at most an arc's weight along it, so no nonnegative reduced cost
+        turns negative; every node of a chosen path lies at distance <= D, so
+        each arc on it ends at reduced cost exactly 0.  The trees share no
+        node, so the paths share no edge and all of them ship at once: each
+        shipped step's reverse has reduced cost 0 and, by convexity, the next
+        step the same way is no cheaper.  With one root this is plain
+        successive shortest paths.
+        """
         sources = np.flatnonzero(self.excess >= delta)
-        sinks = self.excess <= -delta
-        if not sources.size or not sinks.any():
+        sinks = np.flatnonzero(self.excess <= -delta)
+        if not sources.size or not sinks.size:
             return False
         weights = self.graph.data
-        # reduced increments are nonnegative up to rounding residue; clamping
-        # keeps the search label-setting
+        # reduced increments are nonnegative up to rounding residue (and, during
+        # a warm-start repair, below 0 on edges still waiting); clamping keeps
+        # the search label-setting
         np.maximum(self._reduced(), 0.0, out=weights)
-        dist, pred, _ = dijkstra(
+        dist, pred, root = dijkstra(
             self.graph, directed=True, indices=sources, return_predecessors=True,
             min_only=True,
         )
+        self.stats.searches += 1
         self.stats.dijkstra_pops += int(np.isfinite(dist).sum())
-        reach = np.where(sinks, dist, INF)
-        target = int(reach.argmin())
-        d_target = reach[target]
-        if d_target == INF:
+        targets = sinks[np.isfinite(dist[sinks])]
+        if not targets.size:
             return False
-        self.pi -= np.minimum(dist, d_target)
+        if targets.size > 1:
+            # nearest deficit of each tree; lexsort is stable and sinks ascend,
+            # so equal distances keep the lowest node index first
+            targets = targets[np.lexsort((dist[targets], root[targets]))]
+            trees = root[targets]
+            first = np.ones(trees.size, dtype=bool)
+            np.not_equal(trees[1:], trees[:-1], out=first[1:])
+            targets = targets[first]
+        self.pi -= np.minimum(dist, dist[targets].max())
 
-        path = [target]
-        while pred[path[-1]] >= 0:
-            path.append(int(pred[path[-1]]))
-        path = np.array(path[::-1])
-        keys = path[:-1] * self.n_nodes + path[1:]
+        # each path's arcs, target back to root, one contiguous run per path
+        n, pred = self.n_nodes, pred.tolist()
+        keys, starts = [], []
+        for v in targets.tolist():
+            starts.append(len(keys))
+            u = pred[v]
+            while u >= 0:
+                keys.append(u * n + v)
+                v, u = u, pred[u]
+        keys = np.array(keys)
         pos = np.searchsorted(self.arc_keys, keys, side="left")
         end = np.searchsorted(self.arc_keys, keys, side="right")
         for k in np.flatnonzero(end - pos > 1):
@@ -631,30 +696,21 @@ class _ResidualState:
         e = self.arc_edge[pos]
         ze = self.z[e]
         zn = np.where(self.arc_fwd[pos], ze + delta, ze - delta)
-        true_cost = float((self.table[e, zn] - self.table[e, ze]).sum())
+        true_costs = np.add.reduceat(self.table[e, zn] - self.table[e, ze], starts)
         self.z[e] = zn
-        self.excess[path[0]] -= delta
-        self.excess[target] += delta
+        self.excess[root[targets]] -= delta
+        self.excess[targets] += delta
         self._refresh(delta, np.concatenate([self.arc_pos[e], self.arc_pos[e + len(self.z)]]))
-        self.stats.shipments += 1
-        self.stats.units += delta
-        self.stats.path_costs.append(true_cost)
+        self.stats.shipments += targets.size
+        self.stats.units += delta * targets.size
+        self.stats.path_costs.extend(true_costs.tolist())
         return True
 
     def restore(self, delta: int) -> None:
         """Re-establish nonnegative delta-step reduced costs by saturating pushes."""
-        E = len(self.z)
-        while True:
-            self._refresh(delta)
-            red = self._reduced()
-            fwd = red[self.arc_pos[:E]] < -1e-12
-            bwd = (red[self.arc_pos[E:]] < -1e-12) & ~fwd
-            if not (fwd.any() or bwd.any()):
-                return
-            step = delta * (fwd.astype(np.int64) - bwd)
-            self.z += step
-            self.excess -= _balance(self.tails, self.heads, step, self.n_nodes)
-            self.stats.restoration_pushes += int(fwd.sum() + bwd.sum())
+        self._refresh(delta)
+        while self._push_negative(delta):
+            pass
 
     def finalize(self) -> tuple[Flow, float]:
         """Return the flow and its cost after checking the optimality certificate."""
@@ -685,18 +741,20 @@ def solve_ssp(
     """Exact min-cost flow by unit augmentations along shortest residual paths.
 
     Requires every edge cost to be discrete convex.  Deterministic: reruns
-    are bit-identical.  Among equally short paths the one csgraph's Dijkstra
-    settles (its heap order) is taken, and among equally near deficits the
-    lowest node index.
+    are bit-identical.  Each search augments one path per tree of its
+    shortest-path forest, one tree per node with excess.  Among equally
+    short paths the one csgraph's Dijkstra settles (its heap order) is
+    taken, and among equally near deficits the lowest node index.
 
     Without start the flow begins at the lower bounds with Bellman-Ford
     potentials.  start is a feasible flow on this network (values within
     the bounds, conservation equal to supplies) with finite duals, one per
     node, such as the Flow a solver returned for a network differing only in
     edge costs; otherwise ValueError.  The solve then begins at start and its
-    duals, repairs every edge with a negative unit step by pushing one unit
-    and shipping it back (restoration_pushes counts these pushes, shipments
-    their return trips), and so moves only the units the new optimum needs.
+    duals and repairs in rounds: every edge with a negative unit step
+    pushes one unit, and all of them are shipped back (restoration_pushes
+    counts these pushes, shipments their return paths), so only the units
+    the new optimum needs move.
     The returned Flow carries the final potentials as duals.
     """
     t0 = time.perf_counter()
@@ -718,7 +776,8 @@ def solve_capacity_scaling(
 
     Each phase halves the block size delta, restores delta-step optimality
     with saturating pushes, then ships blocks between large excesses and
-    deficits.  The final unit phase guarantees exactness, so the result
+    deficits, one block per tree of each search's forest.  The final unit
+    phase guarantees exactness, so the result
     matches solve_ssp's cost (flows may differ on ties).  start is checked
     and repaired as in solve_ssp; the repair leaves no excess, so a warm
     solve runs the unit phase only.

@@ -137,6 +137,7 @@ def test_criterion_04_oracle_dominance():
         print(f"\n  exact-match rate: {matches}/{total}", flush=True)
 
 
+@pytest.mark.slow
 def test_criterion_05_dominates_baseline():
     with gate(5, "lower true objective than the relaxation"):
         t0 = time.perf_counter()
@@ -255,6 +256,7 @@ def test_criterion_08_solver_agreement(tiny_solved):
             assert cs_cost == pytest.approx(ssp_cost, abs=TOL)
 
 
+@pytest.mark.slow
 def test_criterion_09_scaling_trends(tmp_path):
     with gate(9, "timing trends across population sizes"):
         out = tmp_path / "bench"

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgmflow.core import (
     GAUSSIAN,
@@ -546,6 +548,113 @@ class TestSolvers:
         flow, _, _ = solve_ssp(surrogate_zero(inst))
         tables = extract_tables(surrogate_zero(inst), flow)
         assert tables.node[0].tolist() == [8, 2]
+
+    def test_searches_count_dijkstra_calls(self):
+        # a cold solve of a layered network has one source, so every search
+        # ships one path
+        inst = gen_synthetic(n_steps=4, n_states=3, population=20, seed=2)
+        _, _, stats = solve_ssp(surrogate_zero(inst))
+        assert stats.searches == stats.shipments == 20
+        assert stats.to_dict()["searches"] == stats.searches
+        # two roots in separate trees: one search ships both paths
+        _, _, stats = solve_ssp(two_tree_network())
+        assert (stats.searches, stats.shipments) == (1, 2)
+
+    def test_cost_scale_leaves_solves_unchanged(self):
+        # scaling every cost parameter by a power of two scales every cost,
+        # distance and potential exactly, so scale-relative tolerances must
+        # give the same pushes and paths
+        k = 2.0**20
+        inst = gen_synthetic(n_steps=4, n_states=4, population=40, seed=5)
+        net = surrogate_zero(inst)
+        lin = extract_tables(net, solve_ssp(net)[0])
+        nxt = build_surrogate_network(inst, lin, AlphaStrategy.L)
+
+        def scaled(network):
+            return dataclasses.replace(
+                network, lf=network.lf * k, slope=network.slope * k,
+                offset=network.offset * k, obs_var=network.obs_var / k,
+            )
+
+        for solver in SOLVERS:
+            start, _, _ = solver(net)
+            big_start, _, _ = solver(scaled(net))
+            runs = [
+                (solver(nxt), solver(scaled(nxt))),
+                (solver(nxt, start), solver(scaled(nxt), big_start)),
+            ]
+            for (flow, cost, stats), (big_flow, big_cost, big_stats) in runs:
+                assert np.array_equal(flow.values, big_flow.values)
+                assert big_cost == cost * k
+                assert (big_stats.shipments, big_stats.restoration_pushes) == (
+                    stats.shipments, stats.restoration_pushes,
+                )
+
+
+def two_tree_network():
+    """Excesses at 0 and 1 and deficits at 2 and 3, each deficit nearest one root."""
+    return array_network(
+        4,
+        [1, 1, -1, -1],
+        [
+            # tail, head, cap, lf, slope, offset, obs kind, y, var
+            [0, 2, 2, 1.0, 1.0, 0.0, 0, 0.0, 1.0],
+            [1, 3, 2, 0.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0],
+            [0, 3, 2, 0.0, 4.0, 0.0, 0, 0.0, 1.0],
+            [1, 2, 2, 1.0, 3.0, 0.0, 0, 0.0, 1.0],
+        ],
+    )
+
+
+class TestForest:
+    def test_one_search_ships_from_both_roots(self):
+        net = two_tree_network()
+        best_flow, best = brute_force_flow(net)
+        for solver in SOLVERS:
+            flow, cost, stats = solver(net)
+            assert stats.searches == 1 and stats.shipments == 2
+            assert np.array_equal(flow.values, best_flow.values)
+            assert cost == pytest.approx(best, abs=1e-9)
+            assert stats.path_costs == pytest.approx([1.0, 0.25], abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), pick=st.integers(0, 2**32 - 1))
+    def test_warm_solves_from_random_starts_reach_brute_force(self, seed, pick):
+        rng = np.random.default_rng(pick)
+        inst = make_tiny_instance(seed, max_steps=4, max_population=4)
+        lin = ContingencyTables(
+            node=rng.integers(0, inst.population + 1, size=(inst.n_steps, inst.n_states)),
+            edge=np.zeros((max(inst.n_steps - 1, 0),) + (inst.n_states,) * 2),
+        )
+        net = build_surrogate_network(inst, lin, list(AlphaStrategy)[rng.integers(3)])
+        _, best = brute_force_flow(net)
+        # another network's optimum and, when one has a finite cost, an
+        # arbitrary feasible table
+        resloped = dataclasses.replace(net, slope=net.slope + rng.normal(0.0, 3.0, net.n_edges))
+        tables = list(itertools.islice(enumerate_feasible(inst), 500))
+        starts = [solve_ssp(resloped)[0]] + feasible_starts(net, tables, rng)[:1]
+        for start in starts:
+            duals = rng.normal(0.0, 10.0, net.n_nodes)
+            for solver in SOLVERS:
+                flow, cost, stats = solver(net, with_duals(start, duals))
+                assert cost == pytest.approx(best, abs=1e-9)
+                assert flow_cost(net, flow) == pytest.approx(cost, abs=1e-9)
+                assert stats.min_reduced_cost >= -1e-9 * max(1.0, abs(best))
+
+    def test_repair_stops_at_its_round_bound(self, monkeypatch):
+        net, flow, _ = TestWarmStart().network_and_optimum()
+
+        def send_back(state, delta):
+            # undo the round's pushes instead of shipping them, so the same
+            # edges stay negative round after round
+            state.z[:] = flow.values
+            state.excess[:] = 0
+            state._refresh(1)
+            return False
+
+        monkeypatch.setattr(_ResidualState, "ship", send_back)
+        with pytest.raises(RuntimeError, match="round bound"):
+            solve_ssp(net, with_duals(flow, np.zeros(net.n_nodes)))
 
 
 class TestSerialization:
