@@ -248,6 +248,8 @@ def _solve_dca(instance: CgmInstance, strategy: str, inner: str,
         "method": "dca",
         "objective": objective(instance, tables),
         "trajectory": list(report.objectives),
+        "surrogates": list(report.surrogates),
+        "changed_cells": list(report.changed_cells),
         "iterations": report.iterations,
         "converged": report.converged,
         "strategy": report.strategy,

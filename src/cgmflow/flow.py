@@ -48,16 +48,16 @@ root per search and is plain successive shortest paths; capacity scaling
 and warm starts, which hold many excesses at once, need far fewer searches
 than paths.
 
-Both solvers also accept a warm start: a feasible flow of the same shape
-together with node potentials (``Flow.duals``, which every solver returns
-with its flow).  The state then begins at that flow and those potentials
-and repairs in rounds: each round pushes one unit along every edge with a
-negative unit-step reduced cost and ships all of them back, so only the
-units the new optimum needs move.  While an edge waits for repair its flow
-moves one way only, so the rounds end within the total edge range
-(``_repair``).  A difference-of-convex iteration changes only the interior
-node-edge slopes, so the previous optimum is nearly optimal for the next
-surrogate.
+Both solvers run one phase routine at a block size delta (``phase``):
+push delta units along every edge whose delta step has a negative reduced
+cost, ship, and repeat until a round pushes nothing.  SSP is the single
+unit phase; capacity scaling halves delta from the largest power of two at
+most the top excess down to 1 (Ahuja, Magnanti and Orlin, Network Flows,
+sections 10.2 and 14.5).  A warm start, a feasible flow with node
+potentials (``Flow.duals``, which every solver returns), holds no excess,
+so its unit phase moves only the units its pushes displace; a
+difference-of-convex iteration changes only the interior node-edge slopes,
+so the previous optimum is nearly optimal for the next surrogate.
 """
 
 from __future__ import annotations
@@ -430,9 +430,10 @@ class SolveStats:
     reduced cost over the final residual network, which is never below
     -1e-9 * max(1, largest finite |increment|) once a solver returns.
     path_costs holds the true cost of every path; to_dict summarizes it.
-    restoration_pushes counts the single-edge pushes that restore
-    nonnegative reduced costs: capacity scaling's per-phase saturations, and
-    under either solver the unit pushes that repair a warm start.
+    phases lists the block size of every phase in order: SSP's single unit
+    phase [1], or capacity scaling's halving powers of two down to 1.
+    restoration_pushes counts the single-edge pushes of phase rounds, which
+    restore nonnegative reduced costs after a halving or repair a warm start.
     """
 
     method: str = ""
@@ -476,7 +477,7 @@ class _ResidualState:
     each arc's per-unit cost of one step of the current size (+inf when the
     step leaves the edge's range).  Potentials keep every reduced increment
     nonnegative up to rounding, so every search is label-setting; during a
-    warm-start repair only the edges still waiting for it may be negative.
+    phase only the edges still waiting for a push may be negative.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
@@ -519,12 +520,11 @@ class _ResidualState:
             (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
         )
         self.inc = np.empty(2 * E)
-        self._refresh(1)
         if start is None:
+            self._refresh(1)
             self.pi = self._initial_potentials()
         else:
             self.pi = start.duals.copy()
-            self._repair()
 
     def _check_start(self, start: Flow) -> np.ndarray:
         """The start's values, after checking it is a feasible flow with duals."""
@@ -585,14 +585,15 @@ class _ResidualState:
             raise ValueError("negative-cost cycle in network") from None
         return -dist[:n]
 
-    def _repair(self) -> None:
-        """Make a warm start's unit-step reduced costs nonnegative, in rounds.
+    def phase(self, delta: int) -> None:
+        """Ship at step delta until no delta step has a negative reduced cost.
 
-        Each round pushes one unit along every edge with a negative unit step
-        (_push_negative), then ship(1) routes all the pushed units back from
-        the excesses they made to the deficits, many per search, until the
-        flow is feasible again; the start's feasibility guarantees the way
-        back.  An edge stays waiting while its pushed direction is negative.
+        Refreshes every arc at step delta, then runs rounds: _push_negative
+        moves delta units along every edge with a negative delta step, and
+        ship(delta) routes excesses to deficits, many per search, until no
+        search finds a pair.  The phase ends after a round that pushes
+        nothing.  An edge stays waiting while its pushed direction is
+        negative.
 
         Termination: ship clamps waiting arcs at 0, so by the argument in
         ship a nonnegative arc never turns negative, and a waiting arc's
@@ -601,17 +602,21 @@ class _ResidualState:
         and, by convexity, the next step no cheaper; a ship against it leaves
         that step at reduced cost 0, which ends the wait.  So while an edge
         waits its flow moves one way only, it is pushed at most
-        capacity - lower times and never again after, and each round pushes
-        at least once: the rounds are at most the total edge range.  Only
-        floating-point rounding could exceed that bound; doing so raises
-        RuntimeError.
+        (capacity - lower) / delta times and never again after, and each
+        round pushes at least once: the rounds are at most the total edge
+        range over delta.  Only floating-point rounding could exceed that
+        bound; doing so raises RuntimeError.
         """
-        for _ in range(int((self.cap - self.lower).sum()) + 1):
-            if not self._push_negative(1):
-                return
-            while self.ship(1):
+        self._refresh(delta)
+        pushed = self._push_negative(delta)
+        for _ in range(int((self.cap - self.lower).sum()) // delta + 1):
+            while self.ship(delta):
                 pass
-        raise RuntimeError("warm-start repair did not settle within its round bound")
+            # shipping leaves nonnegative arcs nonnegative, so only a round
+            # that pushed needs another check
+            if not (pushed and self._push_negative(delta)):
+                return
+        raise RuntimeError("phase did not settle within its round bound")
 
     def _push_negative(self, delta: int) -> int:
         """Push delta units along every edge whose delta step is negative.
@@ -706,12 +711,6 @@ class _ResidualState:
         self.stats.path_costs.extend(true_costs.tolist())
         return True
 
-    def restore(self, delta: int) -> None:
-        """Re-establish nonnegative delta-step reduced costs by saturating pushes."""
-        self._refresh(delta)
-        while self._push_negative(delta):
-            pass
-
     def finalize(self) -> tuple[Flow, float]:
         """Return the flow and its cost after checking the optimality certificate."""
         values = self.z.copy()
@@ -735,6 +734,26 @@ def _infeasible_detail(state: _ResidualState) -> str:
     )
 
 
+def _solve(
+    network: FlowNetwork, start: Optional[Flow], method: str
+) -> tuple[Flow, float, SolveStats]:
+    """Phases at halving block sizes from the method's first one down to 1."""
+    t0 = time.perf_counter()
+    stats = SolveStats(method=method)
+    state = _ResidualState(network, stats, start)
+    top = max(1, int(state.excess.max(initial=0))) if method == "cs" else 1
+    delta = 1 << (top.bit_length() - 1)
+    while delta >= 1:
+        stats.phases.append(delta)
+        state.phase(delta)
+        delta //= 2
+    if (state.excess > 0).any():
+        raise InfeasibleError(_infeasible_detail(state))
+    flow, cost = state.finalize()
+    stats.wall_time = time.perf_counter() - t0
+    return flow, cost, stats
+
+
 def solve_ssp(
     network: FlowNetwork, start: Optional[Flow] = None
 ) -> tuple[Flow, float, SolveStats]:
@@ -750,23 +769,12 @@ def solve_ssp(
     potentials.  start is a feasible flow on this network (values within
     the bounds, conservation equal to supplies) with finite duals, one per
     node, such as the Flow a solver returned for a network differing only in
-    edge costs; otherwise ValueError.  The solve then begins at start and its
-    duals and repairs in rounds: every edge with a negative unit step
-    pushes one unit, and all of them are shipped back (restoration_pushes
-    counts these pushes, shipments their return paths), so only the units
-    the new optimum needs move.
+    edge costs; otherwise ValueError.  Either way the solve is one unit
+    phase (_ResidualState.phase), so from a start only the units that its
+    negative edges push and the new optimum needs move.
     The returned Flow carries the final potentials as duals.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats(method="ssp")
-    state = _ResidualState(network, stats, start)
-    while state.ship(1):
-        pass
-    if (state.excess > 0).any():
-        raise InfeasibleError(_infeasible_detail(state))
-    flow, cost = state.finalize()
-    stats.wall_time = time.perf_counter() - t0
-    return flow, cost, stats
+    return _solve(network, start, "ssp")
 
 
 def solve_capacity_scaling(
@@ -774,32 +782,16 @@ def solve_capacity_scaling(
 ) -> tuple[Flow, float, SolveStats]:
     """Exact min-cost flow shipping geometrically shrinking blocks.
 
-    Each phase halves the block size delta, restores delta-step optimality
-    with saturating pushes, then ships blocks between large excesses and
+    Phases run at block sizes delta halving from the largest power of two
+    at most the top excess down to 1.  Each re-establishes delta-step
+    optimality with pushes, then ships blocks between large excesses and
     deficits, one block per tree of each search's forest.  The final unit
-    phase guarantees exactness, so the result
-    matches solve_ssp's cost (flows may differ on ties).  start is checked
-    and repaired as in solve_ssp; the repair leaves no excess, so a warm
-    solve runs the unit phase only.
+    phase guarantees exactness, so the result matches solve_ssp's cost
+    (flows may differ on ties).  start is checked as in solve_ssp; a
+    feasible start holds no excess, so a warm solve is the unit phase only
+    and equals solve_ssp's from the same start.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats(method="cs")
-    state = _ResidualState(network, stats, start)
-    top = int(state.excess.max(initial=0))
-    delta = 1 << (top.bit_length() - 1) if top > 0 else 1
-    while delta >= 1:
-        stats.phases.append(delta)
-        # halving delta invalidates delta-step optimality, so every phase
-        # (the unit phase included) re-establishes it before shipping
-        state.restore(delta)
-        while state.ship(delta):
-            pass
-        if delta == 1 and (state.excess > 0).any():
-            raise InfeasibleError(_infeasible_detail(state))
-        delta //= 2
-    flow, cost = state.finalize()
-    stats.wall_time = time.perf_counter() - t0
-    return flow, cost, stats
+    return _solve(network, start, "cs")
 
 
 # ---------------------------------------------------------------------------

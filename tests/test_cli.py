@@ -11,7 +11,7 @@ import pytest
 
 from cgmflow.cli import RunManifest, main
 from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
-from cgmflow.instances import load_instance, load_tables, save_instance
+from cgmflow.instances import gen_synthetic, load_instance, load_tables, save_instance
 
 
 def free_instance_file(tmp_path, N=2, R=1, M=2):
@@ -132,6 +132,18 @@ class TestSolve:
         assert tables.node.tolist() == [[2], [2]]
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert str(inst_path) in manifest["inputs"]
+
+    def test_dca_report_has_surrogates_and_changed_cells(self, tmp_path):
+        inst = gen_synthetic(n_steps=4, n_states=3, population=30, seed=3)
+        inst_path = tmp_path / "inst.json"
+        save_instance(inst, inst_path)
+        assert main(["solve", "--in", str(inst_path), "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run.report.json").read_text())
+        n = report["iterations"]
+        assert n > 1
+        assert len(report["surrogates"]) == len(report["changed_cells"]) == n
+        for bound, value in zip(report["surrogates"], report["trajectory"]):
+            assert bound >= value - 1e-9
 
     def test_oracle_matches_dca(self, tmp_path):
         inst_path = free_instance_file(tmp_path)
@@ -328,6 +340,8 @@ class TestInterpolate:
         assert all(v == pytest.approx(4.0) for v in by_layer.values())
         report = json.loads((tmp_path / "interp.report.json").read_text())
         assert report["integral"] is True
+        n = report["iterations"]
+        assert len(report["surrogates"]) == len(report["changed_cells"]) == n
         display = read_csv(tmp_path / "interp.display.csv")
         assert len(display) == 6
 

@@ -427,6 +427,18 @@ class TestSolvers:
             assert stats.method == "cs"
             assert stats.phases
 
+    def test_phases(self):
+        # SSP is the single unit phase; CS halves from the largest power of
+        # two at most the top excess (the source supply M here) down to 1
+        for M, blocks in ((1, [1]), (20, [16, 8, 4, 2, 1]), (32, [32, 16, 8, 4, 2, 1])):
+            net = surrogate_zero(gen_synthetic(n_steps=3, n_states=3, population=M, seed=M))
+            _, c1, ssp = solve_ssp(net)
+            _, c2, cs = solve_capacity_scaling(net)
+            assert ssp.phases == [1]
+            assert cs.phases == blocks
+            assert c2 == pytest.approx(c1, abs=1e-9)
+        assert solve_ssp(net, solve_ssp(net)[0])[2].to_dict()["phases"] == [1]
+
     def test_deterministic(self):
         inst = make_tiny_instance(7)
         net = surrogate_zero(inst)
@@ -653,8 +665,9 @@ class TestForest:
             return False
 
         monkeypatch.setattr(_ResidualState, "ship", send_back)
-        with pytest.raises(RuntimeError, match="round bound"):
-            solve_ssp(net, with_duals(flow, np.zeros(net.n_nodes)))
+        for solver in SOLVERS:
+            with pytest.raises(RuntimeError, match="round bound"):
+                solver(net, with_duals(flow, np.zeros(net.n_nodes)))
 
 
 class TestSerialization:
@@ -798,6 +811,25 @@ class TestWarmStart:
                     flow, cost, _ = solver(net, with_duals(start, duals))
                     assert cost == pytest.approx(best, abs=1e-9)
                     assert np.array_equal(flow_balance(net, flow.values), net.supplies)
+
+    def test_warm_capacity_scaling_is_warm_ssp(self):
+        # a feasible start holds no excess, so CS runs only the unit phase
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first = surrogate_zero(inst)
+        start = solve_ssp(first)[0]
+        nxt = build_surrogate_network(inst, extract_tables(first, start), AlphaStrategy.L)
+        for duals in (start.duals, np.random.default_rng(4).normal(0.0, 10.0, nxt.n_nodes)):
+            ssp_flow, ssp_cost, ssp = solve_ssp(nxt, with_duals(start, duals))
+            cs_flow, cs_cost, cs = solve_capacity_scaling(nxt, with_duals(start, duals))
+            assert np.array_equal(cs_flow.values, ssp_flow.values)
+            assert np.array_equal(cs_flow.duals, ssp_flow.duals)
+            assert cs_cost == ssp_cost
+            assert ssp.shipments > 0 and ssp.restoration_pushes > 0
+            ssp_counters, cs_counters = ssp.to_dict(), cs.to_dict()
+            for counters in (ssp_counters, cs_counters):
+                del counters["method"], counters["wall_time"]
+            assert cs_counters == ssp_counters
+            assert cs.path_costs == ssp.path_costs
 
     def test_warm_ships_few_units(self):
         # consecutive surrogates differ in the interior node slopes only
