@@ -58,6 +58,17 @@ potentials (``Flow.duals``, which every solver returns), holds no excess,
 so its unit phase moves only the units its pushes displace; a
 difference-of-convex iteration changes only the interior node-edge slopes,
 so the previous optimum is nearly optimal for the next surrogate.
+
+A warm start also reuses what its start's solve built.  Every Flow a solver
+returns carries that solve's basis: its network, cost table and residual
+arcs (CSR order and the search graph).  The first warm start from such a
+Flow on a network with the same node count, tails, heads, capacities and
+observation arrays takes the basis over, so no other solve can share the
+table it edits, re-costs in place only the table rows whose lf, slope or
+offset differ (through _cost_rows, the row function of cost_table) and
+keeps the arcs.  Any other start builds both from scratch.  The convexity
+check, the cost scale, the start check and the certificate run as on a
+fresh build.
 """
 
 from __future__ import annotations
@@ -234,10 +245,16 @@ class Flow:
     duals, set by the exact solvers and None elsewhere, are node potentials
     under which no unit step of the flow has a negative reduced cost: the
     optimality certificate, and with the flow a warm start for a later solve.
+
+    A solver-built Flow also carries its solve's basis (the network, the
+    cost table and the residual arcs), which takes no part in equality or
+    repr.  It is single-use: the first warm start from this Flow takes it and
+    the Flow keeps the table alive until then, or until it is dropped.
     """
 
     values: np.ndarray
     duals: Optional[np.ndarray] = None
+    _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.int64)
@@ -246,29 +263,36 @@ class Flow:
             object.__setattr__(self, "duals", _readonly(np.array(self.duals, dtype=float)))
 
 
-def _edge_costs(network: FlowNetwork, z: np.ndarray) -> np.ndarray:
-    """c_e(z) with z broadcast against one row per edge: z is (1, K) or (E, 1).
+def _edge_costs(network: FlowNetwork, z: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """c_e(z) for the edges at rows, z broadcast against one row per edge.
 
-    Filled in place, so a (E, K) result needs one further temporary of its size.
+    z is (1, K) or (E, 1).  Filled in place, so a (E, K) result needs one
+    further temporary of its size.
     """
     net = network
-    costs = net.slope[:, None] * z.astype(float)
-    costs += net.offset[:, None]
-    costs += net.lf[:, None] * log_factorial_array(z)
-    obs = np.flatnonzero(net.obs_kind)
+    kind = net.obs_kind[rows]
+    costs = net.slope[rows, None] * z.astype(float)
+    costs += net.offset[rows, None]
+    costs += net.lf[rows, None] * log_factorial_array(z)
+    obs = np.flatnonzero(kind)
     z_obs = z if z.shape[0] == 1 else z[obs]  # one row shared by all edges, or one per edge
     costs[obs] += observation_cost(
-        net.obs_kind[obs, None], net.obs_y[obs, None], net.obs_var[obs, None], z_obs
+        kind[obs, None], net.obs_y[rows][obs, None], net.obs_var[rows][obs, None], z_obs
     )
     return costs
 
 
+def _cost_rows(network: FlowNetwork, rows=slice(None)) -> np.ndarray:
+    """The rows of cost_table at rows, computed for those edges only."""
+    z = np.arange(int(network.capacity.max(initial=0)) + 1)
+    table = _edge_costs(network, z[None, :], rows)
+    table[z > network.capacity[rows, None]] = INF
+    return table
+
+
 def cost_table(network: FlowNetwork) -> np.ndarray:
     """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e]."""
-    z = np.arange(int(network.capacity.max(initial=0)) + 1)
-    table = _edge_costs(network, z[None, :])
-    table[z > network.capacity[:, None]] = INF
-    return table
+    return _cost_rows(network)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +458,9 @@ class SolveStats:
     phase [1], or capacity scaling's halving powers of two down to 1.
     restoration_pushes counts the single-edge pushes of phase rounds, which
     restore nonnegative reduced costs after a halving or repair a warm start.
+    cost_rows counts the cost-table rows the solve computed: every edge on
+    a full build, only the re-costed edges when a warm start reuses its
+    start's basis (see Flow).
     """
 
     method: str = ""
@@ -444,6 +471,7 @@ class SolveStats:
     restoration_pushes: int = 0
     searches: int = 0
     dijkstra_pops: int = 0
+    cost_rows: int = 0
     min_reduced_cost: float = 0.0
     wall_time: float = 0.0
 
@@ -463,9 +491,16 @@ class SolveStats:
             "restoration_pushes": self.restoration_pushes,
             "searches": self.searches,
             "dijkstra_pops": self.dijkstra_pops,
+            "cost_rows": self.cost_rows,
             "min_reduced_cost": self.min_reduced_cost,
             "wall_time": self.wall_time,
         }
+
+
+# the state attributes a basis hands on: the residual arcs, fixed per structure
+_ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "arc_pos", "arc_keys", "graph")
+# the network arrays a basis must share with the next network, besides n_nodes
+_STRUCTURE = ("tails", "heads", "capacity", "obs_kind", "obs_y", "obs_var")
 
 
 class _ResidualState:
@@ -474,10 +509,14 @@ class _ResidualState:
     table[e, z] is edge e's cost at flow z, +inf outside lower[e]..cap[e].
     Residual arcs are kept in CSR order (sorted by tail, then head); arc_edge
     and arc_fwd name the edge behind each arc and its direction, and inc holds
-    each arc's per-unit cost of one step of the current size (+inf when the
-    step leaves the edge's range).  Potentials keep every reduced increment
+    each arc's per-unit cost of one step of size step (+inf when the step
+    leaves the edge's range).  Potentials keep every reduced increment
     nonnegative up to rounding, so every search is label-setting; during a
     phase only the edges still waiting for a push may be negative.
+
+    A warm start whose Flow carries a basis of the same structure (_ARCS,
+    _STRUCTURE) takes over its table and arcs and re-costs only the rows
+    whose lf, slope or offset differ.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
@@ -491,7 +530,22 @@ class _ResidualState:
         empty = np.flatnonzero(self.lower > self.cap)
         if empty.size:
             raise InfeasibleError(f"edge {int(empty[0])} has no finite cost at any flow value")
-        self.table = table = cost_table(network)
+        basis = self._take_basis(start)
+        if basis is None:
+            self.table = cost_table(network)
+            stats.cost_rows = E
+            self._build_arcs()
+        else:
+            old, self.table, arcs = basis
+            changed = np.flatnonzero(
+                (network.lf != old.lf) | (network.slope != old.slope)
+                | (network.offset != old.offset)
+            )
+            self.table[changed] = _cost_rows(network, changed)
+            stats.cost_rows = changed.size
+            for name, value in zip(_ARCS, arcs):
+                setattr(self, name, value)
+        table = self.table
         self._check_convex(np.flatnonzero(network.lf < 0))
         # a convex row's increments are nondecreasing, so its first and last
         # steps bound the magnitude of all of them
@@ -506,7 +560,17 @@ class _ResidualState:
 
         self.z = self.lower.copy() if start is None else self._check_start(start)
         self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
+        self.inc = np.empty(2 * E)
+        self.step = 0  # the step size inc holds; 0 before the first full refresh
+        if start is None:
+            self._at_step(1)
+            self.pi = self._initial_potentials()
+        else:
+            self.pi = start.duals.copy()
 
+    def _build_arcs(self) -> None:
+        """The 2E residual arcs in CSR order and the search graph over them (_ARCS)."""
+        E, n = len(self.tails), self.n_nodes
         arc_src = np.concatenate([self.tails, self.heads])
         arc_dst = np.concatenate([self.heads, self.tails])
         order = np.lexsort((arc_dst, arc_src))
@@ -519,12 +583,21 @@ class _ResidualState:
         self.graph = csr_array(
             (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
         )
-        self.inc = np.empty(2 * E)
+
+    def _take_basis(self, start: Optional[Flow]) -> Optional[tuple]:
+        """The start's basis, taken from it, if it was solved on this structure."""
         if start is None:
-            self._refresh(1)
-            self.pi = self._initial_potentials()
-        else:
-            self.pi = start.duals.copy()
+            return None
+        try:
+            basis = start._basis.pop()
+        except IndexError:
+            return None
+        old, net = basis[0], self.network
+        if old.n_nodes != net.n_nodes or not all(
+            np.array_equal(getattr(old, name), getattr(net, name)) for name in _STRUCTURE
+        ):
+            return None
+        return basis
 
     def _check_start(self, start: Flow) -> np.ndarray:
         """The start's values, after checking it is a feasible flow with duals."""
@@ -553,6 +626,16 @@ class _ResidualState:
                 f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
                 "convex edge costs"
             )
+
+    def _at_step(self, delta: int) -> None:
+        """Refresh every arc at step delta, unless inc already holds delta steps.
+
+        Each change of z refreshes its edge's arcs at the current step, so a
+        full refresh at that step would recompute identical values.
+        """
+        if self.step != delta:
+            self._refresh(delta)
+            self.step = delta
 
     def _refresh(self, delta: int, pos=slice(None)) -> None:
         """Recompute the delta-step increments of the residual arcs at pos."""
@@ -588,7 +671,7 @@ class _ResidualState:
     def phase(self, delta: int) -> None:
         """Ship at step delta until no delta step has a negative reduced cost.
 
-        Refreshes every arc at step delta, then runs rounds: _push_negative
+        Brings every arc to step delta (_at_step), then runs rounds: _push_negative
         moves delta units along every edge with a negative delta step, and
         ship(delta) routes excesses to deficits, many per search, until no
         search finds a pair.  The phase ends after a round that pushes
@@ -607,7 +690,7 @@ class _ResidualState:
         range over delta.  Only floating-point rounding could exceed that
         bound; doing so raises RuntimeError.
         """
-        self._refresh(delta)
+        self._at_step(delta)
         pushed = self._push_negative(delta)
         for _ in range(int((self.cap - self.lower).sum()) // delta + 1):
             while self.ship(delta):
@@ -715,7 +798,7 @@ class _ResidualState:
         """Return the flow and its cost after checking the optimality certificate."""
         values = self.z.copy()
         cost = float(self.table[np.arange(len(values)), values].sum())
-        self._refresh(1)
+        self._at_step(1)
         red = self._reduced()
         worst = min(0.0, float(red[np.isfinite(red)].min(initial=0.0)))
         self.stats.min_reduced_cost = worst
@@ -724,7 +807,9 @@ class _ResidualState:
                 f"optimality certificate failed: min reduced cost {worst!r} below "
                 f"-1e-9 * {self.scale!r}"
             )
-        return Flow(values=values, duals=self.pi.copy()), cost
+        flow = Flow(values=values, duals=self.pi.copy())
+        flow._basis.append((self.network, self.table, tuple(getattr(self, a) for a in _ARCS)))
+        return flow, cost
 
 
 def _infeasible_detail(state: _ResidualState) -> str:

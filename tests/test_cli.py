@@ -144,6 +144,10 @@ class TestSolve:
         assert len(report["surrogates"]) == len(report["changed_cells"]) == n
         for bound, value in zip(report["surrogates"], report["trajectory"]):
             assert bound >= value - 1e-9
+        # the cold first solve computes every edge's cost row (45 edges at
+        # N=4, R=3); warm ones re-cost at most the (N-2)*R interior node edges
+        rows = [s["cost_rows"] for s in report["inner_stats"]]
+        assert rows[0] == 45 and max(rows[1:]) <= 6
 
     def test_oracle_matches_dca(self, tmp_path):
         inst_path = free_instance_file(tmp_path)

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -844,3 +846,127 @@ class TestWarmStart:
             assert warm == pytest.approx(cold, abs=1e-9)
             assert stats.restoration_pushes > 0
             assert stats.units < inst.population // 4
+
+
+def dc_networks(inst, count, strategy=AlphaStrategy.L):
+    """Surrogate networks of the first count DC iterations, each anchored at the last optimum."""
+    nets = [surrogate_zero(inst, strategy)]
+    for _ in range(count - 1):
+        flow = solve_ssp(nets[-1])[0]
+        nets.append(build_surrogate_network(inst, extract_tables(nets[-1], flow), strategy))
+    return nets
+
+
+def changed_rows(a, b):
+    return int(((a.lf != b.lf) | (a.slope != b.slope) | (a.offset != b.offset)).sum())
+
+
+def plain(flow):
+    """The same flow and duals without the solve's basis."""
+    return Flow(values=flow.values, duals=flow.duals)
+
+
+def assert_same_solve(got, want):
+    """Equal flows, duals, costs and counters; wall_time and cost_rows may differ."""
+    (f1, c1, s1), (f2, c2, s2) = got, want
+    assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(f1.duals, f2.duals)
+    assert c1 == c2
+    d1, d2 = s1.to_dict(), s2.to_dict()
+    for d in (d1, d2):
+        del d["wall_time"], d["cost_rows"]
+    assert d1 == d2
+    assert s1.path_costs == s2.path_costs
+
+
+class TestBasisReuse:
+    """A warm start reuses its Flow's cost table and arcs when the structure matches."""
+
+    CASES = (
+        (gen_synthetic(n_steps=5, n_states=6, population=300, seed=9), AlphaStrategy.L),
+        (mixed_instance(M=12), AlphaStrategy.M),
+    )
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_basis_start_equals_plain_start(self, case):
+        inst, strategy = self.CASES[case]
+        nets = dc_networks(inst, 4, strategy)
+        limit = (inst.n_steps - 2) * inst.n_states
+        for solver in SOLVERS:
+            flow, _, cold = solver(nets[0])
+            assert cold.cost_rows == nets[0].n_edges
+            recosted = 0
+            for prev, net in zip(nets, nets[1:]):
+                want = solver(net, plain(flow))
+                got = solver(net, flow)
+                assert_same_solve(got, want)
+                assert want[2].cost_rows == net.n_edges
+                assert got[2].cost_rows == changed_rows(prev, net) <= limit
+                recosted += got[2].cost_rows
+                flow = got[0]
+            assert recosted > 0
+
+    def test_second_use_builds_from_scratch(self):
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first, nxt = dc_networks(inst, 2)
+        other = surrogate_zero(inst, AlphaStrategy.R)
+        for solver in SOLVERS:
+            flow = solver(first)[0]
+            start = plain(flow)
+            assert_same_solve(solver(nxt, flow), solver(nxt, start))
+            # the basis went to the first warm start: the second builds anew
+            again = solver(other, flow)
+            assert again[2].cost_rows == other.n_edges
+            assert_same_solve(again, solver(other, start))
+            assert solver(nxt, flow)[2].cost_rows == nxt.n_edges
+
+    @pytest.mark.parametrize("column", ["capacity", "obs_y", "obs_var"])
+    def test_other_structure_builds_from_scratch(self, column):
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first, nxt = dc_networks(inst, 2)
+        # a feasible flow carries at most M on any edge, so the optimum of
+        # the changed network is a feasible start on nxt
+        changed = dataclasses.replace(first, **{column: getattr(first, column) + 1})
+        for solver in SOLVERS:
+            flow = solver(changed)[0]
+            got = solver(nxt, flow)
+            assert got[2].cost_rows == nxt.n_edges
+            assert_same_solve(got, solver(nxt, plain(flow)))
+
+    def test_one_thread_takes_the_basis(self):
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first, nxt = dc_networks(inst, 2)
+        flow = solve_ssp(first)[0]
+        want = solve_ssp(nxt, plain(flow))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(solve_ssp(nxt, flow)))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 6
+        for got in results:
+            assert_same_solve(got, want)
+        rows = sorted(got[2].cost_rows for got in results)
+        assert rows == [changed_rows(first, nxt)] + [nxt.n_edges] * 5
+
+    def test_equality_and_repr_ignore_basis(self):
+        net = surrogate_zero(gen_synthetic(n_steps=3, n_states=3, population=5, seed=1))
+        flow = solve_ssp(net)[0]
+        assert len(flow._basis) == 1
+        bare = Flow(values=flow.values)
+        carrying = Flow(values=flow.values)
+        carrying._basis.extend(flow._basis)
+        assert carrying == bare
+        assert repr(carrying) == repr(bare)
+        assert repr(flow) == repr(Flow(values=flow.values, duals=flow.duals))
+        assert "_basis" not in repr(flow)
