@@ -271,6 +271,8 @@ def _solve_baseline(instance: CgmInstance, tol: float, max_iters: int):
         "duality_gap_rel": report.gap_rel,
         "iterations": report.iterations,
         "converged": report.converged,
+        # slope evaluations of the line search, summed over the solve
+        "linesearch_evals": report.linesearch_evals,
     }
     return tables, doc
 

@@ -262,6 +262,16 @@ class Flow:
         if self.duals is not None:
             object.__setattr__(self, "duals", _readonly(np.array(self.duals, dtype=float)))
 
+    def __eq__(self, other: object) -> bool:
+        """Equal values and equal duals, where None equals only None."""
+        if not isinstance(other, Flow):
+            return NotImplemented
+        if (self.duals is None) != (other.duals is None):
+            return False
+        return np.array_equal(self.values, other.values) and (
+            self.duals is None or np.array_equal(self.duals, other.duals)
+        )
+
 
 def _edge_costs(network: FlowNetwork, z: np.ndarray, rows=slice(None)) -> np.ndarray:
     """c_e(z) for the edges at rows, z broadcast against one row per edge.

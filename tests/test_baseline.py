@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cgmflow.baseline import approx_objective, solve_approximate
+from scipy.optimize import minimize_scalar
+
+from cgmflow import baseline
+from cgmflow.baseline import _slope_along, approx_objective, solve_approximate
 from cgmflow.core import (
     CgmInstance,
     FractionalTables,
@@ -14,6 +17,7 @@ from cgmflow.core import (
     objective_fractional,
     validate_tables,
 )
+from cgmflow.instances import gen_synthetic
 from cgmflow.oracle import enumerate_feasible
 from conftest import make_tiny_instance
 
@@ -27,6 +31,54 @@ def free_instance(N, R, M):
         observations=np.full((N, R), np.nan),
         noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
     )
+
+
+def relax_instance(seed=0):
+    # the size of the benchmark's relaxation workload
+    return gen_synthetic(n_steps=5, n_states=20, population=100, seed=seed)
+
+
+def poisson_instance(seed=0):
+    """Poisson noise on every node, each observation positive."""
+    inst = gen_synthetic(n_steps=4, n_states=6, population=30, seed=seed)
+    return CgmInstance(
+        n_steps=4,
+        n_states=6,
+        population=30,
+        potentials=inst.potentials,
+        observations=inst.observations,
+        noise=tuple(tuple(Poisson() for _ in range(6)) for _ in range(4)),
+    )
+
+
+def vertex(inst, states):
+    """Tables of the whole population following one path of states."""
+    N, R, M = inst.n_steps, inst.n_states, inst.population
+    node = np.zeros((N, R))
+    edge = np.zeros((N - 1, R, R))
+    node[np.arange(N), states] = M
+    for t in range(N - 1):
+        edge[t, states[t], states[t + 1]] = M
+    return node, edge
+
+
+def line_searches(monkeypatch, inst, max_iters, check):
+    """Solve, calling check(along, bounds, slope, result) after each line search.
+
+    The solver's along reads the current iterate, so check runs before the step.
+    """
+    search = baseline.minimize_scalar
+    results = []
+
+    def spy(fun, **kwargs):
+        res = search(fun, **kwargs)
+        check(fun, kwargs["bounds"], kwargs["options"]["slope"], res)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(baseline, "minimize_scalar", spy)
+    solve_approximate(inst, max_iters=max_iters)
+    return results
 
 
 def as_fractional(tables):
@@ -145,7 +197,17 @@ class TestSolveApproximate:
         inst = free_instance(2, 2, 4)
         _, report = solve_approximate(inst, max_iters=50)
         doc = report.to_dict()
-        assert set(doc) >= {"objectives", "gap", "gap_rel", "iterations", "converged"}
+        assert set(doc) >= {
+            "objectives", "gap", "gap_rel", "iterations", "converged", "linesearch_evals"
+        }
+
+    def test_linesearch_evals_counts_slope_evaluations(self):
+        _, report = solve_approximate(free_instance(2, 1, 2))
+        assert report.converged and report.iterations == 1
+        assert report.linesearch_evals == 0
+        _, report = solve_approximate(gen_synthetic(3, 3, 10, seed=0), max_iters=50)
+        assert report.iterations == 50
+        assert report.linesearch_evals >= 49
 
     def test_tracks_true_optimum_when_population_large(self):
         # relaxation error is o(M); the fractional minimizer's true objective
@@ -158,3 +220,61 @@ class TestSolveApproximate:
             node=np.full((3, 2), 20.0), edge=np.full((2, 2, 2), 10.0)
         )
         assert val <= objective_fractional(inst, uniform) + 1e-6
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
+    def test_slope_matches_finite_difference(self, monkeypatch, make):
+        def check(along, bounds, slope, res):
+            hi = bounds[1]
+            for gamma in (0.1 * hi, 0.5 * hi, 0.9 * hi):
+                h = 1e-5 * gamma
+                fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
+                assert slope(gamma)[0] == pytest.approx(fd, rel=1e-6)
+
+        assert len(line_searches(monkeypatch, make(), 30, check)) == 30
+
+    @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
+    def test_no_worse_than_bounded_brent(self, monkeypatch, make):
+        def check(along, bounds, slope, res):
+            brent = minimize_scalar(
+                along, bounds=bounds, method="bounded", options={"xatol": 1e-11}
+            )
+            best = along(brent.x)
+            assert along(res.x) <= best + 1e-12 * max(1.0, abs(best))
+
+        assert len(line_searches(monkeypatch, make(), 100, check)) == 100
+
+    def test_poisson_vertex_keeps_search_inside(self, monkeypatch):
+        def check(along, bounds, slope, res):
+            # the vertex has zero counts under positive Poisson observations
+            assert math.isinf(along(1.0))
+            assert bounds == (0.0, 1.0 - 1e-9)
+            assert 0.0 < res.x < bounds[1]
+            assert math.isfinite(res.fun) and res.fun < along(0.0)
+
+        assert len(line_searches(monkeypatch, poisson_instance(), 1, check)) == 1
+
+    def test_face_start_has_finite_slope(self):
+        # x is a vertex: most entries are 0, and where x and the target agree
+        # (on a step both paths share, and on every cell neither visits) d = 0
+        inst = relax_instance()
+        node, edge = vertex(inst, [0, 1, 2, 3, 4])
+        v_node, v_edge = vertex(inst, [0, 1, 5, 3, 6])
+        d_node, d_edge = v_node - node, v_edge - edge
+        slope = _slope_along(inst, inst.log_potentials, node, edge, d_node, d_edge)
+
+        def along(gamma):
+            tables = FractionalTables(node=node + gamma * d_node, edge=edge + gamma * d_edge)
+            return approx_objective(inst, tables)
+
+        for gamma in (1e-6, 0.5, 1.0 - 1e-6):
+            first, second = slope(gamma)
+            assert math.isfinite(first) and second > 0
+            h = 1e-3 * min(gamma, 1.0 - gamma)
+            fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
+            assert first == pytest.approx(fd, rel=1e-6)
+        still = _slope_along(
+            inst, inst.log_potentials, node, edge, np.zeros_like(node), np.zeros_like(edge)
+        )
+        assert still(0.5) == (0.0, 0.0)

@@ -168,6 +168,7 @@ class TestSolve:
         assert report["objective"] == pytest.approx(2 * math.log(2) - 2, abs=1e-6)
         assert report["true_objective"] == pytest.approx(math.log(2), abs=1e-6)
         assert "duality_gap_rel" in report
+        assert report["linesearch_evals"] == 0  # converged before any step
 
     def test_dump_network(self, tmp_path):
         inst_path = free_instance_file(tmp_path)
@@ -470,7 +471,7 @@ class TestBench:
         assert len(rows) == 1  # first repeat censored, rest skipped
         assert rows[0]["censored"] == "1"
 
-        # unbounded, this relaxation solve (N=5, R=30, M=100) runs for seconds;
+        # unbounded, this relaxation solve (N=5, R=100, M=100) runs for seconds;
         # the budget stops it and restores the timer and the signal handler
         handler = signal.getsignal(signal.SIGALRM)
         t0 = time.perf_counter()
@@ -478,7 +479,7 @@ class TestBench:
             [
                 "bench",
                 "--populations", "100",
-                "--n-states", "30",
+                "--n-states", "100",
                 "--n-steps", "5",
                 "--methods", "baseline",
                 "--repeats", "3",

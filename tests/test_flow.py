@@ -968,5 +968,33 @@ class TestBasisReuse:
         carrying._basis.extend(flow._basis)
         assert carrying == bare
         assert repr(carrying) == repr(bare)
+        again = solve_ssp(net)[0]
+        assert len(again._basis) == 1 and again.duals is not None
+        assert flow == again
+        assert flow == Flow(values=flow.values, duals=flow.duals)
+        assert flow != bare
         assert repr(flow) == repr(Flow(values=flow.values, duals=flow.duals))
         assert "_basis" not in repr(flow)
+
+
+class TestEquality:
+    VALUES = np.array([0, 2, 1])
+    DUALS = np.array([0.0, -1.5, 2.0])
+
+    def test_equal_flows_with_distinct_arrays(self):
+        v, d = self.VALUES, self.DUALS
+        assert Flow(values=v, duals=d) == Flow(values=v, duals=d)
+        assert Flow(values=v, duals=d) == Flow(values=v.copy(), duals=d.copy())
+        assert Flow(values=v) == Flow(values=v.copy())
+
+    def test_different_values_or_duals_differ(self):
+        v, d = self.VALUES, self.DUALS
+        assert Flow(values=v, duals=d) != Flow(values=v, duals=d + 1.0)
+        assert Flow(values=v, duals=d) != Flow(values=v[::-1], duals=d)
+        assert Flow(values=v, duals=d) != Flow(values=v, duals=d[:2])
+        assert Flow(values=v) != Flow(values=v[:2])
+
+    def test_duals_against_no_duals(self):
+        v, d = self.VALUES, self.DUALS
+        assert Flow(values=v, duals=d) != Flow(values=v)
+        assert Flow(values=v) != Flow(values=v, duals=d)
