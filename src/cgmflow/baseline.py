@@ -169,10 +169,11 @@ class ApproxReport:
     linesearch_evals: int = 0
 
     def to_dict(self) -> dict:
+        """JSON report: trajectory is objectives, duality_gap[_rel] the gaps."""
         return {
-            "objectives": list(self.objectives),
-            "gap": self.gap,
-            "gap_rel": self.gap_rel,
+            "trajectory": list(self.objectives),
+            "duality_gap": self.gap,
+            "duality_gap_rel": self.gap_rel,
             "iterations": self.iterations,
             "converged": self.converged,
             "tol": self.tol,
@@ -211,8 +212,8 @@ def solve_approximate(
 
     The step size gamma solves phi'(gamma) = 0 for phi(gamma) = f(x + gamma d)
     on the bracket [0, hi]: hi is 1, or 1 - 1e-9 when f is not finite at the
-    vertex (a Poisson count driven to 0).  phi'(0) is minus the duality gap,
-    so negative.  Newton steps start from the previous step size, capped at
+    vertex (a positive Poisson observation off its path, so with count 0).
+    phi'(0) is minus the duality gap, so negative.  Newton steps start from the previous step size, capped at
     hi / 2, and fall back to bisection when they leave the bracket; hi itself
     is never evaluated, and the search stops once a step moves less than 1e-11.
     report.linesearch_evals counts the derivative evaluations.
@@ -223,6 +224,8 @@ def solve_approximate(
     edge = np.full((max(N - 1, 0), R, R), M / (R * R))
     report = ApproxReport(tol=tol)
     log_phi = instance.log_potentials
+    kind, y, _ = instance.observation_arrays
+    starved = (kind == POISSON) & (y > 0)
 
     current = _approx_value(instance, log_phi, node, edge)
     gamma = 0.5
@@ -257,9 +260,8 @@ def solve_approximate(
                 instance, log_phi, node + gamma * d_node, edge + gamma * d_edge
             )
 
-        hi = 1.0
-        if not math.isfinite(along(1.0)):
-            hi = 1.0 - 1e-9
+        # f is +inf at the vertex exactly where it zeroes a positive Poisson count
+        hi = 1.0 - 1e-9 if starved[v_node == 0].any() else 1.0
         res = minimize_scalar(
             along,
             bounds=(0.0, hi),

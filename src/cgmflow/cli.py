@@ -2,10 +2,11 @@
 
 Subcommands: generate (synthetic instances), solve (one instance by any
 method), compare (method grids over seeded instances), interpolate (endpoint
-histograms to a full sequence), bench (timing sweeps).  Every run writes a
-manifest JSON next to its outputs recording arguments, input hashes, outputs,
-and timings.  Exit codes: 0 success, 2 usage error, 3 infeasible instance,
-4 I/O or format error.
+histograms to a full sequence), bench (timing sweeps).  Every run writes
+<out>.manifest.json next to its outputs (see _write_manifest): arguments,
+input hashes, outputs, timings and any command-specific extras.  Exit
+codes: 0 success, 2 usage error, 3 infeasible instance, 4 I/O or format
+error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,34 +63,25 @@ DISPLAY_FLOOR = 1e-2
 # flag parsing helpers
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be at least 1")
-    return value
+def _number(cast, accept, requirement: str):
+    """argparse type: cast the flag's text, then reject values failing accept."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} {requirement}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be nonnegative")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
+_positive_float = _number(float, lambda v: v > 0, "must be positive")
+_nonneg_float = _number(float, lambda v: v >= 0, "must be nonnegative")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -122,10 +113,6 @@ def _worker_count(requested: Optional[int]) -> int:
 # manifests
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _args_snapshot(args: argparse.Namespace) -> dict:
     doc = {}
     for key, value in sorted(vars(args).items()):
@@ -141,38 +128,6 @@ def _args_snapshot(args: argparse.Namespace) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every command's outputs.
-
-    Captures the command, the full flag snapshot (seeds included), content
-    hashes of the input files, the outputs written, and wall timings.
-    """
-
-    command: str
-    args: dict
-    inputs: dict
-    outputs: list
-    timings: dict
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "args": self.args,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "timings": self.timings,
-        }
-        doc.update(self.extra)
-        return doc
-
-    def write(self, prefix: Path) -> Path:
-        path = Path(f"{prefix}.manifest.json")
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
-
 def _write_manifest(
     command: str,
     args: argparse.Namespace,
@@ -182,15 +137,23 @@ def _write_manifest(
     timings: dict,
     extra: Optional[dict] = None,
 ) -> Path:
-    manifest = RunManifest(
-        command=command,
-        args=_args_snapshot(args),
-        inputs={str(p): _sha256(p) for p in inputs},
-        outputs=[str(p) for p in outputs],
-        timings=timings,
-        extra=extra or {},
-    )
-    return manifest.write(prefix)
+    """Write the provenance record <prefix>.manifest.json and return its path.
+
+    It holds the command, the full flag snapshot (seeds included), the
+    SHA-256 of every input file, the outputs written and wall timings;
+    extra keys land at the top level.
+    """
+    path = Path(f"{prefix}.manifest.json")
+    _write_json(path, {
+        "command": command,
+        "args": _args_snapshot(args),
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in inputs},
+        "outputs": [str(p) for p in outputs],
+        "timings": timings,
+        **(extra or {}),
+    })
+    return path
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -235,68 +198,54 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # solve
 
 
-def _solve_dca(instance: CgmInstance, strategy: str, inner: str,
-               max_iters: int, tol: float):
-    config = DcaConfig(
-        strategy=AlphaStrategy(strategy),
-        inner_solver=inner,
-        max_iters=max_iters,
-        objective_tol=tol,
-    )
+def _solve_dca(instance: CgmInstance, config: DcaConfig):
     tables, report = run_dca(instance, config)
-    doc = {
+    return tables, {
         "method": "dca",
         "objective": objective(instance, tables),
-        "trajectory": list(report.objectives),
-        "surrogates": list(report.surrogates),
-        "changed_cells": list(report.changed_cells),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "strategy": report.strategy,
-        "inner": report.inner_solver,
-        "inner_stats": [s.to_dict() for s in report.inner_stats],
+        **report.to_dict(),
     }
-    return tables, doc
 
 
-def _solve_baseline(instance: CgmInstance, tol: float, max_iters: int):
-    tables, report = solve_approximate(instance, tol=tol, max_iters=max_iters)
-    doc = {
+def _solve_baseline(instance: CgmInstance, **options):
+    tables, report = solve_approximate(instance, **options)
+    return tables, {
         "method": "baseline",
         # relaxed value the solver minimized, then the genuine objective
         "objective": approx_objective(instance, tables),
         "true_objective": objective_fractional(instance, tables),
-        "trajectory": list(report.objectives),
-        "duality_gap": report.gap,
-        "duality_gap_rel": report.gap_rel,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        # slope evaluations of the line search, summed over the solve
-        "linesearch_evals": report.linesearch_evals,
+        **report.to_dict(),
     }
+
+
+def _solve_oracle(instance: CgmInstance, budget: int):
+    tables, value = brute_force_map(instance, budget=budget)
+    return tables, {"method": "oracle", "objective": value, "converged": True}
+
+
+def _timed_solve(solve, instance: CgmInstance, *args, **options):
+    """Run one _solve_* function and add the report tail every command shares:
+    sparsity, integral and wall_seconds."""
+    t0 = time.perf_counter()
+    tables, doc = solve(instance, *args, **options)
+    doc["wall_seconds"] = time.perf_counter() - t0
+    doc["sparsity"] = sparsity(tables)
+    doc["integral"] = _is_integral(np.asarray(tables.node), np.asarray(tables.edge))
     return tables, doc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     prefix = args.out
-    t0 = time.perf_counter()
     if args.method == "dca":
-        tables, doc = _solve_dca(
-            instance, args.strategy, args.inner, args.max_iters, args.tol
-        )
+        config = DcaConfig(strategy=args.strategy, inner_solver=args.inner,
+                           max_iters=args.max_iters, objective_tol=args.tol)
+        tables, doc = _timed_solve(_solve_dca, instance, config)
     elif args.method == "baseline":
-        tables, doc = _solve_baseline(
-            instance, args.baseline_tol, args.baseline_max_iters
-        )
+        tables, doc = _timed_solve(_solve_baseline, instance, tol=args.baseline_tol,
+                                   max_iters=args.baseline_max_iters)
     else:
-        tables, value = brute_force_map(instance, budget=args.budget)
-        doc = {"method": "oracle", "objective": value, "converged": True}
-    elapsed = time.perf_counter() - t0
-
-    doc["sparsity"] = sparsity(tables)
-    doc["integral"] = _is_integral(np.asarray(tables.node), np.asarray(tables.edge))
-    doc["wall_seconds"] = elapsed
+        tables, doc = _timed_solve(_solve_oracle, instance, args.budget)
 
     tables_path = Path(f"{prefix}.tables.json")
     report_path = Path(f"{prefix}.report.json")
@@ -318,7 +267,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         prefix,
         inputs=[args.input],
         outputs=outputs,
-        timings={"solve_seconds": elapsed},
+        timings={"solve_seconds": doc["wall_seconds"]},
     )
     return 0
 
@@ -353,27 +302,20 @@ def _compare_one(job: tuple) -> dict:
             seed=seed,
         )
         for method in COMPARE_METHODS:
-            t0 = time.perf_counter()
             if method == "baseline":
-                tables, report = solve_approximate(instance)
-                true_obj = objective_fractional(instance, tables)
-                converged, iterations = report.converged, report.iterations
+                _, doc = _timed_solve(_solve_baseline, instance)
             else:
-                config = DcaConfig(
-                    strategy=AlphaStrategy(method.split("-")[1]),
-                    inner_solver=inner,
-                )
-                tables, report = run_dca(instance, config)
-                true_obj = objective(instance, tables)
-                converged, iterations = report.converged, report.iterations
+                config = DcaConfig(strategy=method[-1], inner_solver=inner)
+                _, doc = _timed_solve(_solve_dca, instance, config)
             out["rows"].append(
                 {
                     "method": method,
-                    "objective": true_obj,
-                    "sparsity": sparsity(tables),
-                    "seconds": time.perf_counter() - t0,
-                    "converged": converged,
-                    "iterations": iterations,
+                    # the genuine objective; the baseline's objective is relaxed
+                    "objective": doc.get("true_objective", doc["objective"]),
+                    "sparsity": doc["sparsity"],
+                    "seconds": doc["wall_seconds"],
+                    "converged": doc["converged"],
+                    "iterations": doc["iterations"],
                 }
             )
     except Exception as exc:  # noqa: BLE001 - workers must not crash the pool
@@ -535,15 +477,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    t0 = time.perf_counter()
     if args.method == "dca":
-        tables, doc = _solve_dca(instance, args.strategy, args.inner, 1000, 1e-9)
+        config = DcaConfig(strategy=args.strategy, inner_solver=args.inner)
+        tables, doc = _timed_solve(_solve_dca, instance, config)
     else:
-        tables, doc = _solve_baseline(instance, 1e-6, 500)
-    elapsed = time.perf_counter() - t0
-    doc["sparsity"] = sparsity(tables)
-    doc["integral"] = _is_integral(np.asarray(tables.node), np.asarray(tables.edge))
-    doc["wall_seconds"] = elapsed
+        tables, doc = _timed_solve(_solve_baseline, instance, max_iters=500)
 
     node = np.asarray(tables.node, dtype=float)
     raw_path = Path(f"{args.out}.raw.csv")
@@ -559,7 +497,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         args.out,
         inputs=[args.first, args.last],
         outputs=[raw_path, display_path, report_path],
-        timings={"interpolate_seconds": elapsed},
+        timings={"interpolate_seconds": doc["wall_seconds"]},
     )
     return 0
 

@@ -149,15 +149,17 @@ class DcaReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
+        """JSON report: trajectory is objectives, inner the solver's name and
+        inner_stats one SolveStats dict per iteration."""
         return {
-            "objectives": list(self.objectives),
+            "trajectory": list(self.objectives),
             "surrogates": list(self.surrogates),
             "changed_cells": list(self.changed_cells),
             "iterations": self.iterations,
             "converged": self.converged,
             "strategy": self.strategy,
-            "inner_solver": self.inner_solver,
-            "inner": [s.to_dict() for s in self.inner_stats],
+            "inner": self.inner_solver,
+            "inner_stats": [s.to_dict() for s in self.inner_stats],
             "wall_time": self.wall_time,
         }
 

@@ -12,6 +12,7 @@ from cgmflow.baseline import _slope_along, approx_objective, solve_approximate
 from cgmflow.core import (
     CgmInstance,
     FractionalTables,
+    Gaussian,
     MISSING,
     Poisson,
     objective_fractional,
@@ -48,6 +49,25 @@ def poisson_instance(seed=0):
         potentials=inst.potentials,
         observations=inst.observations,
         noise=tuple(tuple(Poisson() for _ in range(6)) for _ in range(4)),
+    )
+
+
+def mixed_instance(seed=0):
+    """Gaussian nodes plus one positive and two zero Poisson observations."""
+    inst = gen_synthetic(n_steps=4, n_states=6, population=30, seed=seed)
+    obs = inst.observations.copy()
+    noise = [[Gaussian(50.0)] * 6 for _ in range(4)]
+    noise[1][0] = Poisson()
+    for t, i in ((0, 5), (2, 3)):
+        noise[t][i] = Poisson()
+        obs[t, i] = 0.0
+    return CgmInstance(
+        n_steps=4,
+        n_states=6,
+        population=30,
+        potentials=inst.potentials,
+        observations=obs,
+        noise=tuple(map(tuple, noise)),
     )
 
 
@@ -197,9 +217,12 @@ class TestSolveApproximate:
         inst = free_instance(2, 2, 4)
         _, report = solve_approximate(inst, max_iters=50)
         doc = report.to_dict()
-        assert set(doc) >= {
-            "objectives", "gap", "gap_rel", "iterations", "converged", "linesearch_evals"
+        assert set(doc) == {
+            "trajectory", "duality_gap", "duality_gap_rel", "iterations", "converged",
+            "tol", "wall_time", "linesearch_evals",
         }
+        assert doc["trajectory"] == report.objectives
+        assert (doc["duality_gap"], doc["duality_gap_rel"]) == (report.gap, report.gap_rel)
 
     def test_linesearch_evals_counts_slope_evaluations(self):
         _, report = solve_approximate(free_instance(2, 1, 2))
@@ -254,6 +277,17 @@ class TestLineSearch:
             assert math.isfinite(res.fun) and res.fun < along(0.0)
 
         assert len(line_searches(monkeypatch, poisson_instance(), 1, check)) == 1
+
+    def test_bracket_ends_where_the_vertex_is_finite(self, monkeypatch):
+        # the bracket comes from the vertex's path, without evaluating f there
+        ends = []
+
+        def check(along, bounds, slope, res):
+            assert bounds[1] == (1.0 if math.isfinite(along(1.0)) else 1.0 - 1e-9)
+            ends.append(bounds[1])
+
+        assert len(line_searches(monkeypatch, mixed_instance(), 100, check)) == 100
+        assert {1.0, 1.0 - 1e-9} == set(ends)
 
     def test_face_start_has_finite_slope(self):
         # x is a vertex: most entries are 0, and where x and the target agree

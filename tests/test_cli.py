@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line front end (in-process)."""
 
+import argparse
 import csv
+import hashlib
 import json
 import math
 import signal
@@ -9,8 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from cgmflow.cli import RunManifest, main
+from cgmflow.baseline import solve_approximate
+from cgmflow.cli import _write_manifest, main
 from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
+from cgmflow.dca import run_dca
 from cgmflow.instances import gen_synthetic, load_instance, load_tables, save_instance
 
 
@@ -37,19 +41,27 @@ class TestRunManifest:
     def test_roundtrip_and_hash(self, tmp_path):
         payload = tmp_path / "input.bin"
         payload.write_bytes(b"counts")
-        manifest = RunManifest(
-            command="solve",
-            args={"seed": 3},
-            inputs={str(payload): "x" * 64},
-            outputs=["a.json"],
+        args = argparse.Namespace(seed=3, out=tmp_path / "run", func=main)
+        path = _write_manifest(
+            "solve",
+            args,
+            tmp_path / "run",
+            inputs=[payload],
+            outputs=[tmp_path / "a.json"],
             timings={"solve_seconds": 0.5},
             extra={"workers": 2},
         )
-        path = manifest.write(tmp_path / "run")
         assert path == tmp_path / "run.manifest.json"
         doc = json.loads(path.read_text())
-        assert doc == manifest.to_dict()
-        assert doc["workers"] == 2  # extra keys land at the top level
+        assert doc == {
+            "command": "solve",
+            # func, the subcommand's handler, is left out
+            "args": {"out": str(tmp_path / "run"), "seed": 3},
+            "inputs": {str(payload): hashlib.sha256(b"counts").hexdigest()},
+            "outputs": [str(tmp_path / "a.json")],
+            "timings": {"solve_seconds": 0.5},
+            "workers": 2,  # extra keys land at the top level
+        }
 
     def test_every_command_writes_one(self, tmp_path):
         inst = free_instance_file(tmp_path)
@@ -228,6 +240,58 @@ class TestSolve:
         doc["format_version"] = 0
         inst_path.write_text(json.dumps(doc))
         assert main(["solve", "--in", str(inst_path), "--out", str(tmp_path / "r")]) == 4
+
+
+def without_wall_times(doc):
+    if isinstance(doc, dict):
+        return {k: without_wall_times(v) for k, v in doc.items() if k != "wall_time"}
+    if isinstance(doc, list):
+        return [without_wall_times(v) for v in doc]
+    return doc
+
+
+class TestReportSchema:
+    """solve writes each solver report's to_dict(); compare reads the same solve."""
+
+    GENERATE = ["generate", "--n-steps", "4", "--n-states", "3", "--population", "12",
+                "--potential", "distance", "--seed", "5"]
+
+    def solve(self, tmp_path, method):
+        inst_path = tmp_path / "inst.json"
+        assert main(self.GENERATE + ["--out", str(inst_path)]) == 0
+        # compare runs the baseline at the library's default cap
+        assert main(["solve", "--in", str(inst_path), "--method", method,
+                     "--baseline-max-iters", "1000", "--out", str(tmp_path / method)]) == 0
+        report = json.loads((tmp_path / f"{method}.report.json").read_text())
+        return load_instance(inst_path), report
+
+    def test_dca_report_is_to_dict(self, tmp_path):
+        inst, report = self.solve(tmp_path, "dca")
+        doc = without_wall_times(run_dca(inst)[1].to_dict())
+        assert set(doc) == {"trajectory", "surrogates", "changed_cells", "iterations",
+                            "converged", "strategy", "inner", "inner_stats"}
+        assert without_wall_times({k: report[k] for k in doc}) == doc
+        assert report["inner"] == "ssp"
+        assert "wall_time" in report
+
+    def test_baseline_report_is_to_dict(self, tmp_path):
+        inst, report = self.solve(tmp_path, "baseline")
+        doc = without_wall_times(solve_approximate(inst)[1].to_dict())
+        assert set(doc) == {"trajectory", "duality_gap", "duality_gap_rel", "iterations",
+                            "converged", "tol", "linesearch_evals"}
+        assert {k: report[k] for k in doc} == doc
+        assert "wall_time" in report
+
+    def test_compare_objective_matches_solve(self, tmp_path):
+        _, dca = self.solve(tmp_path, "dca")
+        _, relaxed = self.solve(tmp_path, "baseline")
+        assert main(["compare", "--n-states", "3", "--populations", "12",
+                     "--potentials", "distance", "--instances", "1", "--n-steps", "4",
+                     "--seed", "5", "--workers", "1", "--out", str(tmp_path / "cmp")]) == 0
+        rows = {row["method"]: row for row in read_csv(tmp_path / "cmp.instances.csv")}
+        assert rows["dca-L"]["objective"] == f"{dca['objective']:.12g}"
+        assert rows["baseline"]["objective"] == f"{relaxed['true_objective']:.12g}"
+        assert rows["baseline"]["iterations"] == str(relaxed["iterations"])
 
 
 class TestCompare:

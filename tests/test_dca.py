@@ -169,9 +169,11 @@ class TestRunDca:
         inst = make_tiny_instance(3)
         _, report = run_dca(inst)
         doc = report.to_dict()
-        assert isinstance(doc["objectives"], list)
+        assert doc["trajectory"] == report.objectives
         assert doc["strategy"] in ("L", "M", "R")
-        assert len(doc["inner"]) == report.iterations
+        assert doc["inner"] == report.inner_solver == "ssp"
+        assert doc["inner_stats"] == [s.to_dict() for s in report.inner_stats]
+        assert len(doc["inner_stats"]) == report.iterations
         assert doc["surrogates"] == report.surrogates
         assert doc["changed_cells"] == report.changed_cells
         assert len(doc["surrogates"]) == len(doc["changed_cells"]) == report.iterations
