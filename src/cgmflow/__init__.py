@@ -17,9 +17,9 @@ from .core import (
     objective_fractional,
     validate_tables,
 )
-from .dca import AlphaStrategy, DcaConfig, DcaReport, run_dca
+from .dca import AlphaStrategy, DcaConfig, DcaReport, build_surrogate_network, run_dca
 from .baseline import ApproxReport, approx_objective, solve_approximate
-from .flow import InfeasibleError, build_flow_network, build_surrogate_network, solve_capacity_scaling, solve_ssp
+from .flow import InfeasibleError, build_flow_network, solve_capacity_scaling, solve_ssp
 from .instances import (
     GridSpec,
     PotentialKind,

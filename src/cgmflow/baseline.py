@@ -28,7 +28,7 @@ from .core import (
     POISSON,
     CgmInstance,
     FractionalTables,
-    observation_cost,
+    _objective_value,
 )
 
 __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
@@ -71,24 +71,11 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     edge = np.asarray(tables.edge, dtype=float)
     if (node < 0).any() or (edge.size and (edge < 0).any()):
         raise ValueError("table entries must be nonnegative")
-    return _approx_value(instance, instance.log_potentials, node, edge)
-
-
-def _approx_value(
-    instance: CgmInstance, log_phi: np.ndarray, node: np.ndarray, edge: np.ndarray
-) -> float:
-    total = float(_stirling(edge).sum())
-    if edge.size:
-        total -= float((edge * log_phi).sum())
-    interior = node[1 : instance.n_steps - 1]
-    if interior.size:
-        total -= float(_stirling(interior).sum())
-    return total + float(observation_cost(*instance.observation_arrays, node).sum())
+    return _objective_value(instance, node, edge, _stirling)
 
 
 def _slope_along(
     instance: CgmInstance,
-    log_phi: np.ndarray,
     node: np.ndarray,
     edge: np.ndarray,
     d_node: np.ndarray,
@@ -112,7 +99,7 @@ def _slope_along(
     signed[edge.size :] *= -1.0
     keep = d != 0
     x, d, signed = x[keep], d[keep], signed[keep]
-    shift = float((d_edge * log_phi).sum())
+    shift = float((d_edge * instance.log_potentials).sum())
 
     def slope(gamma: float) -> tuple[float, float]:
         z = x + gamma * d
@@ -223,15 +210,14 @@ def solve_approximate(
     node = np.full((N, R), M / R)
     edge = np.full((max(N - 1, 0), R, R), M / (R * R))
     report = ApproxReport(tol=tol)
-    log_phi = instance.log_potentials
     kind, y, _ = instance.observation_arrays
     starved = (kind == POISSON) & (y > 0)
 
-    current = _approx_value(instance, log_phi, node, edge)
+    current = _objective_value(instance, node, edge, _stirling)
     gamma = 0.5
     for _ in range(max_iters):
         report.iterations += 1
-        g_edge = np.log(np.maximum(edge, EPS)) - log_phi if edge.size else edge
+        g_edge = np.log(np.maximum(edge, EPS)) - instance.log_potentials if edge.size else edge
         g_node = _observation_derivatives(instance, node)[0]
         if N > 2:
             g_node[1 : N - 1] -= np.log(np.maximum(node[1 : N - 1], EPS))
@@ -256,8 +242,8 @@ def solve_approximate(
             break
 
         def along(gamma: float) -> float:
-            return _approx_value(
-                instance, log_phi, node + gamma * d_node, edge + gamma * d_edge
+            return _objective_value(
+                instance, node + gamma * d_node, edge + gamma * d_edge, _stirling
             )
 
         # f is +inf at the vertex exactly where it zeroes a positive Poisson count
@@ -267,7 +253,7 @@ def solve_approximate(
             bounds=(0.0, hi),
             method=_slope_search,
             options={
-                "slope": _slope_along(instance, log_phi, node, edge, d_node, d_edge),
+                "slope": _slope_along(instance, node, edge, d_node, d_edge),
                 "x0": min(gamma, 0.5 * hi),
                 "xatol": 1e-11,
             },

@@ -33,11 +33,10 @@ from .core import (
     objective,
     objective_fractional,
 )
-from .dca import AlphaStrategy, DcaConfig, run_dca
+from .dca import AlphaStrategy, DcaConfig, build_surrogate_network, run_dca
 from .flow import (
     InfeasibleError,
     build_flow_network,
-    build_surrogate_network,
     network_to_dot,
     network_to_json,
     solve_capacity_scaling,

@@ -13,7 +13,10 @@ three families of separable terms:
 The observation term has one implementation, ``observation_cost``, which
 evaluates it elementwise from per-node (or per-arc) arrays of kind, y and
 variance; every objective, the flow network's arc costs, the oracle and the
-relaxation baseline call it.
+relaxation baseline call it.  The three families are summed in one place,
+``_objective_value``, which takes the ln z! to use: ``objective`` passes the
+exact table, ``objective_fractional`` its linear interpolation and the
+relaxation baseline Stirling's approximation.
 
 Constant shifts (log M!, the partition function, Gaussian normalization) are
 dropped throughout; they do not move the argmin and every solver in this
@@ -220,10 +223,12 @@ class CgmInstance:
         object.__setattr__(
             self, "_observation_arrays", tuple(map(_as_readonly, (kind, y, var)))
         )
+        object.__setattr__(self, "_log_potentials", _as_readonly(np.log(pot)))
 
     @property
     def log_potentials(self) -> np.ndarray:
-        return np.log(self.potentials)
+        """ln(potentials), computed once at construction and read-only."""
+        return self._log_potentials
 
     @property
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,10 +238,6 @@ class CgmInstance:
         wherever the noise is not Gaussian.
         """
         return self._observation_arrays
-
-    def interior_steps(self) -> range:
-        """Time indices whose nodes carry the concave -log z! term."""
-        return range(1, self.n_steps - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +370,21 @@ def h_cost(instance: CgmInstance, t: int, i: int, z: int) -> float:
     return h_noise_cost(model, y, z)
 
 
-def _h_total(instance: CgmInstance, node: np.ndarray) -> float:
-    return float(observation_cost(*instance.observation_arrays, node).sum())
+def _objective_value(
+    instance: CgmInstance, node: np.ndarray, edge: np.ndarray, log_fact
+) -> float:
+    """Transition, interior and observation terms summed, with ln z! given by log_fact.
+
+    log_fact maps an array of counts to ln z! or a stand-in for it: the exact
+    table, its linear interpolation or Stirling's approximation.
+    """
+    total = float(log_fact(edge).sum())
+    if edge.size:
+        total -= float((edge * instance.log_potentials).sum())
+    interior = node[1 : instance.n_steps - 1]
+    if interior.size:
+        total -= float(log_fact(interior).sum())
+    return total + float(observation_cost(*instance.observation_arrays, node).sum())
 
 
 def objective(instance: CgmInstance, tables: ContingencyTables) -> float:
@@ -381,15 +395,7 @@ def objective(instance: CgmInstance, tables: ContingencyTables) -> float:
     validate_tables for that.
     """
     _check_table_shapes(instance.n_steps, instance.n_states, tables.node, tables.edge)
-    edge = tables.edge
-    node = tables.node
-    total = float(log_factorial_array(edge).sum())
-    if edge.size:
-        total -= float((edge * instance.log_potentials).sum())
-    interior = node[1 : instance.n_steps - 1]
-    if interior.size:
-        total -= float(log_factorial_array(interior).sum())
-    return total + _h_total(instance, node)
+    return _objective_value(instance, tables.node, tables.edge, log_factorial_array)
 
 
 def _interp_log_factorial(z: np.ndarray) -> np.ndarray:
@@ -410,13 +416,7 @@ def objective_fractional(instance: CgmInstance, tables: Tables) -> float:
     _check_table_shapes(instance.n_steps, instance.n_states, node, edge)
     if (node < 0).any() or (edge.size and (edge < 0).any()):
         raise ValueError("table entries must be nonnegative")
-    total = float(_interp_log_factorial(edge).sum())
-    if edge.size:
-        total -= float((edge * instance.log_potentials).sum())
-    interior = node[1 : instance.n_steps - 1]
-    if interior.size:
-        total -= float(_interp_log_factorial(interior).sum())
-    return total + _h_total(instance, node)
+    return _objective_value(instance, node, edge, _interp_log_factorial)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CgmInstance, ContingencyTables, log_factorial, objective
+from .core import (
+    CgmInstance,
+    ContingencyTables,
+    log_factorial,
+    log_factorial_array,
+    objective,
+)
 from .flow import (
-    SolveStats,
-    build_surrogate_network,
+    FlowNetwork,
+    build_flow_network,
     extract_tables,
     solve_capacity_scaling,
     solve_ssp,
@@ -38,6 +44,7 @@ __all__ = [
     "alpha_value",
     "surrogate_g",
     "surrogate_objective",
+    "build_surrogate_network",
     "run_dca",
 ]
 
@@ -89,6 +96,36 @@ def surrogate_g(n_lin: int, alpha: float, z: int) -> float:
     return -log_factorial(n_lin) + alpha * (z - n_lin)
 
 
+def _affine_bounds(
+    instance: CgmInstance, linearization: ContingencyTables, strategy: AlphaStrategy
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, offset) per interior cell: -log z! <= alpha * z + offset.
+
+    alpha is the strategy's supergradient at the cell's linearization count
+    n and offset = -log n! - alpha * n, so the bound is tight at n.  Both
+    arrays have shape (n_steps - 2, n_states).
+    """
+    if linearization.node.shape != (instance.n_steps, instance.n_states):
+        raise ValueError("linearization shape does not match instance")
+    n_lin = linearization.node[1 : instance.n_steps - 1]
+    alpha = np.array([alpha_value(strategy, int(n)) for n in n_lin.ravel()])
+    alpha = alpha.reshape(n_lin.shape)
+    return alpha, -log_factorial_array(n_lin) - alpha * n_lin
+
+
+def build_surrogate_network(
+    instance: CgmInstance, linearization: ContingencyTables, strategy
+) -> FlowNetwork:
+    """Network of one difference-of-convex iteration.
+
+    Interior node edges carry the affine surrogate of -log z! anchored at the
+    linearization table (which need not be feasible; the all-zero table is
+    the customary starting point), -log n! + alpha * (z - n), plus the
+    observation cost.  All edge costs are discrete convex.
+    """
+    return build_flow_network(instance, _affine_bounds(instance, linearization, strategy))
+
+
 def surrogate_objective(
     instance: CgmInstance,
     linearization: ContingencyTables,
@@ -100,14 +137,10 @@ def surrogate_objective(
     Upper-bounds the true objective everywhere, with equality at the
     linearization tables.
     """
-    total = objective(instance, tables)
-    for t in instance.interior_steps():
-        for i in range(instance.n_states):
-            z = int(tables.node[t, i])
-            n_lin = int(linearization.node[t, i])
-            alpha = alpha_value(strategy, n_lin)
-            total += log_factorial(z) + surrogate_g(n_lin, alpha, z)
-    return total
+    alpha, offset = _affine_bounds(instance, linearization, strategy)
+    z = tables.node[1 : instance.n_steps - 1]
+    swap = log_factorial_array(z) + alpha * z + offset
+    return objective(instance, tables) + float(swap.sum())
 
 
 @dataclass(frozen=True)
@@ -170,9 +203,11 @@ def run_dca(
     """Minimize the true objective by iterated convex surrogate solves.
 
     Starts from the all-zero linearization point (not itself feasible),
-    solves one convex-cost flow problem per iteration, and stops when two
-    successive iterates coincide, when the objective decrease falls below
-    objective_tol, or at max_iters (flagged via report.converged = False).
+    solves one convex-cost flow problem per iteration, and stops when the
+    objective changes by at most objective_tol, or at max_iters (flagged via
+    report.converged = False).  Two successive equal iterates stop it too:
+    their objectives are bitwise equal, and finite, since a flow gives a
+    Poisson cell with y > 0 at least its mandatory unit.
     Returns the best iterate visited.  With at most two steps the surrogate
     equals the true objective, so the first solve is already exact.
 
@@ -186,7 +221,6 @@ def run_dca(
     t0 = time.perf_counter()
 
     linearization = ContingencyTables.zeros(instance.n_steps, instance.n_states)
-    prev_tables: Optional[ContingencyTables] = None
     prev_obj = math.inf
     best_tables: Optional[ContingencyTables] = None
     best_obj = math.inf
@@ -209,13 +243,9 @@ def run_dca(
             # no interior terms: the surrogate is the true objective
             report.converged = True
             break
-        if prev_tables is not None and tables.same_values(prev_tables):
-            report.converged = True
-            break
         if abs(prev_obj - value) <= config.objective_tol:
             report.converged = True
             break
-        prev_tables = tables
         prev_obj = value
         linearization = tables
 

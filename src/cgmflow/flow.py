@@ -15,12 +15,15 @@ parameters of one closed-form cost per edge,
 
 where h_e is core.observation_cost at the edge's (obs_kind, obs_y, obs_var):
 Gaussian, Poisson or none.  Transition edges have lf = 1 and slope = -log phi,
-boundary node edges carry only h, interior node edges carry lf = -1 on the
-as-built network and the affine surrogate (lf = 0) in a difference-of-convex
-iteration, and source and sink edges cost nothing.  Convexity holds by
-construction wherever lf >= 0: ln z! is discrete convex, the Gaussian term is
-a convex quadratic and the Poisson term z - y ln z is convex on z >= 1 and
-+inf at z = 0 when y > 0.  Only edges with lf < 0 need a numeric check.
+boundary node edges carry only h, and source and sink edges cost nothing.
+Interior node edges carry lf = -1, the true -ln z!, unless
+``build_flow_network(instance, interior)`` is given an affine cost: then they
+carry lf = 0 and its slope and offset.  The difference-of-convex loop passes
+its surrogate that way (``dca.build_surrogate_network``), so this module
+imports nothing from ``dca``.  Convexity holds by construction wherever
+lf >= 0: ln z! is discrete convex, the Gaussian term is a convex quadratic and
+the Poisson term z - y ln z is convex on z >= 1 and +inf at z = 0 when y > 0.
+Only edges with lf < 0 need a numeric check.
 
 Both solvers handle convex edge costs natively on the residual network via
 incremental costs c(z+1) - c(z); an edge with a Poisson observation y > 0
@@ -98,7 +101,6 @@ __all__ = [
     "Flow",
     "SolveStats",
     "build_flow_network",
-    "build_surrogate_network",
     "cost_table",
     "solve_ssp",
     "solve_capacity_scaling",
@@ -309,9 +311,26 @@ def cost_table(network: FlowNetwork) -> np.ndarray:
 # construction
 
 
-def _build(instance: CgmInstance, lf, slope, offset) -> FlowNetwork:
-    """Layered network; lf, slope and offset parameterize the interior node edges."""
+def build_flow_network(
+    instance: CgmInstance, interior: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> FlowNetwork:
+    """Layered network of the instance.
+
+    By default interior node edges carry the true (nonconvex) cost
+    -log z! + h(z), so minimum-cost flows are exactly the MAP tables; the
+    exact solvers refuse such networks unless that sum is discrete convex,
+    but flow_cost on them reproduces the true objective of any feasible flow.
+    interior = (slope, offset), two arrays of shape (n_steps - 2, n_states),
+    replaces -log z! on those edges by the affine cost slope * z + offset,
+    as in one difference-of-convex iteration (dca.build_surrogate_network).
+    """
     N, R, M = instance.n_steps, instance.n_states, instance.population
+    lf, slope, offset = -1.0, 0.0, 0.0
+    if interior is not None:
+        lf, (slope, offset) = 0.0, interior
+        cells = (max(N - 2, 0), R)
+        if np.shape(slope) != cells or np.shape(offset) != cells:
+            raise ValueError(f"interior slope and offset must have shape {cells}")
     states = np.arange(R)
     # edge order: source edges, then per step its node edges followed by its
     # transition edges (row-major in i, j), then sink edges
@@ -333,8 +352,8 @@ def _build(instance: CgmInstance, lf, slope, offset) -> FlowNetwork:
     lf_e, slope_e, offset_e = np.zeros(n_edges), np.zeros(n_edges), np.zeros(n_edges)
     lf_e[trans_edges] = 1.0
     slope_e[trans_edges] = -instance.log_potentials
-    interior = node_edges[1 : N - 1]
-    lf_e[interior], slope_e[interior], offset_e[interior] = lf, slope, offset
+    inner = node_edges[1 : N - 1]
+    lf_e[inner], slope_e[inner], offset_e[inner] = lf, slope, offset
     obs_kind = np.zeros(n_edges, dtype=np.int8)
     obs_y, obs_var = np.zeros(n_edges), np.ones(n_edges)
     kind, y, var = instance.observation_arrays
@@ -366,37 +385,6 @@ def _build(instance: CgmInstance, lf, slope, offset) -> FlowNetwork:
         obs_var=obs_var,
         layout=layout,
     )
-
-
-def build_flow_network(instance: CgmInstance) -> FlowNetwork:
-    """Network whose minimum-cost flows are exactly the MAP tables.
-
-    Interior node edges carry the true (nonconvex) cost -log z! + h(z); the
-    exact solvers refuse such networks unless that sum is discrete convex,
-    but flow_cost on them reproduces the true objective of any feasible flow.
-    """
-    return _build(instance, lf=-1.0, slope=0.0, offset=0.0)
-
-
-def build_surrogate_network(
-    instance: CgmInstance, linearization: ContingencyTables, strategy
-) -> FlowNetwork:
-    """Network of one difference-of-convex iteration.
-
-    Interior node edges carry the affine surrogate of -log z! anchored at the
-    linearization table (which need not be feasible; the all-zero table is
-    the customary starting point), -log n! + alpha * (z - n), plus the
-    observation cost.  All edge costs are discrete convex.
-    """
-    from .dca import alpha_value
-
-    if linearization.node.shape != (instance.n_steps, instance.n_states):
-        raise ValueError("linearization shape does not match instance")
-    n_lin = linearization.node[1 : instance.n_steps - 1]
-    alpha = np.array([alpha_value(strategy, int(n)) for n in n_lin.ravel()])
-    alpha = alpha.reshape(n_lin.shape)
-    offset = -log_factorial_array(n_lin) - alpha * n_lin
-    return _build(instance, lf=0.0, slope=alpha, offset=offset)
 
 
 # ---------------------------------------------------------------------------

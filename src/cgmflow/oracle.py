@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .core import (
 from .flow import Flow, FlowNetwork, InfeasibleError, cost_table
 
 __all__ = [
-    "EnumerationBudget",
     "BudgetExceededError",
     "compositions",
     "margin_matrices",
@@ -39,33 +37,18 @@ __all__ = [
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on enumerated configurations; exceeded enumerations abort cleanly."""
-
-    max_states: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be positive")
-
-
 class BudgetExceededError(RuntimeError):
     """The enumeration would visit more configurations than allowed."""
 
 
-def _as_budget(budget: Union[EnumerationBudget, int, None]) -> EnumerationBudget:
-    if budget is None:
-        return EnumerationBudget()
-    if isinstance(budget, int):
-        return EnumerationBudget(max_states=budget)
-    return budget
-
-
 class _Counter:
+    """Counts enumerated configurations against a budget of at least 1."""
+
     __slots__ = ("used", "cap")
 
     def __init__(self, cap: int):
+        if cap < 1:
+            raise ValueError(f"budget must be positive, got {cap}")
         self.used = 0
         self.cap = cap
 
@@ -162,7 +145,7 @@ def count_feasible(instance: CgmInstance) -> int:
 
 
 def enumerate_feasible(
-    instance: CgmInstance, budget: Union[EnumerationBudget, int, None] = None
+    instance: CgmInstance, budget: int = 10_000_000
 ) -> Iterator[ContingencyTables]:
     """Yield every feasible table exactly once, in deterministic order.
 
@@ -171,7 +154,7 @@ def enumerate_feasible(
     column sums.  Intended for tiny instances; the budget caps the number
     of yielded tables.
     """
-    counter = _Counter(_as_budget(budget).max_states)
+    counter = _Counter(budget)
     N, R, M = instance.n_steps, instance.n_states, instance.population
     comps = list(compositions(M, R))
     if N == 1:
@@ -203,7 +186,7 @@ def _node_term_tables(instance: CgmInstance) -> list:
 
 
 def brute_force_map(
-    instance: CgmInstance, budget: Union[EnumerationBudget, int, None] = None
+    instance: CgmInstance, budget: int = 10_000_000
 ) -> tuple[ContingencyTables, float]:
     """Global MAP table by exhaustive stage-wise dynamic programming.
 
@@ -212,7 +195,7 @@ def brute_force_map(
     ...).  The budget caps the number of expanded (composition, matrix)
     transitions.
     """
-    counter = _Counter(_as_budget(budget).max_states)
+    counter = _Counter(budget)
     N, R, M = instance.n_steps, instance.n_states, instance.population
     comps = list(compositions(M, R))
     node_terms = _node_term_tables(instance)
@@ -281,7 +264,7 @@ def _row_sum_matrices(row_sums: tuple[int, ...], n_cols: int):
 
 
 def brute_force_flow(
-    network: FlowNetwork, budget: Union[EnumerationBudget, int, None] = None
+    network: FlowNetwork, budget: int = 10_000_000
 ) -> tuple[Flow, float]:
     """Minimum-cost feasible integer flow by enumeration.
 
@@ -290,7 +273,7 @@ def brute_force_flow(
     assignment with conservation pruning is used.  Raises InfeasibleError
     when no finite-cost feasible flow exists.
     """
-    counter = _Counter(_as_budget(budget).max_states)
+    counter = _Counter(budget)
     if network.layout is not None:
         return _layout_min_flow(network, counter)
     return _generic_min_flow(network, counter)

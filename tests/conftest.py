@@ -56,3 +56,18 @@ def make_tiny_instance(
         observations=observations,
         noise=tuple(noise),
     )
+
+
+def make_mixed_instance(M: int = 6) -> CgmInstance:
+    """N=3, R=4 with Gaussian, Poisson y=0, Poisson y>0 and missing at every step."""
+    noise = (Gaussian(2.0), Poisson(), Poisson(), MISSING)
+    observations = np.array([[3.5, 0.0, 2.0, np.nan]] * 3)
+    observations[1, 0] = 1.25
+    return CgmInstance(
+        n_steps=3,
+        n_states=4,
+        population=M,
+        potentials=np.linspace(0.3, 4.0, 2 * 16).reshape(2, 4, 4),
+        observations=observations,
+        noise=(noise,) * 3,
+    )

@@ -28,10 +28,16 @@ from cgmflow.core import (
     objective_fractional,
     validate_tables,
 )
-from cgmflow.dca import AlphaStrategy, DcaConfig, alpha_value, run_dca, surrogate_g
+from cgmflow.dca import (
+    AlphaStrategy,
+    DcaConfig,
+    alpha_value,
+    build_surrogate_network,
+    run_dca,
+    surrogate_g,
+)
 from cgmflow.flow import (
     build_flow_network,
-    build_surrogate_network,
     extract_tables,
     flow_cost,
     solve_capacity_scaling,

@@ -1,6 +1,8 @@
 """Cost decomposition, objective evaluation, and feasibility checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ from cgmflow.core import (
     objective_fractional,
     validate_tables,
 )
+from cgmflow import baseline, core, flow
+from cgmflow.baseline import approx_objective
+from conftest import make_mixed_instance
 
 INF = math.inf
 
@@ -236,6 +241,57 @@ class TestObjective:
         frac = FractionalTables(node=np.array([[-0.5], [2.0]]), edge=np.array([[[1.0]]]))
         with pytest.raises(ValueError):
             objective_fractional(inst, frac)
+
+
+class TestObjectiveValues:
+    """Exact values of the three objectives, pinned with == on one mixed instance."""
+
+    NODE = np.array([[2, 1, 2, 1], [1, 1, 3, 1], [3, 0, 2, 1]])
+    EDGE = np.array([
+        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]],
+    ])
+
+    def test_pinned(self):
+        inst = make_mixed_instance()
+        tables = ContingencyTables(node=self.NODE, edge=self.EDGE)
+        as_float = FractionalTables(node=self.NODE, edge=self.EDGE)
+        # a quarter of the table mixed with the uniform one: M/R per node, M/R^2 per edge
+        mixed = FractionalTables(
+            node=0.25 * self.NODE + 0.75 * 1.5, edge=0.25 * self.EDGE + 0.75 * 0.375
+        )
+        assert objective(inst, tables) == -0.03238721045326365
+        assert objective_fractional(inst, tables) == -0.03238721045326365
+        assert objective_fractional(inst, mixed) == 1.2263822967584712
+        assert approx_objective(inst, as_float) == -6.1501702461096475
+        assert approx_objective(inst, mixed) == -16.802439792135928
+
+
+def package_imports(module) -> set:
+    """Sibling cgmflow modules a module imports anywhere in its source."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0 and not name.startswith("cgmflow"):
+                continue
+            name = name.removeprefix("cgmflow").strip(".")
+            found.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.removeprefix("cgmflow.")
+                for alias in node.names
+                if alias.name.startswith("cgmflow.")
+            )
+    return {name.split(".")[0] for name in found}
+
+
+class TestLayering:
+    def test_flow_and_core_import_no_later_layer(self):
+        assert "core" in package_imports(flow)
+        assert "core" in package_imports(baseline)
+        assert "dca" not in package_imports(flow)
+        assert not {"flow", "dca"} & package_imports(core)
 
 
 class TestValidation:

@@ -27,7 +27,7 @@ from cgmflow.core import (
     objective,
     validate_tables,
 )
-from cgmflow.dca import AlphaStrategy, alpha_value, surrogate_g
+from cgmflow.dca import AlphaStrategy, alpha_value, build_surrogate_network, surrogate_g
 from cgmflow.flow import (
     Flow,
     FlowNetwork,
@@ -35,7 +35,6 @@ from cgmflow.flow import (
     SolveStats,
     _ResidualState,
     build_flow_network,
-    build_surrogate_network,
     cost_table,
     extract_tables,
     flow_balance,
@@ -47,7 +46,7 @@ from cgmflow.flow import (
 )
 from cgmflow.instances import gen_synthetic
 from cgmflow.oracle import brute_force_flow, enumerate_feasible
-from conftest import make_tiny_instance
+from conftest import make_mixed_instance, make_tiny_instance
 
 
 def free_instance(N, R, M, phi=None):
@@ -136,20 +135,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_surrogate_network(inst, bad, AlphaStrategy.L)
 
-
-def mixed_instance(M=6):
-    """N=3, R=4 with Gaussian, Poisson y=0, Poisson y>0 and missing at every step."""
-    noise = (Gaussian(2.0), Poisson(), Poisson(), MISSING)
-    observations = np.array([[3.5, 0.0, 2.0, np.nan]] * 3)
-    observations[1, 0] = 1.25
-    return CgmInstance(
-        n_steps=3,
-        n_states=4,
-        population=M,
-        potentials=np.linspace(0.3, 4.0, 2 * 16).reshape(2, 4, 4),
-        observations=observations,
-        noise=(noise,) * 3,
+    @pytest.mark.parametrize(
+        "slope,offset",
+        [
+            (0.5, np.zeros((2, 3))),  # a scalar would broadcast
+            (np.zeros((1, 3)), np.zeros((2, 3))),  # so would a single row
+            (np.zeros((2, 3)), np.zeros(3)),
+            (np.zeros((2, 3)), np.zeros((3, 2))),
+        ],
     )
+    def test_interior_shape_mismatch(self, slope, offset):
+        inst = free_instance(4, 3, 5)
+        with pytest.raises(ValueError, match="interior"):
+            build_flow_network(inst, (slope, offset))
 
 
 def reference_table(inst, net, linearization=None, strategy=AlphaStrategy.L):
@@ -165,7 +163,7 @@ def reference_table(inst, net, linearization=None, strategy=AlphaStrategy.L):
         for t in range(N):
             for i in range(R):
                 h = h_cost(inst, t, i, z)
-                if t in inst.interior_steps():
+                if 0 < t < N - 1:
                     if linearization is None:
                         inner = g_cost(z)
                     else:
@@ -202,13 +200,13 @@ def array_network(n_nodes, supplies, arcs):
 
 class TestCostTables:
     def test_as_built_network_matches_core_costs(self):
-        inst = mixed_instance()
+        inst = make_mixed_instance()
         net = build_flow_network(inst)
         assert_tables_equal(cost_table(net), reference_table(inst, net))
 
     @pytest.mark.parametrize("strategy", list(AlphaStrategy))
     def test_surrogate_network_matches_core_costs(self, strategy):
-        inst = mixed_instance()
+        inst = make_mixed_instance()
         lin = ContingencyTables(
             node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
             edge=np.zeros((2, 4, 4), dtype=np.int64),
@@ -222,7 +220,7 @@ class TestCostTables:
         assert np.array_equal(state.lower, np.isinf(got[:, 0]).astype(np.int64))
 
     def test_flow_cost_equals_table_lookup(self):
-        inst = mixed_instance()
+        inst = make_mixed_instance()
         lin = ContingencyTables(
             node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
             edge=np.zeros((2, 4, 4), dtype=np.int64),
@@ -884,7 +882,7 @@ class TestBasisReuse:
 
     CASES = (
         (gen_synthetic(n_steps=5, n_states=6, population=300, seed=9), AlphaStrategy.L),
-        (mixed_instance(M=12), AlphaStrategy.M),
+        (make_mixed_instance(M=12), AlphaStrategy.M),
     )
 
     @pytest.mark.parametrize("case", range(len(CASES)))

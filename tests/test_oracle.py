@@ -14,11 +14,10 @@ from cgmflow.core import (
     objective,
     validate_tables,
 )
-from cgmflow.dca import AlphaStrategy
-from cgmflow.flow import FlowNetwork, build_surrogate_network
+from cgmflow.dca import AlphaStrategy, build_surrogate_network
+from cgmflow.flow import FlowNetwork
 from cgmflow.oracle import (
     BudgetExceededError,
-    EnumerationBudget,
     brute_force_flow,
     brute_force_map,
     compositions,
@@ -129,7 +128,19 @@ class TestCounts:
         with pytest.raises(BudgetExceededError):
             list(enumerate_feasible(inst, budget=5))
         with pytest.raises(BudgetExceededError):
-            brute_force_map(inst, budget=EnumerationBudget(max_states=3))
+            brute_force_map(inst, budget=3)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        inst = uniform_instance(2, 2, 2)
+        zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
+        net = build_surrogate_network(inst, zeros, AlphaStrategy.L)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            list(enumerate_feasible(inst, budget=budget))
+        with pytest.raises(ValueError, match="budget must be positive"):
+            brute_force_map(inst, budget=budget)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            brute_force_flow(net, budget=budget)
 
 
 class TestBruteForceMap:
