@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize_scalar
 from scipy.special import xlogy
 
 from .core import (
@@ -35,7 +34,8 @@ __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
 
 INF = math.inf
 EPS = 1e-6  # entry floor inside gradient logs; keeps the search direction finite
-MAX_SLOPE_EVALS = 100  # bisection alone reaches 1e-11 from [0, 1] in 37
+XATOL = 1e-11  # line-search step size at which gamma counts as found
+MAX_SLOPE_EVALS = 100  # bisection alone reaches XATOL from [0, 1] in 37
 
 
 def _stirling(z: np.ndarray) -> np.ndarray:
@@ -111,16 +111,19 @@ def _slope_along(
     return slope
 
 
-def _slope_search(fun, *, args, bracket, bounds, slope, x0, xatol):
-    """minimize_scalar method: root of a convex fun's derivative inside bounds.
+def minimize_scalar(along, slope, hi: float, x0: float) -> tuple[float, float, int]:
+    """Minimize a convex along over [0, hi] by the root of its derivative.
 
-    slope(gamma) gives fun's first and second derivatives; the derivative is
-    negative at the lower bound.  Newton steps from x0 shrink the bracket
-    [lo, hi] by the sign of each derivative; a step that leaves the bracket
-    is replaced by its midpoint.  The upper bound itself is never evaluated,
-    and the search stops once a step moves less than xatol.
+    Returns (gamma, along(gamma), derivative evaluations).  slope(gamma)
+    gives along's first and second derivatives; the first is negative at 0.
+    Newton steps from x0 shrink the bracket [lo, hi] by the sign of each
+    derivative; a step that leaves the bracket is replaced by its midpoint.
+    hi itself is never evaluated, and the search stops once a step moves
+    less than XATOL.
+
+    The name stays fixed: perfbench wraps it as its baseline.linesearch span.
     """
-    lo, hi = bounds
+    lo = 0.0
     gamma = x0
     for evals in range(1, MAX_SLOPE_EVALS + 1):
         first, second = slope(gamma)
@@ -135,11 +138,9 @@ def _slope_search(fun, *, args, bracket, bounds, slope, x0, xatol):
             step = 0.5 * (lo + hi)
         moved = abs(step - gamma)
         gamma = step
-        if moved < xatol:
+        if moved < XATOL:
             break
-    return OptimizeResult(
-        x=gamma, fun=fun(gamma, *args), nit=evals, nfev=1, success=True
-    )
+    return gamma, along(gamma), evals
 
 
 @dataclass
@@ -202,7 +203,7 @@ def solve_approximate(
     vertex (a positive Poisson observation off its path, so with count 0).
     phi'(0) is minus the duality gap, so negative.  Newton steps start from the previous step size, capped at
     hi / 2, and fall back to bisection when they leave the bracket; hi itself
-    is never evaluated, and the search stops once a step moves less than 1e-11.
+    is never evaluated, and the search stops once a step moves less than XATOL.
     report.linesearch_evals counts the derivative evaluations.
     """
     t0 = time.perf_counter()
@@ -248,19 +249,13 @@ def solve_approximate(
 
         # f is +inf at the vertex exactly where it zeroes a positive Poisson count
         hi = 1.0 - 1e-9 if starved[v_node == 0].any() else 1.0
-        res = minimize_scalar(
+        gamma, stepped, evals = minimize_scalar(
             along,
-            bounds=(0.0, hi),
-            method=_slope_search,
-            options={
-                "slope": _slope_along(instance, node, edge, d_node, d_edge),
-                "x0": min(gamma, 0.5 * hi),
-                "xatol": 1e-11,
-            },
+            _slope_along(instance, node, edge, d_node, d_edge),
+            hi,
+            min(gamma, 0.5 * hi),
         )
-        report.linesearch_evals += res.nit
-        gamma = float(res.x)
-        stepped = float(res.fun)
+        report.linesearch_evals += evals
         if stepped > current:
             # line search failed to improve; direction is exhausted at
             # floating-point scale, stop without claiming convergence

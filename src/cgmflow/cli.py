@@ -93,21 +93,6 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(width=width, height=height)
 
 
-def _worker_count(requested: Optional[int]) -> int:
-    if requested is not None:
-        return requested
-    env = os.environ.get("CGM_FLOW_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise FormatError(f"CGM_FLOW_THREADS={env!r} is not an integer")
-        if value < 1:
-            raise FormatError("CGM_FLOW_THREADS must be at least 1")
-        return value
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -275,6 +260,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # compare
 
 COMPARE_METHODS = ("dca-L", "dca-M", "dca-R", "baseline")
+# the measures each compared method reports, with their CSV formats
+COMPARE_MEASURES = {"objective": "{:.12g}", "sparsity": "{:.6f}", "seconds": "{:.6f}"}
+
+
+def _compare_measures(values: dict) -> list:
+    """values' COMPARE_MEASURES entries, formatted, in column order."""
+    return [fmt.format(values[name]) for name, fmt in COMPARE_MEASURES.items()]
+
+
+def _write_csv(path: Path, header: list, rows: list) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _compare_one(job: tuple) -> dict:
@@ -335,7 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             seed = args.seed + 1009 * cell_index + k
             jobs.append((R, M, pot, args.n_steps, args.noise_var, seed, args.inner))
 
-    workers = _worker_count(args.workers)
+    workers = args.workers or os.cpu_count() or 1
     t0 = time.perf_counter()
     if workers <= 1 or len(jobs) <= 1:
         results = [_compare_one(job) for job in jobs]
@@ -344,82 +343,53 @@ def cmd_compare(args: argparse.Namespace) -> int:
             results = list(pool.map(_compare_one, jobs))
     elapsed = time.perf_counter() - t0
 
-    by_cell: dict = {cell: [] for cell in cells}
     failures = []
+    rows = []  # one per (solved instance, method)
     for result in results:
         cell = (result["n_states"], result["population"], result["potential"])
         if "error" in result:
             failures.append(
                 {"cell": list(cell), "seed": result["seed"], "error": result["error"]}
             )
-        else:
-            by_cell[cell].append(result)
+            continue
+        for row in result["rows"]:
+            rows.append({"cell": cell, "seed": result["seed"], **row})
 
     detail_path = Path(f"{args.out}.instances.csv")
-    with detail_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "potential",
-                "n_states",
-                "population",
-                "seed",
-                "method",
-                "objective",
-                "sparsity",
-                "seconds",
-                "converged",
-                "iterations",
-            ]
+    detail = []
+    for row in rows:
+        R, M, pot = row["cell"]
+        detail.append(
+            [pot, R, M, row["seed"], row["method"], *_compare_measures(row),
+             int(row["converged"]), row["iterations"]]
         )
-        for result in results:
-            if "error" in result:
-                continue
-            for row in result["rows"]:
-                writer.writerow(
-                    [
-                        result["potential"],
-                        result["n_states"],
-                        result["population"],
-                        result["seed"],
-                        row["method"],
-                        f"{row['objective']:.12g}",
-                        f"{row['sparsity']:.6f}",
-                        f"{row['seconds']:.6f}",
-                        int(row["converged"]),
-                        row["iterations"],
-                    ]
-                )
+    _write_csv(
+        detail_path,
+        ["potential", "n_states", "population", "seed", "method",
+         *COMPARE_MEASURES, "converged", "iterations"],
+        detail,
+    )
 
     summary_path = Path(f"{args.out}.summary.csv")
-    with summary_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["potential", "n_states", "population", "instances"]
+    header = ["potential", "n_states", "population", "instances"]
+    for method in COMPARE_METHODS:
+        tag = method.replace("-", "_")
+        header += [f"mean_{name}_{tag}" for name in COMPARE_MEASURES]
+    failed_cells = {tuple(failure["cell"]) for failure in failures}
+    summary = []
+    for cell in cells:
+        done = [row for row in rows if row["cell"] == cell]
+        # a failed instance aborts the whole cell
+        if not done or cell in failed_cells:
+            continue
+        R, M, pot = cell
+        line = [pot, R, M, len({row["seed"] for row in done})]
         for method in COMPARE_METHODS:
-            tag = method.replace("-", "_")
-            header += [
-                f"mean_objective_{tag}",
-                f"mean_sparsity_{tag}",
-                f"mean_seconds_{tag}",
-            ]
-        writer.writerow(header)
-        for cell in cells:
-            R, M, pot = cell
-            done = by_cell[cell]
-            # a failed instance aborts the whole cell
-            if not done or any(f["cell"] == [R, M, pot] for f in failures):
-                continue
-            row = [pot, R, M, len(done)]
-            for method in COMPARE_METHODS:
-                picks = [
-                    r for result in done for r in result["rows"] if r["method"] == method
-                ]
-                row += [
-                    f"{np.mean([p['objective'] for p in picks]):.12g}",
-                    f"{np.mean([p['sparsity'] for p in picks]):.6f}",
-                    f"{np.mean([p['seconds'] for p in picks]):.6f}",
-                ]
-            writer.writerow(row)
+            picks = [row for row in done if row["method"] == method]
+            means = {name: np.mean([p[name] for p in picks]) for name in COMPARE_MEASURES}
+            line += _compare_measures(means)
+        summary.append(line)
+    _write_csv(summary_path, header, summary)
 
     _write_manifest(
         "compare",
@@ -669,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--inner", choices=["ssp", "cs"], default="ssp")
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--workers", type=_positive_int, default=None,
-                      help="worker processes (default: CGM_FLOW_THREADS or all cores)")
+                      help="worker processes (default: all cores)")
     comp.add_argument("--out", type=Path, required=True,
                       help="output prefix: <out>.summary.csv, <out>.instances.csv")
     comp.set_defaults(func=cmd_compare)

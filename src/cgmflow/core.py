@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.special import xlogy

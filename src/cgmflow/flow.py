@@ -68,10 +68,9 @@ arcs (CSR order and the search graph).  The first warm start from such a
 Flow on a network with the same node count, tails, heads, capacities and
 observation arrays takes the basis over, so no other solve can share the
 table it edits, re-costs in place only the table rows whose lf, slope or
-offset differ (through _cost_rows, the row function of cost_table) and
-keeps the arcs.  Any other start builds both from scratch.  The convexity
-check, the cost scale, the start check and the certificate run as on a
-fresh build.
+offset differ (through cost_table's rows argument) and keeps the arcs.
+Any other start builds both from scratch.  The convexity check, the cost
+scale, the start check and the certificate run as on a fresh build.
 """
 
 from __future__ import annotations
@@ -294,17 +293,12 @@ def _edge_costs(network: FlowNetwork, z: np.ndarray, rows=slice(None)) -> np.nda
     return costs
 
 
-def _cost_rows(network: FlowNetwork, rows=slice(None)) -> np.ndarray:
-    """The rows of cost_table at rows, computed for those edges only."""
+def cost_table(network: FlowNetwork, rows=slice(None)) -> np.ndarray:
+    """c_e(z) for the edges e at rows and z = 0..max capacity, +inf beyond capacity[e]."""
     z = np.arange(int(network.capacity.max(initial=0)) + 1)
     table = _edge_costs(network, z[None, :], rows)
     table[z > network.capacity[rows, None]] = INF
     return table
-
-
-def cost_table(network: FlowNetwork) -> np.ndarray:
-    """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e]."""
-    return _cost_rows(network)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +533,7 @@ class _ResidualState:
                 (network.lf != old.lf) | (network.slope != old.slope)
                 | (network.offset != old.offset)
             )
-            self.table[changed] = _cost_rows(network, changed)
+            self.table[changed] = cost_table(network, changed)
             stats.cost_rows = changed.size
             for name, value in zip(_ARCS, arcs):
                 setattr(self, name, value)

@@ -316,31 +316,40 @@ def _load_json(path: Union[str, Path]) -> dict:
     return doc
 
 
+def _integer(value, key: str) -> int:
+    """A count field: a JSON integer, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def load_instance(path: Union[str, Path]) -> CgmInstance:
     doc = _load_json(path)
     for key in ("n_steps", "n_states", "population", "potentials", "observations", "noise"):
         if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
-    obs = np.array(
-        [[np.nan if v is None else float(v) for v in row] for row in doc["observations"]],
-        dtype=float,
-    )
-    noise = tuple(tuple(_noise_from_json(m) for m in row) for row in doc["noise"])
-    R = int(doc["n_states"])
-    potentials = np.array(doc["potentials"], dtype=float)
-    if potentials.size == 0:
-        # a single-layer instance serializes its empty potentials as []
-        potentials = potentials.reshape((0, R, R))
     try:
+        R = _integer(doc["n_states"], "n_states")
+        obs = np.array(
+            [[np.nan if v is None else float(v) for v in row] for row in doc["observations"]],
+            dtype=float,
+        )
+        noise = tuple(tuple(_noise_from_json(m) for m in row) for row in doc["noise"])
+        potentials = np.array(doc["potentials"], dtype=float)
+        if potentials.size == 0:
+            # a single-layer instance serializes its empty potentials as []
+            potentials = potentials.reshape((0, R, R))
         return CgmInstance(
-            n_steps=int(doc["n_steps"]),
-            n_states=int(doc["n_states"]),
-            population=int(doc["population"]),
+            n_steps=_integer(doc["n_steps"], "n_steps"),
+            n_states=R,
+            population=_integer(doc["population"], "population"),
             potentials=potentials,
             observations=obs,
             noise=noise,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

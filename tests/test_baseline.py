@@ -83,16 +83,17 @@ def vertex(inst, states):
 
 
 def line_searches(monkeypatch, inst, max_iters, check):
-    """Solve, calling check(along, bounds, slope, result) after each line search.
+    """Solve, calling check(along, hi, slope, result) after each line search.
 
-    The solver's along reads the current iterate, so check runs before the step.
+    result is the search's (gamma, along(gamma), evaluations).  The solver's
+    along reads the current iterate, so check runs before the step.
     """
     search = baseline.minimize_scalar
     results = []
 
-    def spy(fun, **kwargs):
-        res = search(fun, **kwargs)
-        check(fun, kwargs["bounds"], kwargs["options"]["slope"], res)
+    def spy(along, slope, hi, x0):
+        res = search(along, slope, hi, x0)
+        check(along, hi, slope, res)
         results.append(res)
         return res
 
@@ -248,8 +249,7 @@ class TestSolveApproximate:
 class TestLineSearch:
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
     def test_slope_matches_finite_difference(self, monkeypatch, make):
-        def check(along, bounds, slope, res):
-            hi = bounds[1]
+        def check(along, hi, slope, res):
             for gamma in (0.1 * hi, 0.5 * hi, 0.9 * hi):
                 h = 1e-5 * gamma
                 fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
@@ -259,22 +259,23 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
     def test_no_worse_than_bounded_brent(self, monkeypatch, make):
-        def check(along, bounds, slope, res):
+        def check(along, hi, slope, res):
             brent = minimize_scalar(
-                along, bounds=bounds, method="bounded", options={"xatol": 1e-11}
+                along, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-11}
             )
             best = along(brent.x)
-            assert along(res.x) <= best + 1e-12 * max(1.0, abs(best))
+            assert along(res[0]) <= best + 1e-12 * max(1.0, abs(best))
 
         assert len(line_searches(monkeypatch, make(), 100, check)) == 100
 
     def test_poisson_vertex_keeps_search_inside(self, monkeypatch):
-        def check(along, bounds, slope, res):
+        def check(along, hi, slope, res):
+            gamma, value, _ = res
             # the vertex has zero counts under positive Poisson observations
             assert math.isinf(along(1.0))
-            assert bounds == (0.0, 1.0 - 1e-9)
-            assert 0.0 < res.x < bounds[1]
-            assert math.isfinite(res.fun) and res.fun < along(0.0)
+            assert hi == 1.0 - 1e-9
+            assert 0.0 < gamma < hi
+            assert math.isfinite(value) and value < along(0.0)
 
         assert len(line_searches(monkeypatch, poisson_instance(), 1, check)) == 1
 
@@ -282,9 +283,9 @@ class TestLineSearch:
         # the bracket comes from the vertex's path, without evaluating f there
         ends = []
 
-        def check(along, bounds, slope, res):
-            assert bounds[1] == (1.0 if math.isfinite(along(1.0)) else 1.0 - 1e-9)
-            ends.append(bounds[1])
+        def check(along, hi, slope, res):
+            assert hi == (1.0 if math.isfinite(along(1.0)) else 1.0 - 1e-9)
+            ends.append(hi)
 
         assert len(line_searches(monkeypatch, mixed_instance(), 100, check)) == 100
         assert {1.0, 1.0 - 1e-9} == set(ends)

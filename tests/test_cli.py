@@ -5,17 +5,25 @@ import csv
 import hashlib
 import json
 import math
+import os
 import signal
 import time
 
 import numpy as np
 import pytest
 
+from cgmflow import cli
 from cgmflow.baseline import solve_approximate
 from cgmflow.cli import _write_manifest, main
 from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
 from cgmflow.dca import run_dca
-from cgmflow.instances import gen_synthetic, load_instance, load_tables, save_instance
+from cgmflow.instances import (
+    FormatError,
+    gen_synthetic,
+    load_instance,
+    load_tables,
+    save_instance,
+)
 
 
 def free_instance_file(tmp_path, N=2, R=1, M=2):
@@ -234,6 +242,32 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--in", str(bad), "--out", str(tmp_path / "r")]) == 4
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("n_states",), "two"),
+            (("observations", 0, 0), "many"),
+            (("potentials", 0, 0), [1.0]),
+            (("noise", 0, 0, "var"), "wide"),
+            (("noise", 0), 5),
+            (("n_steps",), 5.7),
+            (("population",), 20.9),
+        ],
+        ids=["n_states", "observation", "ragged", "var", "noise_row", "n_steps", "population"],
+    )
+    def test_malformed_instance_exit_code(self, tmp_path, where, value):
+        path = tmp_path / "inst.json"
+        save_instance(gen_synthetic(5, 2, 20, seed=0), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_instance(path)
+        assert main(["solve", "--in", str(path), "--out", str(tmp_path / "r")]) == 4
+
     def test_wrong_version_exit_code(self, tmp_path):
         inst_path = free_instance_file(tmp_path)
         doc = json.loads(inst_path.read_text())
@@ -347,21 +381,39 @@ class TestCompare:
         seeds = sorted({int(row["seed"]) for row in detail})
         assert seeds == [7, 7 + 1009]
 
-    def test_env_worker_override_invalid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CGM_FLOW_THREADS", "lots")
+    def test_failed_instance_aborts_its_cell(self, tmp_path, monkeypatch):
+        real = cli.gen_synthetic
+
+        def generate(**kwargs):
+            if kwargs["seed"] == 1009 + 1:
+                raise ValueError("boom")
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "gen_synthetic", generate)
         code = main(
             [
                 "compare",
                 "--n-states", "2",
-                "--populations", "3",
-                "--instances", "1",
+                "--populations", "3", "4",
+                "--potentials", "uniform",
+                "--instances", "2",
                 "--n-steps", "2",
+                "--workers", "1",
                 "--out", str(tmp_path / "cmp"),
             ]
         )
-        assert code == 4
+        assert code == 0
+        manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
+        assert manifest["failed"] == [
+            {"cell": [2, 4, "uniform"], "seed": 1010, "error": "ValueError: boom"}
+        ]
+        detail = read_csv(tmp_path / "cmp.instances.csv")
+        assert sorted({int(row["seed"]) for row in detail}) == [0, 1, 1009]
+        summary = read_csv(tmp_path / "cmp.summary.csv")
+        assert [(row["population"], row["instances"]) for row in summary] == [("3", "2")]
 
-    def test_env_worker_override_valid(self, tmp_path, monkeypatch):
+    def test_workers_default_to_all_cores(self, tmp_path, monkeypatch):
+        # the environment sets no worker count
         monkeypatch.setenv("CGM_FLOW_THREADS", "1")
         code = main(
             [
@@ -376,7 +428,8 @@ class TestCompare:
         )
         assert code == 0
         manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
-        assert manifest["workers"] == 1
+        assert manifest["args"]["workers"] is None
+        assert manifest["workers"] == os.cpu_count()
 
 
 class TestInterpolate:

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +295,28 @@ class TestLayering:
         assert "core" in package_imports(baseline)
         assert "dca" not in package_imports(flow)
         assert not {"flow", "dca"} & package_imports(core)
+
+    def test_package_import_loads_neither_scipy_optimize_nor_cli(self):
+        src = Path(core.__file__).parents[1]
+        probe = "import cgmflow, sys; print(sorted({'scipy.optimize', 'cgmflow.cli'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+        for path in sorted((src / "cgmflow").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                assert not [n for n in names if n.split(".")[:2] == ["scipy", "optimize"]], path
 
 
 class TestValidation:
