@@ -431,6 +431,46 @@ class TestCompare:
         assert manifest["args"]["workers"] is None
         assert manifest["workers"] == os.cpu_count()
 
+    def test_env_worker_override_invalid(self, tmp_path, monkeypatch, capsys):
+        # an unparsable CGM_FLOW_THREADS no longer fails the run; a bad
+        # --workers is a usage error
+        monkeypatch.setenv("CGM_FLOW_THREADS", "lots")
+        argv = [
+            "compare",
+            "--n-states", "2",
+            "--populations", "3",
+            "--potentials", "uniform",
+            "--instances", "1",
+            "--n-steps", "2",
+            "--out", str(tmp_path / "cmp"),
+        ]
+        assert main(argv + ["--workers", "1"]) == 0
+        for bad in ("lots", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", bad])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+
+    def test_env_worker_override_valid(self, tmp_path, monkeypatch):
+        # --workers, not the environment, sets the worker count
+        monkeypatch.setenv("CGM_FLOW_THREADS", "1")
+        code = main(
+            [
+                "compare",
+                "--n-states", "2",
+                "--populations", "3",
+                "--potentials", "uniform",
+                "--instances", "2",
+                "--n-steps", "2",
+                "--workers", "2",
+                "--out", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
+        assert manifest["args"]["workers"] == 2
+        assert manifest["workers"] == 2
+
 
 class TestInterpolate:
     def write_histograms(self, tmp_path, first="4 0", last="0 4"):
