@@ -5,7 +5,8 @@ method), compare (method grids over seeded instances), interpolate (endpoint
 histograms to a full sequence), bench (timing sweeps).  Every run writes
 <out>.manifest.json next to its outputs (see _write_manifest): arguments,
 input hashes, outputs, timings and any command-specific extras.  Exit
-codes: 0 success, 2 usage error, 3 infeasible instance, 4 I/O or format
+codes: 0 success, 1 some compare instances failed (their cells are left out
+of the summary), 2 usage error, 3 infeasible instance, 4 I/O or format
 error.
 """
 
@@ -80,7 +81,6 @@ def _number(cast, accept, requirement: str):
 
 _positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
 _positive_float = _number(float, lambda v: v > 0, "must be positive")
-_nonneg_float = _number(float, lambda v: v >= 0, "must be nonnegative")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -223,7 +223,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     prefix = args.out
     if args.method == "dca":
         config = DcaConfig(strategy=args.strategy, inner_solver=args.inner,
-                           max_iters=args.max_iters, objective_tol=args.tol)
+                           max_iters=args.max_iters)
         tables, doc = _timed_solve(_solve_dca, instance, config)
     elif args.method == "baseline":
         tables, doc = _timed_solve(_solve_baseline, instance, tol=args.baseline_tol,
@@ -400,7 +400,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         timings={"compare_seconds": elapsed},
         extra={"failed": failures, "workers": workers},
     )
-    return 0
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strategy", choices=["L", "M", "R"], default="L")
     solve.add_argument("--inner", choices=["ssp", "cs"], default="ssp")
     solve.add_argument("--max-iters", type=_positive_int, default=1000)
-    solve.add_argument("--tol", type=_nonneg_float, default=1e-9)
     solve.add_argument("--baseline-tol", type=_positive_float, default=1e-6)
     solve.add_argument("--baseline-max-iters", type=_positive_int, default=500)
     solve.add_argument("--budget", type=_positive_int, default=10_000_000,

@@ -147,8 +147,7 @@ def surrogate_objective(
 class DcaConfig:
     strategy: AlphaStrategy = AlphaStrategy.L
     inner_solver: str = "ssp"  # "ssp" or "cs"
-    max_iters: int = 1000
-    objective_tol: float = 1e-9
+    max_iters: int = 1000  # outer iterations before run_dca gives up
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", AlphaStrategy(self.strategy))
@@ -156,8 +155,6 @@ class DcaConfig:
             raise ValueError("inner_solver must be 'ssp' or 'cs'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.objective_tol < 0:
-            raise ValueError("objective_tol must be nonnegative")
 
 
 @dataclass
@@ -165,9 +162,10 @@ class DcaReport:
     """Trajectory and bookkeeping of one outer-loop run.
 
     objectives holds the true objective of every feasible iterate, one per
-    inner solve, and is non-increasing; surrogates holds each inner optimal
-    cost, the surrogate bound at that iterate, and changed_cells the number
-    of node cells where the iterate differs from its linearization point.
+    inner solve; it falls strictly, but for a converged run's last entry.
+    surrogates holds each inner optimal cost, the surrogate bound at that
+    iterate, and changed_cells the number of node cells where the iterate
+    differs from its linearization point.
     converged is False only when the iteration cap stopped the loop first.
     """
 
@@ -202,14 +200,15 @@ def run_dca(
 ) -> tuple[ContingencyTables, DcaReport]:
     """Minimize the true objective by iterated convex surrogate solves.
 
-    Starts from the all-zero linearization point (not itself feasible),
-    solves one convex-cost flow problem per iteration, and stops when the
-    objective changes by at most objective_tol, or at max_iters (flagged via
-    report.converged = False).  Two successive equal iterates stop it too:
-    their objectives are bitwise equal, and finite, since a flow gives a
-    Poisson cell with y > 0 at least its mandatory unit.
-    Returns the best iterate visited.  With at most two steps the surrogate
-    equals the true objective, so the first solve is already exact.
+    Starts from the all-zero linearization point (not itself feasible) and
+    solves one convex-cost flow problem per iteration.  Each surrogate is
+    minimized exactly and is tight at its linearization point, so
+    f(x_{k+1}) <= S_k(x_{k+1}) <= S_k(x_k) = f(x_k).  Every f is finite (a
+    flow gives each Poisson cell with y > 0 its mandatory unit), so the
+    first iterate is kept; the loop stops (report.converged) at the first
+    iterate that does not lower f, a DC fixed point, and returns the one
+    before it, the lowest.  With at most two steps the surrogate is f, so
+    one solve is exact.  At max_iters the last iterate is returned.
 
     The first inner solve starts cold; each later one is warm-started from
     the previous iteration's optimal flow and its duals (see solve_ssp), so
@@ -221,9 +220,7 @@ def run_dca(
     t0 = time.perf_counter()
 
     linearization = ContingencyTables.zeros(instance.n_steps, instance.n_states)
-    prev_obj = math.inf
-    best_tables: Optional[ContingencyTables] = None
-    best_obj = math.inf
+    previous = math.inf
     flow = None
 
     for _ in range(config.max_iters):
@@ -236,19 +233,15 @@ def run_dca(
         report.changed_cells.append(int((tables.node != linearization.node).sum()))
         report.inner_stats.append(stats)
         report.iterations += 1
-        if value < best_obj:
-            best_obj = value
-            best_tables = tables
+        if value >= previous:
+            report.converged = True
+            break
+        previous = value
+        linearization = tables
         if instance.n_steps <= 2:
             # no interior terms: the surrogate is the true objective
             report.converged = True
             break
-        if abs(prev_obj - value) <= config.objective_tol:
-            report.converged = True
-            break
-        prev_obj = value
-        linearization = tables
 
     report.wall_time = time.perf_counter() - t0
-    assert best_tables is not None
-    return best_tables, report
+    return linearization, report

@@ -92,14 +92,8 @@ def infer_grid(n_states: int) -> GridSpec:
     raise ValueError("n_states must be positive")
 
 
-def _grid_distances(grid: GridSpec) -> np.ndarray:
-    centers = grid.centers()
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def _potential_matrix(kind: PotentialKind, n_states: int, grid: Optional[GridSpec],
-                      rng: np.random.Generator, n_steps: int) -> np.ndarray:
+                      rng: Optional[np.random.Generator], n_steps: int) -> np.ndarray:
     R = n_states
     if kind is PotentialKind.UNIFORM:
         return rng.integers(1, 11, size=(n_steps - 1, R, R)).astype(float)
@@ -110,7 +104,9 @@ def _potential_matrix(kind: PotentialKind, n_states: int, grid: Optional[GridSpe
     grid = grid or infer_grid(R)
     if grid.n_cells != R:
         raise ValueError(f"grid {grid.width}x{grid.height} does not have {R} cells")
-    dist = _grid_distances(grid)
+    centers = grid.centers()
+    diff = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
     if kind is PotentialKind.GRID_GAUSSIAN:
         phi = np.exp(-(dist**2))
     else:
@@ -222,9 +218,7 @@ def gen_interpolation(
     if population < 1:
         raise ValueError("population must be positive")
 
-    dist = _grid_distances(grid)
-    phi = np.exp(-(dist**2))
-    potentials = np.broadcast_to(phi, (n_steps - 1, R, R)).copy()
+    potentials = _potential_matrix(PotentialKind.GRID_GAUSSIAN, R, grid, None, n_steps)
     obs = np.full((n_steps, R), np.nan)
     obs[0] = eta_first
     obs[-1] = eta_last
@@ -276,7 +270,7 @@ def _noise_from_json(doc) -> NoiseModel:
     if doc["type"] == "gaussian":
         if "var" not in doc:
             raise FormatError("gaussian noise entry lacks 'var'")
-        return Gaussian(float(doc["var"]))
+        return Gaussian(_real(doc["var"], "var"))
     if doc["type"] == "poisson":
         return Poisson()
     raise FormatError(f"unknown noise type {doc['type']!r}")
@@ -325,6 +319,21 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _real(value, key: str) -> float:
+    """A real field: a JSON number, never a string or a boolean."""
+    if type(value) not in (int, float):  # exact types: bool subclasses int
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, key: str) -> np.ndarray:
+    """Nested lists of real fields, checked as by _real, as a float array."""
+    cells = np.array(value, dtype=object)
+    for kind in set(map(type, cells.flat)) - {int, float}:
+        raise ValueError(f"{key} must be numbers, found a {kind.__name__}")
+    return cells.astype(float)
+
+
 def load_instance(path: Union[str, Path]) -> CgmInstance:
     doc = _load_json(path)
     for key in ("n_steps", "n_states", "population", "potentials", "observations", "noise"):
@@ -332,12 +341,10 @@ def load_instance(path: Union[str, Path]) -> CgmInstance:
             raise FormatError(f"{path}: missing field {key!r}")
     try:
         R = _integer(doc["n_states"], "n_states")
-        obs = np.array(
-            [[np.nan if v is None else float(v) for v in row] for row in doc["observations"]],
-            dtype=float,
-        )
+        rows = [[np.nan if v is None else v for v in row] for row in doc["observations"]]
+        obs = _reals(rows, "observations")
         noise = tuple(tuple(_noise_from_json(m) for m in row) for row in doc["noise"])
-        potentials = np.array(doc["potentials"], dtype=float)
+        potentials = _reals(doc["potentials"], "potentials")
         if potentials.size == 0:
             # a single-layer instance serializes its empty potentials as []
             potentials = potentials.reshape((0, R, R))

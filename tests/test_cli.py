@@ -252,8 +252,15 @@ class TestSolve:
             (("noise", 0), 5),
             (("n_steps",), 5.7),
             (("population",), 20.9),
+            (("observations", 0, 0), "4"),
+            (("observations", 0, 0), True),
+            (("potentials", 0, 0, 1), True),
+            (("potentials", 0, 0, 1), "2"),
+            (("noise", 0, 0, "var"), "2.5"),
         ],
-        ids=["n_states", "observation", "ragged", "var", "noise_row", "n_steps", "population"],
+        ids=["n_states", "observation", "ragged", "var", "noise_row", "n_steps", "population",
+             "observation_numeric_string", "observation_bool", "potential_bool",
+             "potential_numeric_string", "var_numeric_string"],
     )
     def test_malformed_instance_exit_code(self, tmp_path, where, value):
         path = tmp_path / "inst.json"
@@ -402,7 +409,7 @@ class TestCompare:
                 "--out", str(tmp_path / "cmp"),
             ]
         )
-        assert code == 0
+        assert code == 1
         manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
         assert manifest["failed"] == [
             {"cell": [2, 4, "uniform"], "seed": 1010, "error": "ValueError: boom"}
@@ -411,6 +418,30 @@ class TestCompare:
         assert sorted({int(row["seed"]) for row in detail}) == [0, 1, 1009]
         summary = read_csv(tmp_path / "cmp.summary.csv")
         assert [(row["population"], row["instances"]) for row in summary] == [("3", "2")]
+
+    def test_every_instance_failing_exits_one(self, tmp_path, monkeypatch):
+        def generate(**kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "gen_synthetic", generate)
+        code = main(
+            [
+                "compare",
+                "--n-states", "2",
+                "--populations", "3",
+                "--potentials", "uniform",
+                "--instances", "2",
+                "--n-steps", "2",
+                "--workers", "1",
+                "--out", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == 1
+        manifest = json.loads((tmp_path / "cmp.manifest.json").read_text())
+        assert [failure["seed"] for failure in manifest["failed"]] == [0, 1]
+        assert read_csv(tmp_path / "cmp.instances.csv") == []
+        lines = (tmp_path / "cmp.summary.csv").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("potential,n_states,population,instances")
 
     def test_workers_default_to_all_cores(self, tmp_path, monkeypatch):
         # the environment sets no worker count

@@ -20,7 +20,7 @@ from cgmflow.dca import (
 )
 from cgmflow.instances import PotentialKind, gen_synthetic
 from cgmflow.oracle import brute_force_map, enumerate_feasible
-from conftest import make_tiny_instance
+from conftest import make_mixed_instance, make_tiny_instance
 
 STRATEGIES = [AlphaStrategy.L, AlphaStrategy.M, AlphaStrategy.R]
 
@@ -162,8 +162,6 @@ class TestRunDca:
             DcaConfig(inner_solver="simplex")
         with pytest.raises(ValueError):
             DcaConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            DcaConfig(objective_tol=-1.0)
 
     def test_report_serializes(self):
         inst = make_tiny_instance(3)
@@ -294,3 +292,66 @@ class TestWarmStartedLoop:
         _, r2 = run_dca(inst)
         assert r1.objectives == r2.objectives
         assert [s.shipments for s in r1.inner_stats] == [s.shipments for s in r2.inner_stats]
+
+
+class TestStopRule:
+    """run_dca stops at the first iterate that does not lower the objective."""
+
+    @pytest.mark.parametrize(
+        "steps, iterations, returned",
+        [((0.0, -1e-12, -1e-12), 3, 1), ((0.0, 1e-12), 2, 0)],
+        ids=["tiny_descent_continues", "tiny_ascent_stops"],
+    )
+    def test_scripted_objectives(self, monkeypatch, steps, iterations, returned):
+        inst = gen_synthetic(n_steps=5, n_states=5, population=40, seed=6)
+        first = objective(inst, run_dca(inst, DcaConfig(max_iters=1))[0])
+        script = [first + step for step in steps]
+        extracted = []
+
+        def extract(*args):
+            extracted.append(flow.extract_tables(*args))
+            return extracted[-1]
+
+        monkeypatch.setattr(cgmflow.dca, "extract_tables", extract)
+        monkeypatch.setattr(cgmflow.dca, "objective", lambda *args: script[len(extracted) - 1])
+        tables, report = run_dca(inst)
+        assert report.iterations == len(extracted) == iterations
+        assert report.objectives == script
+        assert report.converged
+        assert tables is extracted[returned]
+
+    MIXED_NODE = [[1, 0, 2, 3], [1, 0, 2, 3], [3, 0, 2, 1]]
+    MIXED_EDGE = [
+        [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 1]],
+        [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]],
+    ]
+    PINNED = {
+        ("mixed", "L"): (
+            [[1, 0, 2, 3], [0, 0, 2, 4], [3, 0, 2, 1]],
+            [[[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 2]],
+             [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [2, 0, 1, 1]]],
+            [-6.554111800564089, -6.866673128294934, -6.866673128294934],
+        ),
+        ("mixed", "M"): (MIXED_NODE, MIXED_EDGE, [-6.554111800564089, -6.554111800564089]),
+        ("mixed", "R"): (MIXED_NODE, MIXED_EDGE, [-6.554111800564089, -6.554111800564089]),
+        **{
+            ("two_steps", s): (
+                [[3, 3, 1], [3, 2, 2]], [[[1, 1, 1], [1, 1, 1], [1, 0, 0]]], [-15.208765960220294]
+            )
+            for s in "LMR"
+        },
+    }
+
+    @pytest.mark.parametrize("case, strategy", sorted(PINNED))
+    def test_pinned_runs(self, case, strategy):
+        if case == "mixed":
+            inst = make_mixed_instance()
+        else:
+            inst = gen_synthetic(n_steps=2, n_states=3, population=7, seed=4)
+        tables, report = run_dca(inst, DcaConfig(strategy=strategy))
+        node, edge, trajectory = self.PINNED[case, strategy]
+        assert tables.node.tolist() == node
+        assert tables.edge.tolist() == edge
+        assert report.objectives == trajectory
+        assert report.iterations == len(trajectory)
+        assert report.converged
