@@ -347,7 +347,7 @@ def observation_cost(kind, y, var, z) -> np.ndarray:
     d = y - z
     cost = np.where(kind == GAUSSIAN, d * d / (2.0 * var), 0.0)
     poisson = kind == POISSON
-    if poisson.any():
+    if np.count_nonzero(poisson):
         log_y_fact = log_factorial_array(np.where(poisson, y, 0).astype(np.int64))
         cost = np.where(poisson, z - xlogy(y, z) + log_y_fact, cost)
     return cost

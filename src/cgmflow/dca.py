@@ -79,6 +79,35 @@ def alpha_value(strategy: AlphaStrategy, n: int) -> float:
     return -math.log(n + 1)
 
 
+# math.log(k) at k = 0, 1, 2, ... (0 at k = 0), grown on demand; np.log may
+# round differently from math.log, which alpha_value uses
+_LOGS = np.zeros(1)
+
+
+def _logs(n: int) -> np.ndarray:
+    """math.log(k) for k = 0..n at least, with 0 at k = 0."""
+    global _LOGS
+    logs = _LOGS
+    if n >= len(logs):
+        more = [math.log(k) for k in range(len(logs), max(n + 1, 2 * len(logs)))]
+        logs = _LOGS = np.append(logs, more)
+    return logs
+
+
+def _alpha_values(strategy: AlphaStrategy, n: np.ndarray) -> np.ndarray:
+    """alpha_value(strategy, k) for every k in the count array n, bit for bit."""
+    if (n < 0).any():
+        raise ValueError("n must be nonnegative")
+    logs = _logs(int(n.max(initial=0)) + 1)
+    if strategy is AlphaStrategy.L:
+        alpha = -logs[n]
+    elif strategy is AlphaStrategy.M:
+        alpha = -0.5 * (logs[n] + logs[n + 1])
+    else:
+        alpha = -logs[n + 1]
+    return np.where(n == 0, 0.0, alpha)
+
+
 def surrogate_g(n_lin: int, alpha: float, z: int) -> float:
     """Affine upper bound of -log z!: value -log(n_lin!) + alpha * (z - n_lin).
 
@@ -108,8 +137,7 @@ def _affine_bounds(
     if linearization.node.shape != (instance.n_steps, instance.n_states):
         raise ValueError("linearization shape does not match instance")
     n_lin = linearization.node[1 : instance.n_steps - 1]
-    alpha = np.array([alpha_value(strategy, int(n)) for n in n_lin.ravel()])
-    alpha = alpha.reshape(n_lin.shape)
+    alpha = _alpha_values(AlphaStrategy(strategy), n_lin)
     return alpha, -log_factorial_array(n_lin) - alpha * n_lin
 
 

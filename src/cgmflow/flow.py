@@ -31,11 +31,14 @@ carries a mandatory unit (its cost is +inf at z = 0), realized as a
 pseudoflow whose excesses and deficits are shipped together with the source
 supply.
 
-The solver state holds an (E, max_cap + 1) cost table filled in place from
-the parameters, and per-edge flow, lower bound and capacity plus per-node
-excess and potential.  The 2E residual arcs (forward and backward per edge)
-form one CSR graph whose structure is fixed for a solve; before each search
-only its weights, the reduced step increments clamped at 0, are refreshed.
+The solver state holds no cost table.  It keeps per-edge flow, lower bound
+and capacity, per-node excess and potential, and per-arc step increments,
+and evaluates an edge's cost only at the flows a step needs: its current
+flow and one step either side.  So the flow layer needs O(E + M) memory,
+M the largest capacity (a table of ln z! up to M).  The 2E residual arcs
+(forward and backward per edge) form one CSR graph whose structure is fixed
+for a solve; before each search only its weights, the reduced step
+increments clamped at 0, are refreshed.
 SSP and capacity scaling share one search, a multi-source
 ``scipy.sparse.csgraph.dijkstra`` from every node with enough excess, and
 initial potentials come from one ``bellman_ford`` from a virtual root joined
@@ -63,13 +66,11 @@ difference-of-convex iteration changes only the interior node-edge slopes,
 so the previous optimum is nearly optimal for the next surrogate.
 
 A warm start also reuses what its start's solve built.  Every Flow a solver
-returns carries that solve's basis: its network, cost table and residual
-arcs (CSR order and the search graph).  The first warm start from such a
-Flow on a network with the same node count, tails, heads, capacities and
-observation arrays takes the basis over, so no other solve can share the
-table it edits, re-costs in place only the table rows whose lf, slope or
-offset differ (through cost_table's rows argument) and keeps the arcs.
-Any other start builds both from scratch.  The convexity check, the cost
+returns carries that solve's basis: its network and residual arcs (CSR
+order and the search graph).  The first warm start from such a Flow on a
+network with the same node count, tails and heads takes the arcs over, so
+no other solve can share the search graph whose weights it edits.  Any
+other start builds the arcs from scratch.  The convexity check, the cost
 scale, the start check and the certificate run as on a fresh build.
 """
 
@@ -247,10 +248,10 @@ class Flow:
     under which no unit step of the flow has a negative reduced cost: the
     optimality certificate, and with the flow a warm start for a later solve.
 
-    A solver-built Flow also carries its solve's basis (the network, the
-    cost table and the residual arcs), which takes no part in equality or
-    repr.  It is single-use: the first warm start from this Flow takes it and
-    the Flow keeps the table alive until then, or until it is dropped.
+    A solver-built Flow also carries its solve's basis (the network and its
+    residual arcs), which takes no part in equality or repr.  It is
+    single-use: the first warm start from this Flow takes it, and the Flow
+    keeps the arcs alive until then, or until it is dropped.
     """
 
     values: np.ndarray
@@ -274,30 +275,47 @@ class Flow:
         )
 
 
-def _edge_costs(network: FlowNetwork, z: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """c_e(z) for the edges at rows, z broadcast against one row per edge.
+class _EdgeCosts:
+    """c_e(z) of one network's edges, evaluated at given (edge, z) pairs.
 
-    z is (1, K) or (E, 1).  Filled in place, so a (E, K) result needs one
-    further temporary of its size.
+    Called with edges e, an index array of shape (k,) or a slice, and
+    integer flows z within 0..max capacity that broadcast against them:
+    shape (k,), or (m, k) for m flows per edge.  Edges run along the last
+    axis, so numpy's inner loops are long whether k is large or m is.
+    Elementwise the arithmetic is fixed, so a cost is the same bit for bit
+    whichever pairs it is evaluated with:
+    ((slope * z + offset) + lf * ln z!) + h(z), with h added only on
+    observed edges.
     """
-    net = network
-    kind = net.obs_kind[rows]
-    costs = net.slope[rows, None] * z.astype(float)
-    costs += net.offset[rows, None]
-    costs += net.lf[rows, None] * log_factorial_array(z)
-    obs = np.flatnonzero(kind)
-    z_obs = z if z.shape[0] == 1 else z[obs]  # one row shared by all edges, or one per edge
-    costs[obs] += observation_cost(
-        kind[obs, None], net.obs_y[rows][obs, None], net.obs_var[rows][obs, None], z_obs
-    )
-    return costs
+
+    def __init__(self, network: FlowNetwork):
+        kind = network.obs_kind
+        self.slope, self.offset, self.lf = network.slope, network.offset, network.lf
+        self.kind = kind
+        self.observed = kind != 0
+        # h is evaluated on every edge but added only on observed ones;
+        # neutral parameters keep the values left unused finite
+        self.obs_y = np.where(self.observed, network.obs_y, 0.0)
+        self.obs_var = np.where(kind == GAUSSIAN, network.obs_var, 1.0)
+        self.log_fact = log_factorial_array(np.arange(int(network.capacity.max(initial=0)) + 1))
+
+    def __call__(self, e, z: np.ndarray) -> np.ndarray:
+        costs = self.slope[e] * z
+        costs += self.offset[e]
+        costs += self.lf[e] * self.log_fact[z]
+        h = observation_cost(self.kind[e], self.obs_y[e], self.obs_var[e], z)
+        return np.add(costs, h, out=costs, where=self.observed[e])
+
+    def total(self, values: np.ndarray) -> float:
+        """Sum of every edge's cost at its value; +inf if any term is."""
+        return float(self(slice(None), values).sum())
 
 
-def cost_table(network: FlowNetwork, rows=slice(None)) -> np.ndarray:
-    """c_e(z) for the edges e at rows and z = 0..max capacity, +inf beyond capacity[e]."""
+def cost_table(network: FlowNetwork) -> np.ndarray:
+    """c_e(z) for every edge e and z = 0..max capacity, +inf beyond capacity[e]."""
     z = np.arange(int(network.capacity.max(initial=0)) + 1)
-    table = _edge_costs(network, z[None, :], rows)
-    table[z > network.capacity[rows, None]] = INF
+    table = _EdgeCosts(network)(slice(None), z[:, None]).T
+    table[z > network.capacity[:, None]] = INF
     return table
 
 
@@ -407,11 +425,11 @@ def flow_cost(network: FlowNetwork, flow: Flow) -> float:
     """Sum of edge costs at the flow's values; +inf if any term is.
 
     Evaluates each edge's cost at its value only, bit for bit as cost_table
-    would, so it needs O(E) memory.
+    would, so it needs O(E + M) memory.
     """
     values = flow.values
     _check_bounds(network, values)
-    return float(_edge_costs(network, values[:, None]).sum())
+    return _EdgeCosts(network).total(values)
 
 
 def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
@@ -450,9 +468,6 @@ class SolveStats:
     phase [1], or capacity scaling's halving powers of two down to 1.
     restoration_pushes counts the single-edge pushes of phase rounds, which
     restore nonnegative reduced costs after a halving or repair a warm start.
-    cost_rows counts the cost-table rows the solve computed: every edge on
-    a full build, only the re-costed edges when a warm start reuses its
-    start's basis (see Flow).
     """
 
     method: str = ""
@@ -463,7 +478,6 @@ class SolveStats:
     restoration_pushes: int = 0
     searches: int = 0
     dijkstra_pops: int = 0
-    cost_rows: int = 0
     min_reduced_cost: float = 0.0
     wall_time: float = 0.0
 
@@ -483,32 +497,38 @@ class SolveStats:
             "restoration_pushes": self.restoration_pushes,
             "searches": self.searches,
             "dijkstra_pops": self.dijkstra_pops,
-            "cost_rows": self.cost_rows,
             "min_reduced_cost": self.min_reduced_cost,
             "wall_time": self.wall_time,
         }
 
 
 # the state attributes a basis hands on: the residual arcs, fixed per structure
-_ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "arc_pos", "arc_keys", "graph")
+_ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "edge_arcs", "arc_keys", "parallel", "graph")
 # the network arrays a basis must share with the next network, besides n_nodes
-_STRUCTURE = ("tails", "heads", "capacity", "obs_kind", "obs_y", "obs_var")
+_STRUCTURE = ("tails", "heads")
+# cost evaluations per block of the convexity check
+_CONVEX_BLOCK = 1 << 16
+# the flows a refresh evaluates, in steps from z, and the signs of the
+# backward and forward steps
+_NEAR = np.array([[-1], [0], [1]])
+_SIGN = np.array([[-1], [1]])
 
 
 class _ResidualState:
-    """Mutable solver state over arrays: flow, excesses, potentials, cost table.
+    """Mutable solver state over arrays: flow, excesses, potentials, increments.
 
-    table[e, z] is edge e's cost at flow z, +inf outside lower[e]..cap[e].
-    Residual arcs are kept in CSR order (sorted by tail, then head); arc_edge
-    and arc_fwd name the edge behind each arc and its direction, and inc holds
-    each arc's per-unit cost of one step of size step (+inf when the step
-    leaves the edge's range).  Potentials keep every reduced increment
-    nonnegative up to rounding, so every search is label-setting; during a
-    phase only the edges still waiting for a push may be negative.
+    It holds no cost table: costs (an _EdgeCosts) evaluates an edge's cost
+    at just the flows a step needs.  Residual arcs are kept in CSR order
+    (sorted by tail, then head); arc_edge and arc_fwd name the edge behind
+    each arc and its direction, and edge_arcs[:, e] holds the positions of
+    edge e's backward and forward arcs.  inc holds each arc's per-unit cost
+    of one step of size step (+inf when the step leaves the edge's range
+    lower[e]..cap[e]).  Potentials keep every reduced increment nonnegative
+    up to rounding, so every search is label-setting; during a phase only
+    the edges still waiting for a push may be negative.
 
-    A warm start whose Flow carries a basis of the same structure (_ARCS,
-    _STRUCTURE) takes over its table and arcs and re-costs only the rows
-    whose lf, slope or offset differ.
+    A warm start whose Flow carries a basis of the same structure (n_nodes
+    and _STRUCTURE) takes over its arcs (_ARCS).
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
@@ -522,30 +542,20 @@ class _ResidualState:
         empty = np.flatnonzero(self.lower > self.cap)
         if empty.size:
             raise InfeasibleError(f"edge {int(empty[0])} has no finite cost at any flow value")
-        basis = self._take_basis(start)
-        if basis is None:
-            self.table = cost_table(network)
-            stats.cost_rows = E
+        self.costs = _EdgeCosts(network)
+        arcs = self._take_arcs(start)
+        if arcs is None:
             self._build_arcs()
         else:
-            old, self.table, arcs = basis
-            changed = np.flatnonzero(
-                (network.lf != old.lf) | (network.slope != old.slope)
-                | (network.offset != old.offset)
-            )
-            self.table[changed] = cost_table(network, changed)
-            stats.cost_rows = changed.size
             for name, value in zip(_ARCS, arcs):
                 setattr(self, name, value)
-        table = self.table
         self._check_convex(np.flatnonzero(network.lf < 0))
         # a convex row's increments are nondecreasing, so its first and last
         # steps bound the magnitude of all of them
         rows = np.flatnonzero(self.cap > self.lower)
         lo, hi = self.lower[rows], self.cap[rows]
-        steps = np.concatenate(
-            [table[rows, lo + 1] - table[rows, lo], table[rows, hi] - table[rows, hi - 1]]
-        )
+        ends = self.costs(rows, np.stack([lo, lo + 1, hi - 1, hi]))
+        steps = np.concatenate([ends[1] - ends[0], ends[3] - ends[2]])
         if not np.isfinite(steps).all():
             raise ValueError("edge costs overflow the floating-point range")
         self.scale = max(1.0, float(np.abs(steps).max(initial=0.0)))
@@ -568,28 +578,31 @@ class _ResidualState:
         order = np.lexsort((arc_dst, arc_src))
         self.arc_src, self.arc_dst = arc_src[order], arc_dst[order]
         self.arc_edge, self.arc_fwd = order % E, order < E
-        self.arc_pos = np.empty(2 * E, dtype=np.int64)
-        self.arc_pos[order] = np.arange(2 * E)
+        arc_pos = np.empty(2 * E, dtype=np.int64)
+        arc_pos[order] = np.arange(2 * E)
+        self.edge_arcs = np.stack([arc_pos[E:], arc_pos[:E]])
         self.arc_keys = self.arc_src * n + self.arc_dst
+        # parallel residual arcs: two arcs with the same tail and head
+        self.parallel = bool((self.arc_keys[1:] == self.arc_keys[:-1]).any())
         indptr = np.searchsorted(self.arc_src, np.arange(n + 1)).astype(np.int32)
         self.graph = csr_array(
             (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
         )
 
-    def _take_basis(self, start: Optional[Flow]) -> Optional[tuple]:
-        """The start's basis, taken from it, if it was solved on this structure."""
+    def _take_arcs(self, start: Optional[Flow]) -> Optional[tuple]:
+        """The arcs of the start's basis, taken from it, if it was solved on this structure."""
         if start is None:
             return None
         try:
-            basis = start._basis.pop()
+            old, arcs = start._basis.pop()
         except IndexError:
             return None
-        old, net = basis[0], self.network
+        net = self.network
         if old.n_nodes != net.n_nodes or not all(
             np.array_equal(getattr(old, name), getattr(net, name)) for name in _STRUCTURE
         ):
             return None
-        return basis
+        return arcs
 
     def _check_start(self, start: Flow) -> np.ndarray:
         """The start's values, after checking it is a feasible flow with duals."""
@@ -605,19 +618,25 @@ class _ResidualState:
         return values.copy()
 
     def _check_convex(self, rows: np.ndarray) -> None:
-        """Raise unless the cost rows (edges with lf < 0) are discrete convex."""
-        if not rows.size:
-            return
-        with np.errstate(invalid="ignore"):
-            bends = np.diff(self.table[rows], n=2, axis=1)
-        k = np.arange(bends.shape[1])
-        inside = (k >= self.lower[rows, None]) & (k <= self.cap[rows, None] - 2)
-        bad = rows[(inside & (bends < -1e-9)).any(axis=1)]
-        if bad.size:
-            raise ValueError(
-                f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
-                "convex edge costs"
-            )
+        """Raise unless the edges at rows (those with lf < 0) have discrete convex costs.
+
+        Each edge's costs at 0..max capacity are evaluated in blocks of about
+        _CONVEX_BLOCK values, so the check needs no table of all of them.
+        """
+        z = np.arange(int(self.cap.max(initial=0)) + 1)[:, None]
+        k = z[:-2]
+        size = max(1, _CONVEX_BLOCK // z.size)
+        for first in range(0, rows.size, size):
+            block = rows[first : first + size]
+            with np.errstate(invalid="ignore"):
+                bends = np.diff(self.costs(block, z), n=2, axis=0)
+            inside = (k >= self.lower[block]) & (k <= self.cap[block] - 2)
+            bad = block[(inside & (bends < -1e-9)).any(axis=0)]
+            if bad.size:
+                raise ValueError(
+                    f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
+                    "convex edge costs"
+                )
 
     def _at_step(self, delta: int) -> None:
         """Refresh every arc at step delta, unless inc already holds delta steps.
@@ -626,17 +645,26 @@ class _ResidualState:
         full refresh at that step would recompute identical values.
         """
         if self.step != delta:
-            self._refresh(delta)
             self.step = delta
+            self.near, self.signed = delta * _NEAR, delta * _SIGN
+            self._refresh()
 
-    def _refresh(self, delta: int, pos=slice(None)) -> None:
-        """Recompute the delta-step increments of the residual arcs at pos."""
-        e = self.arc_edge[pos]
-        ze = self.z[e]
-        zn = np.where(self.arc_fwd[pos], ze + delta, ze - delta)
-        ok = (zn >= self.lower[e]) & (zn <= self.cap[e])
-        zn = np.where(ok, zn, ze)
-        self.inc[pos] = np.where(ok, (self.table[e, zn] - self.table[e, ze]) / delta, INF)
+    def _refresh(self, edges=slice(None)) -> np.ndarray:
+        """Recompute both arcs' increments at the current step, for every edge by default.
+
+        edges is an index array or a slice.  Returns the edges' costs at
+        z - step, z and z + step, one row each; a step that leaves the edge's
+        range is evaluated at z instead, and its increment is +inf.
+        """
+        z = self.z[edges]
+        near = z + self.near
+        ok = (near >= self.lower[edges]) & (near <= self.cap[edges])
+        costs = self.costs(edges, np.where(ok, near, z))
+        # the backward and forward increments, each difference divided by
+        # its signed step: (c(z - d) - c(z)) / d == (c(z) - c(z - d)) / -d
+        steps = (costs[1:] - costs[:-1]) / self.signed
+        self.inc[self.edge_arcs[:, edges]] = np.where(ok[::2], steps, INF)
+        return costs
 
     def _reduced(self, pos=slice(None)) -> np.ndarray:
         return self.inc[pos] - self.pi[self.arc_src[pos]] + self.pi[self.arc_dst[pos]]
@@ -701,15 +729,14 @@ class _ResidualState:
         directions of an edge are never both negative.  Returns how many
         edges were pushed.
         """
-        E, tol = len(self.z), -1e-12 * self.scale
-        fwd, bwd = self.arc_pos[:E], self.arc_pos[E:]
-        red = self._reduced()
-        up = red[fwd] < tol
-        step = delta * (up.astype(np.int64) - ((red[bwd] < tol) & ~up))
+        tol = -1e-12 * self.scale
+        red = self._reduced()[self.edge_arcs]
+        up = red[1] < tol
+        step = delta * (up.astype(np.int64) - ((red[0] < tol) & ~up))
         pushed = np.flatnonzero(step)
         self.z += step
         self.excess -= _balance(self.tails, self.heads, step, self.n_nodes)
-        self._refresh(delta, np.concatenate([fwd[pushed], bwd[pushed]]))
+        self._refresh(pushed)
         self.stats.restoration_pushes += pushed.size
         return pushed.size
 
@@ -730,8 +757,8 @@ class _ResidualState:
         step the same way is no cheaper.  With one root this is plain
         successive shortest paths.
         """
-        sources = np.flatnonzero(self.excess >= delta)
-        sinks = np.flatnonzero(self.excess <= -delta)
+        sources = (self.excess >= delta).nonzero()[0]
+        sinks = (self.excess <= -delta).nonzero()[0]
         if not sources.size or not sinks.size:
             return False
         weights = self.graph.data
@@ -744,19 +771,26 @@ class _ResidualState:
             min_only=True,
         )
         self.stats.searches += 1
-        self.stats.dijkstra_pops += int(np.isfinite(dist).sum())
-        targets = sinks[np.isfinite(dist[sinks])]
-        if not targets.size:
-            return False
-        if targets.size > 1:
-            # nearest deficit of each tree; lexsort is stable and sinks ascend,
-            # so equal distances keep the lowest node index first
-            targets = targets[np.lexsort((dist[targets], root[targets]))]
-            trees = root[targets]
-            first = np.ones(trees.size, dtype=bool)
-            np.not_equal(trees[1:], trees[:-1], out=first[1:])
-            targets = targets[first]
-        self.pi -= np.minimum(dist, dist[targets].max())
+        self.stats.dijkstra_pops += int(np.count_nonzero(np.isfinite(dist)))
+        if sinks.size == 1:
+            # one deficit: one path, if the search reached it
+            targets, reach = sinks, dist[sinks[0]]
+            if reach == INF:
+                return False
+        else:
+            targets = sinks[np.isfinite(dist[sinks])]
+            if not targets.size:
+                return False
+            if targets.size > 1:
+                # nearest deficit of each tree; lexsort is stable and sinks
+                # ascend, so equal distances keep the lowest node index first
+                targets = targets[np.lexsort((dist[targets], root[targets]))]
+                trees = root[targets]
+                first = np.ones(trees.size, dtype=bool)
+                np.not_equal(trees[1:], trees[:-1], out=first[1:])
+                targets = targets[first]
+            reach = dist[targets].max()
+        self.pi -= np.minimum(dist, reach)
 
         # each path's arcs, target back to root, one contiguous run per path
         n, pred = self.n_nodes, pred.tolist()
@@ -768,19 +802,20 @@ class _ResidualState:
                 keys.append(u * n + v)
                 v, u = u, pred[u]
         keys = np.array(keys)
-        pos = np.searchsorted(self.arc_keys, keys, side="left")
-        end = np.searchsorted(self.arc_keys, keys, side="right")
-        for k in np.flatnonzero(end - pos > 1):
-            # parallel residual arcs: the search used the cheapest one
-            pos[k] += int(weights[pos[k] : end[k]].argmin())
-        e = self.arc_edge[pos]
-        ze = self.z[e]
-        zn = np.where(self.arc_fwd[pos], ze + delta, ze - delta)
-        true_costs = np.add.reduceat(self.table[e, zn] - self.table[e, ze], starts)
-        self.z[e] = zn
+        pos = np.searchsorted(self.arc_keys, keys)
+        if self.parallel:
+            end = np.searchsorted(self.arc_keys, keys, side="right")
+            for k in np.flatnonzero(end - pos > 1):
+                # parallel residual arcs: the search used the cheapest one
+                pos[k] += int(weights[pos[k] : end[k]].argmin())
+        e, fwd = self.arc_edge[pos], self.arc_fwd[pos]
+        self.z[e] += np.where(fwd, delta, -delta)
         self.excess[root[targets]] -= delta
         self.excess[targets] += delta
-        self._refresh(delta, np.concatenate([self.arc_pos[e], self.arc_pos[e + len(self.z)]]))
+        costs = self._refresh(e)
+        # each edge's cost before the step sits one step back: z - delta
+        # after a forward step, z + delta after a backward one
+        true_costs = np.add.reduceat(costs[1] - np.where(fwd, costs[0], costs[2]), starts)
         self.stats.shipments += targets.size
         self.stats.units += delta * targets.size
         self.stats.path_costs.extend(true_costs.tolist())
@@ -789,7 +824,7 @@ class _ResidualState:
     def finalize(self) -> tuple[Flow, float]:
         """Return the flow and its cost after checking the optimality certificate."""
         values = self.z.copy()
-        cost = float(self.table[np.arange(len(values)), values].sum())
+        cost = self.costs.total(values)
         self._at_step(1)
         red = self._reduced()
         worst = min(0.0, float(red[np.isfinite(red)].min(initial=0.0)))
@@ -800,7 +835,7 @@ class _ResidualState:
                 f"-1e-9 * {self.scale!r}"
             )
         flow = Flow(values=values, duals=self.pi.copy())
-        flow._basis.append((self.network, self.table, tuple(getattr(self, a) for a in _ARCS)))
+        flow._basis.append((self.network, tuple(getattr(self, a) for a in _ARCS)))
         return flow, cost
 
 

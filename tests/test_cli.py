@@ -17,6 +17,7 @@ from cgmflow.baseline import solve_approximate
 from cgmflow.cli import _write_manifest, main
 from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
 from cgmflow.dca import run_dca
+from cgmflow.flow import _ResidualState
 from cgmflow.instances import (
     FormatError,
     gen_synthetic,
@@ -153,10 +154,18 @@ class TestSolve:
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert str(inst_path) in manifest["inputs"]
 
-    def test_dca_report_has_surrogates_and_changed_cells(self, tmp_path):
+    def test_dca_report_has_surrogates_and_changed_cells(self, tmp_path, monkeypatch):
         inst = gen_synthetic(n_steps=4, n_states=3, population=30, seed=3)
         inst_path = tmp_path / "inst.json"
         save_instance(inst, inst_path)
+        builds = []
+        build = _ResidualState._build_arcs
+
+        def recorded(state):
+            builds.append(state.network.n_edges)
+            build(state)
+
+        monkeypatch.setattr(_ResidualState, "_build_arcs", recorded)
         assert main(["solve", "--in", str(inst_path), "--out", str(tmp_path / "run")]) == 0
         report = json.loads((tmp_path / "run.report.json").read_text())
         n = report["iterations"]
@@ -164,10 +173,9 @@ class TestSolve:
         assert len(report["surrogates"]) == len(report["changed_cells"]) == n
         for bound, value in zip(report["surrogates"], report["trajectory"]):
             assert bound >= value - 1e-9
-        # the cold first solve computes every edge's cost row (45 edges at
-        # N=4, R=3); warm ones re-cost at most the (N-2)*R interior node edges
-        rows = [s["cost_rows"] for s in report["inner_stats"]]
-        assert rows[0] == 45 and max(rows[1:]) <= 6
+        # only the cold first solve builds residual arcs (45 edges at N=4,
+        # R=3); each warm one takes over the arcs of the solve before it
+        assert builds == [45]
 
     def test_oracle_matches_dca(self, tmp_path):
         inst_path = free_instance_file(tmp_path)

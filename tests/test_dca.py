@@ -55,6 +55,17 @@ class TestAlphaValue:
         assert alpha_value(AlphaStrategy.L, n) == hi
         assert alpha_value(AlphaStrategy.R, n) == lo
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_vectorized_slopes_equal_scalar_ones(self, strategy):
+        # 2-D, like the interior cells of a linearization table; np.log in
+        # place of math.log would differ first at n = 9170
+        got = cgmflow.dca._alpha_values(strategy, np.arange(20000).reshape(4, 5000)).ravel()
+        want = np.array([alpha_value(strategy, k) for k in range(20000)])
+        assert (got == want).all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero too
+        with pytest.raises(ValueError, match="nonnegative"):
+            cgmflow.dca._alpha_values(strategy, np.array([3, -1]))
+
 
 class TestSurrogateG:
     def test_frozen_value(self):

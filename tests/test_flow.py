@@ -198,6 +198,12 @@ def array_network(n_nodes, supplies, arcs):
     )
 
 
+MIXED_LIN = ContingencyTables(
+    node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
+    edge=np.zeros((2, 4, 4), dtype=np.int64),
+)
+
+
 class TestCostTables:
     def test_as_built_network_matches_core_costs(self):
         inst = make_mixed_instance()
@@ -207,26 +213,41 @@ class TestCostTables:
     @pytest.mark.parametrize("strategy", list(AlphaStrategy))
     def test_surrogate_network_matches_core_costs(self, strategy):
         inst = make_mixed_instance()
-        lin = ContingencyTables(
-            node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
-            edge=np.zeros((2, 4, 4), dtype=np.int64),
-        )
-        net = build_surrogate_network(inst, lin, strategy)
+        net = build_surrogate_network(inst, MIXED_LIN, strategy)
         got = cost_table(net)
-        assert_tables_equal(got, reference_table(inst, net, lin, strategy))
-        # the state solves on the same table, with +inf only below the lower bound
+        assert_tables_equal(got, reference_table(inst, net, MIXED_LIN, strategy))
+        # the state's lower bounds sit just above the table's only +inf costs
         state = _ResidualState(net, SolveStats())
-        np.testing.assert_array_equal(state.table, got)
         assert np.array_equal(state.lower, np.isinf(got[:, 0]).astype(np.int64))
+
+    @pytest.mark.parametrize("surrogate", [False, True])
+    def test_state_increments_match_cost_table(self, surrogate, monkeypatch):
+        inst = make_mixed_instance()
+        sur = build_surrogate_network(inst, MIXED_LIN, AlphaStrategy.M)
+        net = sur if surrogate else build_flow_network(inst)
+        table = cost_table(net)
+        # the as-built interior costs are not convex; only increments are tested
+        monkeypatch.setattr(_ResidualState, "_check_convex", lambda state, rows: None)
+        state = _ResidualState(net, SolveStats(), solve_ssp(sur)[0])
+        edge, fwd = state.arc_edge, state.arc_fwd
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            state.z = rng.integers(state.lower, state.cap + 1)
+            for delta in (1, 4):
+                state.step = 0
+                state._at_step(delta)
+                z = state.z[edge]
+                to = np.where(fwd, z + delta, z - delta)
+                inside = (to >= state.lower[edge]) & (to <= state.cap[edge])
+                moved = table[edge, np.where(inside, to, z)] - table[edge, z]
+                want = np.where(inside, moved / delta, math.inf)
+                # bit for bit, +inf where the step leaves the edge's range
+                assert np.array_equal(state.inc, want)
 
     def test_flow_cost_equals_table_lookup(self):
         inst = make_mixed_instance()
-        lin = ContingencyTables(
-            node=np.array([[0, 1, 2, 3], [4, 0, 1, 5], [2, 2, 1, 1]]),
-            edge=np.zeros((2, 4, 4), dtype=np.int64),
-        )
         rng = np.random.default_rng(5)
-        for net in (build_flow_network(inst), build_surrogate_network(inst, lin, "M")):
+        for net in (build_flow_network(inst), build_surrogate_network(inst, MIXED_LIN, "M")):
             table = cost_table(net)
             rows = np.arange(net.n_edges)
             hits_inf = 0
@@ -253,6 +274,27 @@ class TestCostTables:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @staticmethod
+    def traced_peak(solve):
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_needs_no_table(self):
+        # the (E, M + 1) cost table alone would take 7.2 MiB here
+        net = surrogate_zero(gen_synthetic(n_steps=5, n_states=10, population=2000, seed=2))
+        solve_ssp(net)  # grows the shared ln z! table outside the trace
+        assert self.traced_peak(lambda: solve_ssp(net)) < 2 * 2**20
+
+    @pytest.mark.slow
+    def test_large_population_solves_in_little_memory(self):
+        # N=5, R=50, M=10^4: a cost table would take 790 MB
+        net = surrogate_zero(gen_synthetic(n_steps=5, n_states=50, population=10**4, seed=3))
+        assert self.traced_peak(lambda: solve_capacity_scaling(net)) < 16 * 2**20
 
     def test_scale_is_largest_increment(self):
         for seed in range(12):
@@ -661,7 +703,7 @@ class TestForest:
             # edges stay negative round after round
             state.z[:] = flow.values
             state.excess[:] = 0
-            state._refresh(1)
+            state._refresh()
             return False
 
         monkeypatch.setattr(_ResidualState, "ship", send_back)
@@ -865,20 +907,48 @@ def plain(flow):
 
 
 def assert_same_solve(got, want):
-    """Equal flows, duals, costs and counters; wall_time and cost_rows may differ."""
+    """Equal flows, duals, costs and counters; wall_time may differ."""
     (f1, c1, s1), (f2, c2, s2) = got, want
     assert np.array_equal(f1.values, f2.values)
     assert np.array_equal(f1.duals, f2.duals)
     assert c1 == c2
     d1, d2 = s1.to_dict(), s2.to_dict()
     for d in (d1, d2):
-        del d["wall_time"], d["cost_rows"]
+        del d["wall_time"]
     assert d1 == d2
     assert s1.path_costs == s2.path_costs
 
 
+@pytest.fixture
+def arc_builds(monkeypatch):
+    """The networks whose solves built their residual arcs anew, in call order."""
+    built = []
+    build = _ResidualState._build_arcs
+
+    def recorded(state):
+        built.append(state.network)
+        build(state)
+
+    monkeypatch.setattr(_ResidualState, "_build_arcs", recorded)
+    return built
+
+
+def rerouted(net, column):
+    """net with other tails or heads, whose optima are feasible flows of net.
+
+    Transition edge k takes the tail or head of another transition edge and
+    is closed (capacity 0), so its flow is 0 in both networks.
+    """
+    k, other = net.layout.trans_edges[0, 0, 0], net.layout.trans_edges[0, 1, 1]
+    ends = getattr(net, column).copy()
+    ends[k] = ends[other]
+    capacity = net.capacity.copy()
+    capacity[k] = 0
+    return dataclasses.replace(net, **{column: ends}, capacity=capacity)
+
+
 class TestBasisReuse:
-    """A warm start reuses its Flow's cost table and arcs when the structure matches."""
+    """A warm start reuses its Flow's residual arcs when the nodes and arcs match."""
 
     CASES = (
         (gen_synthetic(n_steps=5, n_states=6, population=300, seed=9), AlphaStrategy.L),
@@ -886,40 +956,54 @@ class TestBasisReuse:
     )
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_basis_start_equals_plain_start(self, case):
+    def test_basis_start_equals_plain_start(self, case, arc_builds):
         inst, strategy = self.CASES[case]
         nets = dc_networks(inst, 4, strategy)
-        limit = (inst.n_steps - 2) * inst.n_states
+        assert sum(changed_rows(a, b) for a, b in zip(nets, nets[1:])) > 0
         for solver in SOLVERS:
-            flow, _, cold = solver(nets[0])
-            assert cold.cost_rows == nets[0].n_edges
-            recosted = 0
-            for prev, net in zip(nets, nets[1:]):
+            flow, _, _ = solver(nets[0])
+            for net in nets[1:]:
+                arc_builds.clear()
                 want = solver(net, plain(flow))
                 got = solver(net, flow)
+                # the plain start builds its arcs; the start with a basis takes them
+                assert arc_builds == [net]
                 assert_same_solve(got, want)
-                assert want[2].cost_rows == net.n_edges
-                assert got[2].cost_rows == changed_rows(prev, net) <= limit
-                recosted += got[2].cost_rows
                 flow = got[0]
-            assert recosted > 0
 
-    def test_second_use_builds_from_scratch(self):
+    def test_second_use_builds_from_scratch(self, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         other = surrogate_zero(inst, AlphaStrategy.R)
         for solver in SOLVERS:
             flow = solver(first)[0]
             start = plain(flow)
+            arc_builds.clear()
             assert_same_solve(solver(nxt, flow), solver(nxt, start))
+            assert arc_builds == [nxt]
             # the basis went to the first warm start: the second builds anew
+            arc_builds.clear()
             again = solver(other, flow)
-            assert again[2].cost_rows == other.n_edges
+            assert arc_builds == [other]
             assert_same_solve(again, solver(other, start))
-            assert solver(nxt, flow)[2].cost_rows == nxt.n_edges
+            arc_builds.clear()
+            solver(nxt, flow)
+            assert arc_builds == [nxt]
+
+    @pytest.mark.parametrize("column", ["tails", "heads"])
+    def test_other_arcs_build_from_scratch(self, column, arc_builds):
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first, nxt = dc_networks(inst, 2)
+        changed = rerouted(first, column)
+        for solver in SOLVERS:
+            flow = solver(changed)[0]
+            arc_builds.clear()
+            got = solver(nxt, flow)
+            assert arc_builds == [nxt]
+            assert_same_solve(got, solver(nxt, plain(flow)))
 
     @pytest.mark.parametrize("column", ["capacity", "obs_y", "obs_var"])
-    def test_other_structure_builds_from_scratch(self, column):
+    def test_other_costs_reuse_the_arcs(self, column, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         # a feasible flow carries at most M on any edge, so the optimum of
@@ -927,16 +1011,18 @@ class TestBasisReuse:
         changed = dataclasses.replace(first, **{column: getattr(first, column) + 1})
         for solver in SOLVERS:
             flow = solver(changed)[0]
+            arc_builds.clear()
             got = solver(nxt, flow)
-            assert got[2].cost_rows == nxt.n_edges
+            assert arc_builds == []
             assert_same_solve(got, solver(nxt, plain(flow)))
 
-    def test_one_thread_takes_the_basis(self):
+    def test_one_thread_takes_the_basis(self, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         flow = solve_ssp(first)[0]
         want = solve_ssp(nxt, plain(flow))
         results = []
+        arc_builds.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -954,8 +1040,8 @@ class TestBasisReuse:
         assert len(results) == 6
         for got in results:
             assert_same_solve(got, want)
-        rows = sorted(got[2].cost_rows for got in results)
-        assert rows == [changed_rows(first, nxt)] + [nxt.n_edges] * 5
+        # one of the six took the basis; the other five built their arcs
+        assert len(arc_builds) == 5
 
     def test_equality_and_repr_ignore_basis(self):
         net = surrogate_zero(gen_synthetic(n_steps=3, n_states=3, population=5, seed=1))
