@@ -222,8 +222,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     prefix = args.out
     if args.method == "dca":
-        config = DcaConfig(strategy=args.strategy, inner_solver=args.inner,
-                           max_iters=args.max_iters)
+        config = DcaConfig(strategy=args.strategy, max_iters=args.max_iters)
         tables, doc = _timed_solve(_solve_dca, instance, config)
     elif args.method == "baseline":
         tables, doc = _timed_solve(_solve_baseline, instance, tol=args.baseline_tol,
@@ -282,7 +281,7 @@ def _compare_one(job: tuple) -> dict:
     Runs inside worker processes; must stay importable at module top level
     and take/return plain picklable data.
     """
-    n_states, population, potential, n_steps, noise_var, seed, inner = job
+    n_states, population, potential, n_steps, noise_var, seed = job
     out = {
         "n_states": n_states,
         "population": population,
@@ -303,7 +302,7 @@ def _compare_one(job: tuple) -> dict:
             if method == "baseline":
                 _, doc = _timed_solve(_solve_baseline, instance)
             else:
-                config = DcaConfig(strategy=method[-1], inner_solver=inner)
+                config = DcaConfig(strategy=method[-1])
                 _, doc = _timed_solve(_solve_dca, instance, config)
             out["rows"].append(
                 {
@@ -332,7 +331,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for cell_index, (R, M, pot) in enumerate(cells):
         for k in range(args.instances):
             seed = args.seed + 1009 * cell_index + k
-            jobs.append((R, M, pot, args.n_steps, args.noise_var, seed, args.inner))
+            jobs.append((R, M, pot, args.n_steps, args.noise_var, seed))
 
     workers = args.workers or os.cpu_count() or 1
     t0 = time.perf_counter()
@@ -447,7 +446,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         return 2
 
     if args.method == "dca":
-        config = DcaConfig(strategy=args.strategy, inner_solver=args.inner)
+        config = DcaConfig(strategy=args.strategy)
         tables, doc = _timed_solve(_solve_dca, instance, config)
     else:
         tables, doc = _timed_solve(_solve_baseline, instance, max_iters=500)
@@ -617,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output prefix: writes <out>.tables.json, <out>.report.json")
     solve.add_argument("--method", choices=["dca", "baseline", "oracle"], default="dca")
     solve.add_argument("--strategy", choices=["L", "M", "R"], default="L")
-    solve.add_argument("--inner", choices=["ssp", "cs"], default="ssp")
     solve.add_argument("--max-iters", type=_positive_int, default=1000)
     solve.add_argument("--baseline-tol", type=_positive_float, default=1e-6)
     solve.add_argument("--baseline-max-iters", type=_positive_int, default=500)
@@ -635,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--instances", type=_positive_int, default=10)
     comp.add_argument("--n-steps", type=_positive_int, default=5)
     comp.add_argument("--noise-var", type=_positive_float, default=50.0)
-    comp.add_argument("--inner", choices=["ssp", "cs"], default="ssp")
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--workers", type=_positive_int, default=None,
                       help="worker processes (default: all cores)")
@@ -653,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     interp.add_argument("--noise-precision", type=_positive_float, default=5.0)
     interp.add_argument("--method", choices=["dca", "baseline"], default="dca")
     interp.add_argument("--strategy", choices=["L", "M", "R"], default="L")
-    interp.add_argument("--inner", choices=["ssp", "cs"], default="ssp")
     interp.add_argument("--out", type=Path, required=True,
                         help="output prefix: <out>.raw.csv, <out>.display.csv")
     interp.set_defaults(func=cmd_interpolate)

@@ -10,6 +10,8 @@ fixed point after finitely many steps.
 Consecutive surrogates differ only in the interior node-edge slopes, so each
 inner solve after the first starts from the previous optimal flow and its
 duals and repairs them, instead of shipping the whole population again.
+The first, cold solve ships the whole population, at a first block size
+chosen from the mean count per state (_first_block).
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from .core import (
     log_factorial_array,
     objective,
 )
-from .flow import (
-    FlowNetwork,
-    build_flow_network,
-    extract_tables,
-    solve_capacity_scaling,
-    solve_ssp,
-)
+from .flow import FlowNetwork, build_flow_network, extract_tables, solve_ssp
 
 __all__ = [
     "AlphaStrategy",
@@ -173,14 +169,17 @@ def surrogate_objective(
 
 @dataclass(frozen=True)
 class DcaConfig:
+    """The supergradient strategy and the outer iteration cap.
+
+    The inner solve needs no setting: run_dca picks its first block size
+    from the instance (_first_block).
+    """
+
     strategy: AlphaStrategy = AlphaStrategy.L
-    inner_solver: str = "ssp"  # "ssp" or "cs"
     max_iters: int = 1000  # outer iterations before run_dca gives up
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", AlphaStrategy(self.strategy))
-        if self.inner_solver not in ("ssp", "cs"):
-            raise ValueError("inner_solver must be 'ssp' or 'cs'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -203,13 +202,12 @@ class DcaReport:
     iterations: int = 0
     converged: bool = False
     strategy: str = "L"
-    inner_solver: str = "ssp"
     inner_stats: list = field(default_factory=list)
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        """JSON report: trajectory is objectives, inner the solver's name and
-        inner_stats one SolveStats dict per iteration."""
+        """JSON report: trajectory is objectives and inner_stats one SolveStats
+        dict per iteration."""
         return {
             "trajectory": list(self.objectives),
             "surrogates": list(self.surrogates),
@@ -217,10 +215,23 @@ class DcaReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "strategy": self.strategy,
-            "inner": self.inner_solver,
             "inner_stats": [s.to_dict() for s in self.inner_stats],
             "wall_time": self.wall_time,
         }
+
+
+def _first_block(instance: CgmInstance) -> int:
+    """First block size of run_dca's cold solve, from M / R, the mean count per state.
+
+    1, plain SSP, when M < 8R, where larger blocks measured slower; else
+    the largest power of two at most M / (2R).  Fitted on cold solves of
+    first surrogates with R = 10 to 100 and M / R = 3.3 to 500 (the table
+    is in CHANGES.md).
+    """
+    M, R = instance.population, instance.n_states
+    if M < 8 * R:
+        return 1
+    return 1 << ((M // (2 * R)).bit_length() - 1)
 
 
 def run_dca(
@@ -238,13 +249,17 @@ def run_dca(
     before it, the lowest.  With at most two steps the surrogate is f, so
     one solve is exact.  At max_iters the last iterate is returned.
 
-    The first inner solve starts cold; each later one is warm-started from
-    the previous iteration's optimal flow and its duals (see solve_ssp), so
-    its shipments count only the units that move.
+    Every iteration calls solve_ssp(network, flow, block), block the first
+    block size _first_block picks.  The first solve starts cold and ships
+    the population in blocks halving from there down to 1 (block 1 is plain
+    SSP); each later one is warm-started from the previous iteration's
+    optimal flow and its duals, holds no excess and so runs the unit phase
+    only: its shipments count only the units that move.
+    inner_stats[k].phases[0] records each solve's first block.
     """
     config = config or DcaConfig()
-    solver = solve_ssp if config.inner_solver == "ssp" else solve_capacity_scaling
-    report = DcaReport(strategy=config.strategy.value, inner_solver=config.inner_solver)
+    block = _first_block(instance)
+    report = DcaReport(strategy=config.strategy.value)
     t0 = time.perf_counter()
 
     linearization = ContingencyTables.zeros(instance.n_steps, instance.n_states)
@@ -253,7 +268,7 @@ def run_dca(
 
     for _ in range(config.max_iters):
         network = build_surrogate_network(instance, linearization, config.strategy)
-        flow, surrogate, stats = solver(network, flow)
+        flow, surrogate, stats = solve_ssp(network, flow, block)
         tables = extract_tables(network, flow)
         value = objective(instance, tables)
         report.objectives.append(value)

@@ -49,17 +49,21 @@ from each root to the nearest deficit in its tree.  Potentials fall by
 min(dist, D), D the largest distance of a chosen deficit, which keeps every
 reduced cost nonnegative and sets every chosen path's to 0; the trees share
 no node, so the paths are disjoint and ship together (``ship``).  A cold
-SSP solve on a network with one supply node and no mandatory unit has one
-root per search and is plain successive shortest paths; capacity scaling
-and warm starts, which hold many excesses at once, need far fewer searches
-than paths.
+unit-block SSP solve on a network with one supply node and no mandatory
+unit has one root per search and is plain successive shortest paths;
+scaled phases and warm starts, which hold many excesses at once, need far
+fewer searches than paths.
 
 Both solvers run one phase routine at a block size delta (``phase``):
 push delta units along every edge whose delta step has a negative reduced
-cost, ship, and repeat until a round pushes nothing.  SSP is the single
-unit phase; capacity scaling halves delta from the largest power of two at
-most the top excess down to 1 (Ahuja, Magnanti and Orlin, Network Flows,
-sections 10.2 and 14.5).  A warm start, a feasible flow with node
+cost, ship, and repeat until a round pushes nothing.  A solve halves
+delta from the largest power of two at most min(cap, top excess) down to
+1 (Ahuja, Magnanti and Orlin, Network Flows, sections 10.2 and 14.5).
+solve_ssp takes the cap as max_block, 1 by default, which leaves plain
+SSP's single unit phase; capacity scaling leaves the block uncapped.
+Scaling wins when cells hold many units and plain SSP when they hold few,
+so a caller that knows its counts picks the cap (dca.run_dca does, from
+the population per state).  A warm start, a feasible flow with node
 potentials (``Flow.duals``, which every solver returns), holds no excess,
 so its unit phase moves only the units its pushes displace; a
 difference-of-convex iteration changes only the interior node-edge slopes,
@@ -451,6 +455,31 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
 
 
 @dataclass
+class PathCosts:
+    """Running summary of the true costs of shipped paths, in shipping order.
+
+    nondecreasing: whether each cost was at least the one before it - 1e-9.
+    It keeps no list, so a report stays the same size however many paths
+    ship.
+    """
+
+    count: int = 0
+    min: float = INF
+    max: float = -INF
+    nondecreasing: bool = True
+    last: float = -INF
+
+    def add(self, costs: list) -> None:
+        """Fold in the costs of one or more paths, in the order they shipped."""
+        pairs = zip([self.last, *costs], costs)
+        self.nondecreasing = self.nondecreasing and all(b >= a - 1e-9 for a, b in pairs)
+        self.count += len(costs)
+        self.min = min(self.min, *costs)
+        self.max = max(self.max, *costs)
+        self.last = costs[-1]
+
+
+@dataclass
 class SolveStats:
     """Counters of one solve.
 
@@ -458,14 +487,17 @@ class SolveStats:
     searches, the nodes a search settles (those at finite distance from the
     sources); every search runs to completion, so pops are per search.  A
     search ships one path per tree of its shortest-path forest, so
-    shipments (and units) count paths, and path_costs holds one entry per
-    path: searches == shipments exactly when every search has one root.
+    shipments count paths, units the units they carry (a path at block size
+    delta carries delta units), and path_costs summarizes the true cost of
+    every path (a PathCosts): searches == shipments exactly when every
+    search has one root.
     min_reduced_cost is the optimality certificate: the smallest unit-step
     reduced cost over the final residual network, which is never below
     -1e-9 * max(1, largest finite |increment|) once a solver returns.
-    path_costs holds the true cost of every path; to_dict summarizes it.
-    phases lists the block size of every phase in order: SSP's single unit
-    phase [1], or capacity scaling's halving powers of two down to 1.
+    phases lists the block size of every phase in order, halving powers of
+    two down to 1: [1] for plain SSP and every warm start, and for a cold
+    scaled solve its first block (solve_ssp's max_block, or capacity
+    scaling's top excess) first.
     restoration_pushes counts the single-edge pushes of phase rounds, which
     restore nonnegative reduced costs after a halving or repair a warm start.
     """
@@ -473,7 +505,7 @@ class SolveStats:
     method: str = ""
     shipments: int = 0
     units: int = 0
-    path_costs: list = field(default_factory=list)
+    path_costs: PathCosts = field(default_factory=PathCosts)
     phases: list = field(default_factory=list)
     restoration_pushes: int = 0
     searches: int = 0
@@ -488,10 +520,10 @@ class SolveStats:
             "shipments": self.shipments,
             "units": self.units,
             "path_costs": {
-                "count": len(costs),
-                "min": min(costs, default=None),
-                "max": max(costs, default=None),
-                "nondecreasing": all(b >= a - 1e-9 for a, b in zip(costs, costs[1:])),
+                "count": costs.count,
+                "min": costs.min if costs.count else None,
+                "max": costs.max if costs.count else None,
+                "nondecreasing": costs.nondecreasing,
             },
             "phases": list(self.phases),
             "restoration_pushes": self.restoration_pushes,
@@ -818,7 +850,7 @@ class _ResidualState:
         true_costs = np.add.reduceat(costs[1] - np.where(fwd, costs[0], costs[2]), starts)
         self.stats.shipments += targets.size
         self.stats.units += delta * targets.size
-        self.stats.path_costs.extend(true_costs.tolist())
+        self.stats.path_costs.add(true_costs.tolist())
         return True
 
     def finalize(self) -> tuple[Flow, float]:
@@ -847,13 +879,16 @@ def _infeasible_detail(state: _ResidualState) -> str:
 
 
 def _solve(
-    network: FlowNetwork, start: Optional[Flow], method: str
+    network: FlowNetwork, start: Optional[Flow], method: str, max_block: float
 ) -> tuple[Flow, float, SolveStats]:
-    """Phases at halving block sizes from the method's first one down to 1."""
+    """Phases at halving block sizes, from the largest power of two at most
+    min(max_block, top excess) down to 1."""
+    if not max_block >= 1:
+        raise ValueError("max_block must be at least 1")
     t0 = time.perf_counter()
     stats = SolveStats(method=method)
     state = _ResidualState(network, stats, start)
-    top = max(1, int(state.excess.max(initial=0))) if method == "cs" else 1
+    top = max(1, int(min(max_block, state.excess.max(initial=0))))
     delta = 1 << (top.bit_length() - 1)
     while delta >= 1:
         stats.phases.append(delta)
@@ -867,9 +902,9 @@ def _solve(
 
 
 def solve_ssp(
-    network: FlowNetwork, start: Optional[Flow] = None
+    network: FlowNetwork, start: Optional[Flow] = None, max_block: int = 1
 ) -> tuple[Flow, float, SolveStats]:
-    """Exact min-cost flow by unit augmentations along shortest residual paths.
+    """Exact min-cost flow by augmentations along shortest residual paths.
 
     Requires every edge cost to be discrete convex.  Deterministic: reruns
     are bit-identical.  Each search augments one path per tree of its
@@ -881,12 +916,21 @@ def solve_ssp(
     potentials.  start is a feasible flow on this network (values within
     the bounds, conservation equal to supplies) with finite duals, one per
     node, such as the Flow a solver returned for a network differing only in
-    edge costs; otherwise ValueError.  Either way the solve is one unit
-    phase (_ResidualState.phase), so from a start only the units that its
-    negative edges push and the new optimum needs move.
+    edge costs; otherwise ValueError.  From a start the solve is one unit
+    phase (_ResidualState.phase), so only the units that its negative edges
+    push and the new optimum needs move.
     The returned Flow carries the final potentials as duals.
+
+    max_block caps the block size a cold solve starts at: with the default
+    1 it is plain successive shortest paths, one unit per path; a larger
+    cap runs capacity scaling's phases from the largest power of two at
+    most min(max_block, top excess) down to 1, which ships populations of
+    many units per state in far fewer searches.  The last phase is always
+    the unit phase, so every cap reaches the same optimal cost (flows may
+    differ on ties).  A start holds no excess, so a warm solve is the unit
+    phase whatever the cap.
     """
-    return _solve(network, start, "ssp")
+    return _solve(network, start, "ssp", max_block)
 
 
 def solve_capacity_scaling(
@@ -895,15 +939,15 @@ def solve_capacity_scaling(
     """Exact min-cost flow shipping geometrically shrinking blocks.
 
     Phases run at block sizes delta halving from the largest power of two
-    at most the top excess down to 1.  Each re-establishes delta-step
-    optimality with pushes, then ships blocks between large excesses and
-    deficits, one block per tree of each search's forest.  The final unit
-    phase guarantees exactness, so the result matches solve_ssp's cost
-    (flows may differ on ties).  start is checked as in solve_ssp; a
-    feasible start holds no excess, so a warm solve is the unit phase only
-    and equals solve_ssp's from the same start.
+    at most the top excess down to 1: solve_ssp with no cap on the block.
+    Each re-establishes delta-step optimality with pushes, then ships blocks
+    between large excesses and deficits, one block per tree of each search's
+    forest.  The final unit phase guarantees exactness, so the result
+    matches solve_ssp's cost (flows may differ on ties).  start is checked
+    as in solve_ssp; a feasible start holds no excess, so a warm solve is
+    the unit phase only and equals solve_ssp's from the same start.
     """
-    return _solve(network, start, "cs")
+    return _solve(network, start, "cs", INF)
 
 
 # ---------------------------------------------------------------------------

@@ -318,9 +318,8 @@ class TestReportSchema:
         inst, report = self.solve(tmp_path, "dca")
         doc = without_wall_times(run_dca(inst)[1].to_dict())
         assert set(doc) == {"trajectory", "surrogates", "changed_cells", "iterations",
-                            "converged", "strategy", "inner", "inner_stats"}
+                            "converged", "strategy", "inner_stats"}
         assert without_wall_times({k: report[k] for k in doc}) == doc
-        assert report["inner"] == "ssp"
         assert "wall_time" in report
 
     def test_baseline_report_is_to_dict(self, tmp_path):

@@ -13,6 +13,7 @@ from cgmflow.core import ContingencyTables, log_factorial, objective, validate_t
 from cgmflow.dca import (
     AlphaStrategy,
     DcaConfig,
+    _first_block,
     alpha_value,
     run_dca,
     surrogate_g,
@@ -160,17 +161,7 @@ class TestRunDca:
             assert inst.n_steps <= 2 or not report.converged
         assert validate_tables(inst, tables) == []
 
-    def test_inner_solver_choice_matches(self):
-        inst = make_tiny_instance(88, max_steps=4)
-        t1, r1 = run_dca(inst, DcaConfig(inner_solver="ssp"))
-        t2, r2 = run_dca(inst, DcaConfig(inner_solver="cs"))
-        assert r1.objectives[-1] == pytest.approx(r2.objectives[-1], abs=1e-9)
-        assert r2.inner_solver == "cs"
-        assert all(s.method == "cs" for s in r2.inner_stats)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DcaConfig(inner_solver="simplex")
         with pytest.raises(ValueError):
             DcaConfig(max_iters=0)
 
@@ -180,7 +171,6 @@ class TestRunDca:
         doc = report.to_dict()
         assert doc["trajectory"] == report.objectives
         assert doc["strategy"] in ("L", "M", "R")
-        assert doc["inner"] == report.inner_solver == "ssp"
         assert doc["inner_stats"] == [s.to_dict() for s in report.inner_stats]
         assert len(doc["inner_stats"]) == report.iterations
         assert doc["surrogates"] == report.surrogates
@@ -191,10 +181,7 @@ class TestRunDca:
 class Calls:
     """Counting wrappers around the names run_dca looks up in cgmflow.dca."""
 
-    NAMES = (
-        "solve_ssp", "solve_capacity_scaling", "build_surrogate_network",
-        "extract_tables", "objective",
-    )
+    NAMES = ("solve_ssp", "build_surrogate_network", "extract_tables", "objective")
 
     def __init__(self, monkeypatch):
         self.log = []
@@ -202,15 +189,18 @@ class Calls:
             monkeypatch.setattr(cgmflow.dca, name, self.wrap(name, getattr(cgmflow.dca, name)))
 
     def wrap(self, name, original):
-        def traced(*args):
-            result = original(*args)
-            self.log.append((name, args, result))
+        def traced(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self.log.append((name, args, kwargs, result))
             return result
 
         return traced
 
     def of(self, name):
-        return [(args, result) for n, args, result in self.log if n == name]
+        """(positional args, result) of every call; calls with keywords fail here."""
+        calls = [(args, kwargs, result) for n, args, kwargs, result in self.log if n == name]
+        assert all(not kwargs for _, kwargs, _ in calls), "run_dca passed keyword arguments"
+        return [(args, result) for args, _, result in calls]
 
 
 def gate3_instances():
@@ -228,22 +218,52 @@ def gate4_instances():
         yield make_tiny_instance(seed, max_steps=4, max_states=3, max_population=6)
 
 
+class TestFirstBlock:
+    @pytest.mark.parametrize(
+        "R, M, block",
+        [(30, 100, 1), (40, 200, 1), (25, 20, 1), (10, 79, 1), (10, 80, 4),
+         (10, 100, 4), (10, 2000, 64), (20, 10_000, 128)],
+    )
+    def test_rule(self, R, M, block):
+        inst = gen_synthetic(n_steps=3, n_states=R, population=M, seed=0)
+        assert _first_block(inst) == block
+
+    def test_first_solve_is_the_traced_cold_solve(self, monkeypatch):
+        # the first call through cgmflow.dca.solve_ssp is the cold solve of the
+        # first surrogate, so its cost is that surrogate's optimum
+        calls = Calls(monkeypatch)
+        inst = gen_synthetic(n_steps=5, n_states=5, population=400, seed=0)
+        run_dca(inst)
+        (network, start, block), (_, cost, stats) = calls.of("solve_ssp")[0]
+        assert start is None and block == _first_block(inst) == 32
+        assert stats.phases[0] == block
+        zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
+        first = cgmflow.dca.build_surrogate_network(inst, zeros, AlphaStrategy.L)
+        for solver in (flow.solve_ssp, flow.solve_capacity_scaling):
+            assert cost == pytest.approx(solver(first)[1], rel=1e-9, abs=1e-9)
+
+
 class TestWarmStartedLoop:
+    # the cold solve is plain SSP at M < 8R ("ssp") and scaled at M >= 8R ("cs")
     @pytest.mark.parametrize("inner", ["ssp", "cs"])
     def test_one_call_per_iteration_and_chained_starts(self, monkeypatch, inner):
         calls = Calls(monkeypatch)
-        inst = gen_synthetic(n_steps=5, n_states=5, population=40, seed=6)
-        _, report = run_dca(inst, DcaConfig(inner_solver=inner))
+        population = 39 if inner == "ssp" else 40
+        inst = gen_synthetic(n_steps=5, n_states=5, population=population, seed=6)
+        block = _first_block(inst)
+        assert (block == 1) == (inner == "ssp")
+        _, report = run_dca(inst)
         n = report.iterations
         assert n >= 3
-        used = "solve_ssp" if inner == "ssp" else "solve_capacity_scaling"
-        unused = "solve_capacity_scaling" if inner == "ssp" else "solve_ssp"
-        solves = calls.of(used)
-        assert len(solves) == n and calls.of(unused) == []
-        assert [len(args) for args, _ in solves] == [2] * n
+        solves = calls.of("solve_ssp")
+        assert len(solves) == n
+        assert [len(args) for args, _ in solves] == [3] * n
+        assert [args[2] for args, _ in solves] == [block] * n
         assert solves[0][0][1] is None
         for (args, _), (_, previous) in zip(solves[1:], solves):
             assert args[1] is previous[0]
+        phases = [s.phases for s in report.inner_stats]
+        assert phases[0][0] == block and phases[1:] == [[1]] * (n - 1)
         for name in ("build_surrogate_network", "extract_tables", "objective"):
             assert len(calls.of(name)) == n
         assert report.surrogates == [result[1] for _, result in solves]
@@ -270,23 +290,25 @@ class TestWarmStartedLoop:
             monkeypatch.undo()
         assert stopped_on_fixed_point >= 3
 
-    @pytest.mark.parametrize("inner", ["ssp", "cs"])
-    def test_warm_inner_optima_equal_cold(self, monkeypatch, inner):
-        name = "solve_ssp" if inner == "ssp" else "solve_capacity_scaling"
-        warm_solver = getattr(cgmflow.dca, name)
+    # every inner optimum, warm or at the first block, against a cold solve
+    @pytest.mark.parametrize("cold_solver", ["ssp", "cs"])
+    def test_warm_inner_optima_equal_cold(self, monkeypatch, cold_solver):
+        solve_cold = flow.solve_ssp if cold_solver == "ssp" else flow.solve_capacity_scaling
+        inner_solver = cgmflow.dca.solve_ssp
         checked = []
 
-        def checked_solver(network, start):
-            result = warm_solver(network, start)
-            _, cold, _ = flow.solve_ssp(network)
+        def checked_solver(network, start, block):
+            result = inner_solver(network, start, block)
+            _, cold, _ = solve_cold(network)
             assert result[1] == pytest.approx(cold, abs=1e-9)
-            checked.append(start is not None)
+            checked.append((start is not None, block > 1))
             return result
 
-        monkeypatch.setattr(cgmflow.dca, name, checked_solver)
+        monkeypatch.setattr(cgmflow.dca, "solve_ssp", checked_solver)
         for inst in list(gate3_instances()) + list(gate4_instances()):
-            run_dca(inst, DcaConfig(inner_solver=inner))
-        assert sum(checked) >= 200  # warm solves, after each first iteration
+            run_dca(inst)
+        assert sum(warm for warm, _ in checked) >= 200  # after each first iteration
+        assert sum(not warm and scaled for warm, scaled in checked) >= 10
 
     def test_later_iterations_ship_few_units(self):
         M = 1000
@@ -294,7 +316,9 @@ class TestWarmStartedLoop:
         _, report = run_dca(inst)
         units = [s.units for s in report.inner_stats]
         assert report.iterations >= 3
-        assert units[0] == M
+        # the cold solve routes all M units, in blocks that later phases
+        # partly re-route; each warm solve moves only what changes
+        assert units[0] >= M
         assert max(units[1:]) <= M // 4
 
     def test_reruns_are_identical(self):

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgmflow.core import (
@@ -32,6 +32,7 @@ from cgmflow.flow import (
     Flow,
     FlowNetwork,
     InfeasibleError,
+    PathCosts,
     SolveStats,
     _ResidualState,
     build_flow_network,
@@ -481,6 +482,35 @@ class TestSolvers:
             assert c2 == pytest.approx(c1, abs=1e-9)
         assert solve_ssp(net, solve_ssp(net)[0])[2].to_dict()["phases"] == [1]
 
+    @pytest.mark.parametrize("cap, blocks", [
+        (1, [1]), (2, [2, 1]), (5, [4, 2, 1]), (16, [16, 8, 4, 2, 1]),
+        (10**6, [32, 16, 8, 4, 2, 1]),
+    ])
+    def test_block_cap(self, cap, blocks):
+        # the cold solve starts at the largest power of two at most
+        # min(max_block, top excess); M = 40 here
+        net = surrogate_zero(gen_synthetic(n_steps=4, n_states=3, population=40, seed=3))
+        _, unit_cost, _ = solve_ssp(net)
+        flow, cost, stats = solve_ssp(net, None, cap)
+        assert stats.method == "ssp" and stats.phases == blocks
+        assert cost == pytest.approx(unit_cost, abs=1e-9)
+        # a warm start holds no excess: the unit phase whatever the cap
+        warm = solve_ssp(net, flow, cap)
+        assert warm[2].phases == [1]
+        assert_same_solve(warm, solve_ssp(net, plain(flow)))
+
+    def test_uncapped_block_is_capacity_scaling(self):
+        net = surrogate_zero(gen_synthetic(n_steps=5, n_states=4, population=300, seed=8))
+        got, want = solve_ssp(net, max_block=math.inf), solve_capacity_scaling(net)
+        got[2].method = "cs"
+        assert_same_solve(got, want)
+
+    @pytest.mark.parametrize("cap", [0, 0.5, -4, math.nan])
+    def test_block_cap_below_one_raises(self, cap):
+        net = surrogate_zero(make_tiny_instance(3))
+        with pytest.raises(ValueError, match="max_block"):
+            solve_ssp(net, None, cap)
+
     def test_deterministic(self):
         inst = make_tiny_instance(7)
         net = surrogate_zero(inst)
@@ -496,7 +526,8 @@ class TestSolvers:
         inst = free_instance(3, 2, 6, phi=np.arange(1, 9, dtype=float).reshape(2, 2, 2))
         _, _, stats = solve_ssp(surrogate_zero(inst))
         costs = stats.path_costs
-        assert costs and all(b >= a - 1e-9 for a, b in zip(costs, costs[1:]))
+        assert costs.count == 6 and costs.nondecreasing
+        assert costs.min <= costs.last == costs.max
 
     def test_optimality_certificate(self):
         inst = make_tiny_instance(9)
@@ -517,14 +548,47 @@ class TestSolvers:
             state.finalize()
         assert state.stats.min_reduced_cost < -1e-9 * state.scale
 
-    def test_report_summarizes_path_costs(self):
+    def test_report_summarizes_path_costs(self, monkeypatch):
+        # the running summary equals the summary of every shipped path's cost
+        shipped = []
+        add = PathCosts.add
+
+        def recorded(summary, costs):
+            shipped.extend(costs)
+            add(summary, costs)
+
+        monkeypatch.setattr(PathCosts, "add", recorded)
         inst = free_instance(3, 2, 6, phi=np.arange(1, 9, dtype=float).reshape(2, 2, 2))
-        _, _, stats = solve_ssp(surrogate_zero(inst))
-        assert stats.to_dict()["path_costs"] == {
-            "count": 6,
-            "min": min(stats.path_costs),
-            "max": max(stats.path_costs),
-            "nondecreasing": True,
+        for solver in (solve_ssp, solve_capacity_scaling):
+            shipped.clear()
+            _, _, stats = solver(surrogate_zero(inst))
+            assert stats.to_dict()["path_costs"] == {
+                "count": len(shipped),
+                "min": min(shipped),
+                "max": max(shipped),
+                "nondecreasing": all(b >= a - 1e-9 for a, b in zip(shipped, shipped[1:])),
+            }
+            assert len(shipped) == stats.shipments
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # steps of a few 1e-10 probe the 1e-9 tolerance against the previous cost
+        costs=st.lists(st.sampled_from([-2.0, -1.2e-9, -5e-10, 0.0, 5e-10, 1.0]), max_size=12),
+        cuts=st.sets(st.integers(1, 11)),
+    )
+    # each cost within 1e-9 of the one before it, not of the max
+    @example(costs=[0.0, -5e-10, -1.2e-9], cuts={2})
+    def test_path_cost_summary_equals_list_summary(self, costs, cuts):
+        summary = PathCosts()
+        bounds = [0, *sorted(c for c in cuts if c < len(costs)), len(costs)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi > lo:
+                summary.add(costs[lo:hi])
+        assert SolveStats(path_costs=summary).to_dict()["path_costs"] == {
+            "count": len(costs),
+            "min": min(costs, default=None),
+            "max": max(costs, default=None),
+            "nondecreasing": all(b >= a - 1e-9 for a, b in zip(costs, costs[1:])),
         }
 
     def test_parallel_and_antiparallel_edges(self):
@@ -669,7 +733,11 @@ class TestForest:
             assert stats.searches == 1 and stats.shipments == 2
             assert np.array_equal(flow.values, best_flow.values)
             assert cost == pytest.approx(best, abs=1e-9)
-            assert stats.path_costs == pytest.approx([1.0, 0.25], abs=1e-12)
+            # two paths, costing 1.0 and then 0.25
+            costs = stats.path_costs
+            assert costs.count == 2 and not costs.nondecreasing
+            assert costs.max == pytest.approx(1.0, abs=1e-12)
+            assert costs.min == costs.last == pytest.approx(0.25, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), pick=st.integers(0, 2**32 - 1))
