@@ -8,10 +8,13 @@ true objective never increases along the iterates and the loop reaches a
 fixed point after finitely many steps.
 
 Consecutive surrogates differ only in the interior node-edge slopes, so each
-inner solve after the first starts from the previous optimal flow and its
-duals and repairs them, instead of shipping the whole population again.
-The first, cold solve ships the whole population, at a first block size
-chosen from the mean count per state (_first_block).
+network after the first is derived from the one before, and each inner
+solve after the first starts from the previous optimal flow and its duals
+and repairs them, instead of shipping the whole population again; it
+evaluates costs only on the edges whose costs changed.  The first, cold
+solve ships the whole population, at a first block size chosen from the
+mean count per state (_first_block), and the first warm solve, which moves
+the most, starts at a block chosen the same way (_first_warm_block).
 """
 
 from __future__ import annotations
@@ -138,16 +141,22 @@ def _affine_bounds(
 
 
 def build_surrogate_network(
-    instance: CgmInstance, linearization: ContingencyTables, strategy
+    instance: CgmInstance,
+    linearization: ContingencyTables,
+    strategy,
+    previous: Optional[FlowNetwork] = None,
 ) -> FlowNetwork:
     """Network of one difference-of-convex iteration.
 
     Interior node edges carry the affine surrogate of -log z! anchored at the
     linearization table (which need not be feasible; the all-zero table is
     the customary starting point), -log n! + alpha * (z - n), plus the
-    observation cost.  All edge costs are discrete convex.
+    observation cost.  All edge costs are discrete convex.  previous, the
+    network of an earlier iteration on the same instance, is derived from
+    rather than rebuilt (flow.build_flow_network); the result is the same.
     """
-    return build_flow_network(instance, _affine_bounds(instance, linearization, strategy))
+    bounds = _affine_bounds(instance, linearization, strategy)
+    return build_flow_network(instance, bounds, previous)
 
 
 def surrogate_objective(
@@ -184,7 +193,7 @@ class DcaConfig:
             raise ValueError("max_iters must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class DcaReport:
     """Trajectory and bookkeeping of one outer-loop run.
 
@@ -234,6 +243,23 @@ def _first_block(instance: CgmInstance) -> int:
     return 1 << ((M // (2 * R)).bit_length() - 1)
 
 
+def _first_warm_block(instance: CgmInstance) -> int:
+    """First block size of run_dca's first warm solve: _first_block // 16, at least 1.
+
+    1 when M < 32R, else the largest power of two at most M / (32R).  The
+    first warm solve moves the counts from the optimum of the all-zero
+    linearization, whose interior slopes are 0, to that of slopes -ln n:
+    up to 20-26 units per edge on the seed-901 dca-pop panel, against at
+    most 6 in any later warm solve, which stays at block 1.  Fitted on
+    gen_synthetic with R = 5 to 40 and M / R = 10 to 500 (the table is in
+    CHANGES.md).
+    """
+    M, R = instance.population, instance.n_states
+    if M < 32 * R:
+        return 1
+    return 1 << ((M // (32 * R)).bit_length() - 1)
+
+
 def run_dca(
     instance: CgmInstance, config: Optional[DcaConfig] = None
 ) -> tuple[ContingencyTables, DcaReport]:
@@ -249,25 +275,30 @@ def run_dca(
     before it, the lowest.  With at most two steps the surrogate is f, so
     one solve is exact.  At max_iters the last iterate is returned.
 
-    Every iteration calls solve_ssp(network, flow, block), block the first
-    block size _first_block picks.  The first solve starts cold and ships
-    the population in blocks halving from there down to 1 (block 1 is plain
-    SSP); each later one is warm-started from the previous iteration's
-    optimal flow and its duals, holds no excess and so runs the unit phase
-    only: its shipments count only the units that move.
+    Every iteration calls build_surrogate_network(instance, linearization,
+    strategy, network), network the previous iteration's (None at first),
+    and solve_ssp(network, flow, block).  The first solve starts cold at
+    the block _first_block picks and ships the population in blocks halving
+    from there down to 1 (block 1 is plain SSP); each later one is
+    warm-started from the previous iteration's optimal flow and its duals,
+    and re-costs only the interior edges whose surrogate changed.  The
+    second solve starts at the block _first_warm_block picks (1 when
+    M < 32R), every later one at block 1, the unit phase only: its
+    shipments count only the units that move.
     inner_stats[k].phases[0] records each solve's first block.
     """
     config = config or DcaConfig()
-    block = _first_block(instance)
+    blocks = (_first_block(instance), _first_warm_block(instance))
     report = DcaReport(strategy=config.strategy.value)
     t0 = time.perf_counter()
 
     linearization = ContingencyTables.zeros(instance.n_steps, instance.n_states)
     previous = math.inf
-    flow = None
+    network = flow = None
 
-    for _ in range(config.max_iters):
-        network = build_surrogate_network(instance, linearization, config.strategy)
+    for k in range(config.max_iters):
+        network = build_surrogate_network(instance, linearization, config.strategy, network)
+        block = blocks[k] if k < len(blocks) else 1
         flow, surrogate, stats = solve_ssp(network, flow, block)
         tables = extract_tables(network, flow)
         value = objective(instance, tables)

@@ -20,10 +20,13 @@ Interior node edges carry lf = -1, the true -ln z!, unless
 ``build_flow_network(instance, interior)`` is given an affine cost: then they
 carry lf = 0 and its slope and offset.  The difference-of-convex loop passes
 its surrogate that way (``dca.build_surrogate_network``), so this module
-imports nothing from ``dca``.  Convexity holds by construction wherever
-lf >= 0: ln z! is discrete convex, the Gaussian term is a convex quadratic and
-the Poisson term z - y ln z is convex on z >= 1 and +inf at z = 0 when y > 0.
-Only edges with lf < 0 need a numeric check.
+imports nothing from ``dca``; it also passes the previous iteration's
+network, from which the next is derived: every array is shared but the
+interior slopes and offsets, and only those are checked.  Convexity holds
+by construction wherever lf >= 0: ln z! is discrete convex, the Gaussian
+term is a convex quadratic and the Poisson term z - y ln z is convex on
+z >= 1 and +inf at z = 0 when y > 0.  Only edges with lf < 0 need a
+numeric check.
 
 Both solvers handle convex edge costs natively on the residual network via
 incremental costs c(z+1) - c(z); an edge with a Poisson observation y > 0
@@ -56,30 +59,37 @@ fewer searches than paths.
 
 Both solvers run one phase routine at a block size delta (``phase``):
 push delta units along every edge whose delta step has a negative reduced
-cost, ship, and repeat until a round pushes nothing.  A solve halves
-delta from the largest power of two at most min(cap, top excess) down to
-1 (Ahuja, Magnanti and Orlin, Network Flows, sections 10.2 and 14.5).
-solve_ssp takes the cap as max_block, 1 by default, which leaves plain
-SSP's single unit phase; capacity scaling leaves the block uncapped.
-Scaling wins when cells hold many units and plain SSP when they hold few,
-so a caller that knows its counts picks the cap (dca.run_dca does, from
-the population per state).  A warm start, a feasible flow with node
-potentials (``Flow.duals``, which every solver returns), holds no excess,
-so its unit phase moves only the units its pushes displace; a
-difference-of-convex iteration changes only the interior node-edge slopes,
-so the previous optimum is nearly optimal for the next surrogate.
+cost, ship, and repeat until a round pushes nothing; a round after the
+first rescans only the edges the round before pushed.  A solve halves
+delta from the largest power of two at most min(cap, top) down to 1
+(Ahuja, Magnanti and Orlin, Network Flows, sections 10.2 and 14.5), top
+the top excess of a cold solve.  solve_ssp takes the cap as max_block, 1
+by default, which leaves plain SSP's single unit phase; capacity scaling
+leaves the block uncapped.  Scaling wins when cells hold many units and
+plain SSP when they hold few, so a caller that knows its counts picks the
+cap (dca.run_dca does, from the population per state).  A warm start, a
+feasible flow with node potentials (``Flow.duals``, which every solver
+returns), holds no excess, so its unit phase moves only the units its
+pushes displace; a difference-of-convex iteration changes only the
+interior node-edge slopes, so the previous optimum is nearly optimal for
+the next surrogate.  A warm solve_ssp honours the cap too, with top the
+largest edge range: a start far from the new optimum then moves in
+blocks.  A warm capacity-scaling solve is the unit phase.
 
 A warm start also reuses what its start's solve built.  Every Flow a solver
-returns carries that solve's basis: its network and residual arcs (CSR
-order and the search graph).  The first warm start from such a Flow on a
-network with the same node count, tails and heads takes the arcs over, so
-no other solve can share the search graph whose weights it edits.  Any
-other start builds the arcs from scratch.  The convexity check, the cost
-scale, the start check and the certificate run as on a fresh build.
+returns carries that solve's basis: its network, residual arcs (CSR order
+and the search graph), each edge's cost-scale bound and the step-1
+increments at the returned flow.  The first warm start from such a Flow on
+a network with the same node count, tails and heads takes all of it over,
+so no other solve can share the arrays it edits, and evaluates costs only
+for the edges whose cost arrays differ from the basis network's.  Any other
+start builds the arcs and costs every edge.  The convexity check, the
+start check and the certificate run as on a fresh build.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -252,10 +262,11 @@ class Flow:
     under which no unit step of the flow has a negative reduced cost: the
     optimality certificate, and with the flow a warm start for a later solve.
 
-    A solver-built Flow also carries its solve's basis (the network and its
-    residual arcs), which takes no part in equality or repr.  It is
+    A solver-built Flow also carries its solve's basis (the network, its
+    residual arcs, each edge's cost-scale bound and the step-1 increments
+    at these values), which takes no part in equality or repr.  It is
     single-use: the first warm start from this Flow takes it, and the Flow
-    keeps the arcs alive until then, or until it is dropped.
+    keeps those arrays alive until then, or until it is dropped.
     """
 
     values: np.ndarray
@@ -328,7 +339,9 @@ def cost_table(network: FlowNetwork) -> np.ndarray:
 
 
 def build_flow_network(
-    instance: CgmInstance, interior: Optional[tuple[np.ndarray, np.ndarray]] = None
+    instance: CgmInstance,
+    interior: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    previous: Optional[FlowNetwork] = None,
 ) -> FlowNetwork:
     """Layered network of the instance.
 
@@ -339,6 +352,11 @@ def build_flow_network(
     interior = (slope, offset), two arrays of shape (n_steps - 2, n_states),
     replaces -log z! on those edges by the affine cost slope * z + offset,
     as in one difference-of-convex iteration (dca.build_surrogate_network).
+
+    previous, a network this function built for the same instance, is
+    derived from instead of building anew: the result shares every array of
+    previous but those whose interior values change, and checks only those
+    values (finiteness).  It equals a fresh build array for array.
     """
     N, R, M = instance.n_steps, instance.n_states, instance.population
     lf, slope, offset = -1.0, 0.0, 0.0
@@ -347,6 +365,8 @@ def build_flow_network(
         cells = (max(N - 2, 0), R)
         if np.shape(slope) != cells or np.shape(offset) != cells:
             raise ValueError(f"interior slope and offset must have shape {cells}")
+    if previous is not None:
+        return _with_interior(previous, instance, {"lf": lf, "slope": slope, "offset": offset})
     states = np.arange(R)
     # edge order: source edges, then per step its node edges followed by its
     # transition edges (row-major in i, j), then sink edges
@@ -403,6 +423,28 @@ def build_flow_network(
     )
 
 
+def _with_interior(previous: FlowNetwork, instance: CgmInstance, values: dict) -> FlowNetwork:
+    """previous with its interior node edges' lf, slope and offset set to values."""
+    layout = previous.layout
+    N = instance.n_steps
+    if layout is None or (layout.n_steps, layout.n_states, layout.population) != (
+        N, instance.n_states, instance.population
+    ):
+        raise ValueError("previous network was built for another instance")
+    inner = layout.node_edges[1 : N - 1]
+    network = copy.copy(previous)
+    for name, value in values.items():
+        old = getattr(previous, name)
+        if np.array_equal(old[inner], np.broadcast_to(value, inner.shape)):
+            continue
+        new = old.copy()
+        new[inner] = value
+        if not np.isfinite(new[inner]).all():
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(network, name, _readonly(new))
+    return network
+
+
 # ---------------------------------------------------------------------------
 # flow inspection
 
@@ -454,7 +496,7 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
 # solvers
 
 
-@dataclass
+@dataclass(slots=True)
 class PathCosts:
     """Running summary of the true costs of shipped paths, in shipping order.
 
@@ -479,7 +521,7 @@ class PathCosts:
         self.last = costs[-1]
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveStats:
     """Counters of one solve.
 
@@ -495,9 +537,10 @@ class SolveStats:
     reduced cost over the final residual network, which is never below
     -1e-9 * max(1, largest finite |increment|) once a solver returns.
     phases lists the block size of every phase in order, halving powers of
-    two down to 1: [1] for plain SSP and every warm start, and for a cold
-    scaled solve its first block (solve_ssp's max_block, or capacity
-    scaling's top excess) first.
+    two down to 1: [1] for plain SSP, a warm start at cap 1 and every warm
+    capacity-scaling solve; for a scaled solve its first block first
+    (solve_ssp's max_block, capped by the top excess when cold and by the
+    largest edge range when warm, or capacity scaling's top excess).
     restoration_pushes counts the single-edge pushes of phase rounds, which
     restore nonnegative reduced costs after a halving or repair a warm start.
     """
@@ -538,12 +581,24 @@ class SolveStats:
 _ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "edge_arcs", "arc_keys", "parallel", "graph")
 # the network arrays a basis must share with the next network, besides n_nodes
 _STRUCTURE = ("tails", "heads")
+# the network arrays an edge's costs depend on
+_COSTS = ("capacity", "lf", "slope", "offset", "obs_kind", "obs_y", "obs_var")
 # cost evaluations per block of the convexity check
 _CONVEX_BLOCK = 1 << 16
 # the flows a refresh evaluates, in steps from z, and the signs of the
 # backward and forward steps
 _NEAR = np.array([[-1], [0], [1]])
 _SIGN = np.array([[-1], [1]])
+
+
+def _changed_edges(old: FlowNetwork, new: FlowNetwork) -> np.ndarray:
+    """Edges whose cost arrays (_COSTS) differ; arrays the networks share are skipped."""
+    changed = np.zeros(new.n_edges, dtype=bool)
+    for name in _COSTS:
+        before, after = getattr(old, name), getattr(new, name)
+        if before is not after:
+            changed |= before != after
+    return np.flatnonzero(changed)
 
 
 class _ResidualState:
@@ -559,8 +614,15 @@ class _ResidualState:
     up to rounding, so every search is label-setting; during a phase only
     the edges still waiting for a push may be negative.
 
+    bound[e] is the larger magnitude of edge e's first and last unit step
+    (0 for an edge with no step), and scale = max(1, bound.max()).
+
     A warm start whose Flow carries a basis of the same structure (n_nodes
-    and _STRUCTURE) takes over its arcs (_ARCS).
+    and _STRUCTURE) takes over its arcs (_ARCS), its bounds and its step-1
+    increments at the start flow, and re-costs only the edges whose cost
+    arrays (_COSTS) differ from the basis network's; arrays the two
+    networks share are not compared.  Any other state costs every edge.
+    Either way the state starts with inc at step 1.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
@@ -575,32 +637,26 @@ class _ResidualState:
         if empty.size:
             raise InfeasibleError(f"edge {int(empty[0])} has no finite cost at any flow value")
         self.costs = _EdgeCosts(network)
-        arcs = self._take_arcs(start)
-        if arcs is None:
+        basis = self._take_basis(start)
+        if basis is None:
             self._build_arcs()
+            self.bound, self.inc = np.zeros(E), np.empty(2 * E)
+            changed = slice(None)
         else:
+            old, arcs, self.bound, self.inc = basis
             for name, value in zip(_ARCS, arcs):
                 setattr(self, name, value)
+            changed = _changed_edges(old, network)
         self._check_convex(np.flatnonzero(network.lf < 0))
-        # a convex row's increments are nondecreasing, so its first and last
-        # steps bound the magnitude of all of them
-        rows = np.flatnonzero(self.cap > self.lower)
-        lo, hi = self.lower[rows], self.cap[rows]
-        ends = self.costs(rows, np.stack([lo, lo + 1, hi - 1, hi]))
-        steps = np.concatenate([ends[1] - ends[0], ends[3] - ends[2]])
-        if not np.isfinite(steps).all():
-            raise ValueError("edge costs overflow the floating-point range")
-        self.scale = max(1.0, float(np.abs(steps).max(initial=0.0)))
+        self._bound(changed)
+        self.scale = max(1.0, float(self.bound.max(initial=0.0)))
 
         self.z = self.lower.copy() if start is None else self._check_start(start)
         self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
-        self.inc = np.empty(2 * E)
-        self.step = 0  # the step size inc holds; 0 before the first full refresh
-        if start is None:
-            self._at_step(1)
-            self.pi = self._initial_potentials()
-        else:
-            self.pi = start.duals.copy()
+        # the step size inc holds
+        self.step, self.near, self.signed = 1, _NEAR, _SIGN
+        self._refresh(changed)
+        self.pi = self._initial_potentials() if start is None else start.duals.copy()
 
     def _build_arcs(self) -> None:
         """The 2E residual arcs in CSR order and the search graph over them (_ARCS)."""
@@ -621,20 +677,20 @@ class _ResidualState:
             (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
         )
 
-    def _take_arcs(self, start: Optional[Flow]) -> Optional[tuple]:
-        """The arcs of the start's basis, taken from it, if it was solved on this structure."""
+    def _take_basis(self, start: Optional[Flow]) -> Optional[tuple]:
+        """The start's basis, taken from it, if it was solved on this structure."""
         if start is None:
             return None
         try:
-            old, arcs = start._basis.pop()
+            basis = start._basis.pop()
         except IndexError:
             return None
-        net = self.network
+        old, net = basis[0], self.network
         if old.n_nodes != net.n_nodes or not all(
             np.array_equal(getattr(old, name), getattr(net, name)) for name in _STRUCTURE
         ):
             return None
-        return arcs
+        return basis
 
     def _check_start(self, start: Flow) -> np.ndarray:
         """The start's values, after checking it is a feasible flow with duals."""
@@ -669,6 +725,20 @@ class _ResidualState:
                     f"edge {int(bad[0])} cost is not discrete convex; exact solvers require "
                     "convex edge costs"
                 )
+
+    def _bound(self, edges) -> None:
+        """Set bound at edges, an index array or a slice, after checking their steps are finite."""
+        # a convex row's increments are nondecreasing, so its first and last
+        # steps bound the magnitude of all of them
+        rows = np.arange(len(self.cap))[edges]
+        rows = rows[self.cap[rows] > self.lower[rows]]
+        lo, hi = self.lower[rows], self.cap[rows]
+        ends = self.costs(rows, np.stack([lo, lo + 1, hi - 1, hi]))
+        bound = np.maximum(np.abs(ends[1] - ends[0]), np.abs(ends[3] - ends[2]))
+        if not np.isfinite(bound).all():
+            raise ValueError("edge costs overflow the floating-point range")
+        self.bound[edges] = 0.0
+        self.bound[rows] = bound
 
     def _at_step(self, delta: int) -> None:
         """Refresh every arc at step delta, unless inc already holds delta steps.
@@ -724,11 +794,12 @@ class _ResidualState:
         """Ship at step delta until no delta step has a negative reduced cost.
 
         Brings every arc to step delta (_at_step), then runs rounds: _push_negative
-        moves delta units along every edge with a negative delta step, and
-        ship(delta) routes excesses to deficits, many per search, until no
-        search finds a pair.  The phase ends after a round that pushes
-        nothing.  An edge stays waiting while its pushed direction is
-        negative.
+        moves delta units along every edge with a negative delta step (in a
+        later round, every edge the round before pushed that still has
+        one), and ship(delta) routes excesses to deficits, many per search,
+        until no search finds a pair.  The phase ends after a round that
+        pushes nothing.  An edge stays waiting while its pushed direction
+        is negative.
 
         Termination: ship clamps waiting arcs at 0, so by the argument in
         ship a nonnegative arc never turns negative, and a waiting arc's
@@ -747,30 +818,45 @@ class _ResidualState:
         for _ in range(int((self.cap - self.lower).sum()) // delta + 1):
             while self.ship(delta):
                 pass
-            # shipping leaves nonnegative arcs nonnegative, so only a round
-            # that pushed needs another check
-            if not (pushed and self._push_negative(delta)):
+            # shipping leaves arcs at or above the tolerance there, so only
+            # the edges the last round pushed need another check
+            if pushed.size:
+                pushed = self._push_negative(delta, pushed)
+            if not pushed.size:
                 return
         raise RuntimeError("phase did not settle within its round bound")
 
-    def _push_negative(self, delta: int) -> int:
-        """Push delta units along every edge whose delta step is negative.
+    def _negative_steps(self, edges=slice(None)) -> np.ndarray:
+        """+1 or -1 per edge of edges whose forward or backward step is negative, else 0.
 
         Negative means below -1e-12 * scale, so the rule does not depend on
         the cost units.  The forward step goes first; by convexity the two
-        directions of an edge are never both negative.  Returns how many
-        edges were pushed.
+        directions of an edge are never both negative.
         """
         tol = -1e-12 * self.scale
-        red = self._reduced()[self.edge_arcs]
+        red = self._reduced(self.edge_arcs[:, edges])
         up = red[1] < tol
-        step = delta * (up.astype(np.int64) - ((red[0] < tol) & ~up))
-        pushed = np.flatnonzero(step)
-        self.z += step
-        self.excess -= _balance(self.tails, self.heads, step, self.n_nodes)
+        return up.astype(np.int64) - ((red[0] < tol) & ~up)
+
+    def _push_negative(self, delta: int, edges=slice(None)) -> np.ndarray:
+        """Push delta units along each of edges (all by default) whose delta step is negative.
+
+        A phase's first round scans every edge and each later round only
+        the edges the round before pushed.  That is enough: a search lowers
+        no reduced cost below min(red, 0), and leaves the steps of the edges
+        it ships along at 0 or above (ship), so no edge that a scan passed
+        can have fallen below the tolerance of _negative_steps since.
+        Returns the pushed edges, ascending.
+        """
+        steps = self._negative_steps(edges)
+        hit = np.flatnonzero(steps)
+        pushed = hit if isinstance(edges, slice) else edges[hit]
+        step = delta * steps[hit]
+        self.z[pushed] += step
+        self.excess -= _balance(self.tails[pushed], self.heads[pushed], step, self.n_nodes)
         self._refresh(pushed)
         self.stats.restoration_pushes += pushed.size
-        return pushed.size
+        return pushed
 
     def ship(self, delta: int) -> bool:
         """Move delta units along one shortest path per search tree; False if none.
@@ -867,7 +953,8 @@ class _ResidualState:
                 f"-1e-9 * {self.scale!r}"
             )
         flow = Flow(values=values, duals=self.pi.copy())
-        flow._basis.append((self.network, tuple(getattr(self, a) for a in _ARCS)))
+        arcs = tuple(getattr(self, a) for a in _ARCS)
+        flow._basis.append((self.network, arcs, self.bound, self.inc))
         return flow, cost
 
 
@@ -882,13 +969,15 @@ def _solve(
     network: FlowNetwork, start: Optional[Flow], method: str, max_block: float
 ) -> tuple[Flow, float, SolveStats]:
     """Phases at halving block sizes, from the largest power of two at most
-    min(max_block, top excess) down to 1."""
+    min(max_block, top) down to 1: top is the top excess of a cold solve and
+    the largest edge range (capacity - lower) of a warm one."""
     if not max_block >= 1:
         raise ValueError("max_block must be at least 1")
     t0 = time.perf_counter()
     stats = SolveStats(method=method)
     state = _ResidualState(network, stats, start)
-    top = max(1, int(min(max_block, state.excess.max(initial=0))))
+    top = state.excess if start is None else state.cap - state.lower
+    top = max(1, int(min(max_block, top.max(initial=0))))
     delta = 1 << (top.bit_length() - 1)
     while delta >= 1:
         stats.phases.append(delta)
@@ -916,19 +1005,21 @@ def solve_ssp(
     potentials.  start is a feasible flow on this network (values within
     the bounds, conservation equal to supplies) with finite duals, one per
     node, such as the Flow a solver returned for a network differing only in
-    edge costs; otherwise ValueError.  From a start the solve is one unit
-    phase (_ResidualState.phase), so only the units that its negative edges
-    push and the new optimum needs move.
+    edge costs; otherwise ValueError.  From a start at the default cap the
+    solve is one unit phase (_ResidualState.phase), so only the units that
+    its negative edges push and the new optimum needs move.  A start that
+    carries its solve's basis reuses its arcs and costs (Flow).
     The returned Flow carries the final potentials as duals.
 
-    max_block caps the block size a cold solve starts at: with the default
-    1 it is plain successive shortest paths, one unit per path; a larger
-    cap runs capacity scaling's phases from the largest power of two at
-    most min(max_block, top excess) down to 1, which ships populations of
-    many units per state in far fewer searches.  The last phase is always
-    the unit phase, so every cap reaches the same optimal cost (flows may
-    differ on ties).  A start holds no excess, so a warm solve is the unit
-    phase whatever the cap.
+    max_block caps the block size a solve starts at: with the default 1 it
+    is plain successive shortest paths, one unit per path; a larger cap
+    runs capacity scaling's phases from the largest power of two at most
+    min(max_block, top) down to 1, top the top excess of a cold solve and
+    the largest edge range (capacity - lower) of a warm one.  Cold, that
+    ships populations of many units per state in far fewer searches; warm,
+    it moves a start far from the new optimum in blocks.  The last phase
+    is always the unit phase, so every cap reaches the same optimal cost
+    (flows may differ on ties).
     """
     return _solve(network, start, "ssp", max_block)
 
@@ -945,9 +1036,10 @@ def solve_capacity_scaling(
     forest.  The final unit phase guarantees exactness, so the result
     matches solve_ssp's cost (flows may differ on ties).  start is checked
     as in solve_ssp; a feasible start holds no excess, so a warm solve is
-    the unit phase only and equals solve_ssp's from the same start.
+    the unit phase only and equals solve_ssp's from the same start at its
+    default cap of 1.
     """
-    return _solve(network, start, "cs", INF)
+    return _solve(network, start, "cs", INF if start is None else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cgmflow.dca import (
     AlphaStrategy,
     DcaConfig,
     _first_block,
+    _first_warm_block,
     alpha_value,
     run_dca,
     surrogate_g,
@@ -213,6 +214,13 @@ def gate3_instances():
         )
 
 
+def scaled_warm_instances():
+    """Instances with M >= 64R, whose first warm solve starts at a block above 1."""
+    for run in range(12):
+        R, M = (2, 3)[run % 2], (200, 400)[run // 6]
+        yield gen_synthetic(n_steps=5, n_states=R, population=M, seed=run)
+
+
 def gate4_instances():
     for seed in range(200, 250):
         yield make_tiny_instance(seed, max_steps=4, max_states=3, max_population=6)
@@ -227,6 +235,15 @@ class TestFirstBlock:
     def test_rule(self, R, M, block):
         inst = gen_synthetic(n_steps=3, n_states=R, population=M, seed=0)
         assert _first_block(inst) == block
+
+    @pytest.mark.parametrize(
+        "R, M, block",
+        [(10, 2000, 4), (20, 10_000, 8), (5, 1000, 4), (10, 500, 1), (30, 100, 1),
+         (10, 319, 1), (10, 639, 1), (10, 640, 2)],
+    )
+    def test_warm_rule(self, R, M, block):
+        inst = gen_synthetic(n_steps=3, n_states=R, population=M, seed=0)
+        assert _first_warm_block(inst) == block == max(1, _first_block(inst) // 16)
 
     def test_first_solve_is_the_traced_cold_solve(self, monkeypatch):
         # the first call through cgmflow.dca.solve_ssp is the cold solve of the
@@ -244,26 +261,35 @@ class TestFirstBlock:
 
 
 class TestWarmStartedLoop:
-    # the cold solve is plain SSP at M < 8R ("ssp") and scaled at M >= 8R ("cs")
-    @pytest.mark.parametrize("inner", ["ssp", "cs"])
+    # the cold solve is plain SSP at M < 8R ("ssp") and scaled at M >= 8R
+    # ("cs"); the first warm solve is scaled too at M >= 64R ("warm")
+    @pytest.mark.parametrize("inner", ["ssp", "cs", "warm"])
     def test_one_call_per_iteration_and_chained_starts(self, monkeypatch, inner):
         calls = Calls(monkeypatch)
-        population = 39 if inner == "ssp" else 40
+        population = {"ssp": 39, "cs": 40, "warm": 640}[inner]
         inst = gen_synthetic(n_steps=5, n_states=5, population=population, seed=6)
-        block = _first_block(inst)
+        block, warm_block = _first_block(inst), _first_warm_block(inst)
         assert (block == 1) == (inner == "ssp")
+        assert (warm_block == 1) == (inner != "warm")
         _, report = run_dca(inst)
         n = report.iterations
         assert n >= 3
         solves = calls.of("solve_ssp")
         assert len(solves) == n
         assert [len(args) for args, _ in solves] == [3] * n
-        assert [args[2] for args, _ in solves] == [block] * n
+        assert [args[2] for args, _ in solves] == [block, warm_block] + [1] * (n - 2)
         assert solves[0][0][1] is None
         for (args, _), (_, previous) in zip(solves[1:], solves):
             assert args[1] is previous[0]
         phases = [s.phases for s in report.inner_stats]
-        assert phases[0][0] == block and phases[1:] == [[1]] * (n - 1)
+        assert [p[0] for p in phases] == [block, warm_block] + [1] * (n - 2)
+        assert all(p[-1] == 1 for p in phases)
+        assert phases[2:] == [[1]] * (n - 2)
+        networks = calls.of("build_surrogate_network")
+        assert [len(args) for args, _ in networks] == [4] * n
+        assert networks[0][0][3] is None
+        for (args, _), (_, previous) in zip(networks[1:], networks):
+            assert args[3] is previous
         for name in ("build_surrogate_network", "extract_tables", "objective"):
             assert len(calls.of(name)) == n
         assert report.surrogates == [result[1] for _, result in solves]
@@ -290,7 +316,7 @@ class TestWarmStartedLoop:
             monkeypatch.undo()
         assert stopped_on_fixed_point >= 3
 
-    # every inner optimum, warm or at the first block, against a cold solve
+    # every inner optimum, warm or cold, at block 1 or scaled, against a cold solve
     @pytest.mark.parametrize("cold_solver", ["ssp", "cs"])
     def test_warm_inner_optima_equal_cold(self, monkeypatch, cold_solver):
         solve_cold = flow.solve_ssp if cold_solver == "ssp" else flow.solve_capacity_scaling
@@ -305,10 +331,34 @@ class TestWarmStartedLoop:
             return result
 
         monkeypatch.setattr(cgmflow.dca, "solve_ssp", checked_solver)
-        for inst in list(gate3_instances()) + list(gate4_instances()):
+        instances = [*gate3_instances(), *gate4_instances(), *scaled_warm_instances()]
+        for inst in instances:
             run_dca(inst)
         assert sum(warm for warm, _ in checked) >= 200  # after each first iteration
         assert sum(not warm and scaled for warm, scaled in checked) >= 10
+        assert sum(warm and scaled for warm, scaled in checked) >= 10
+
+    def test_pushed_only_rescans_find_every_negative_edge(self, monkeypatch):
+        # a phase's later rounds rescan only the edges the round before
+        # pushed; a full scan at the same point must find the same edges
+        push = flow._ResidualState._push_negative
+        rescans = []
+
+        def spied(state, delta, edges=slice(None)):
+            if isinstance(edges, slice):
+                return push(state, delta, edges)
+            negative = np.flatnonzero(state._negative_steps())
+            pushed = push(state, delta, edges)
+            assert np.array_equal(pushed, negative)
+            rescans.append(pushed.size)
+            return pushed
+
+        monkeypatch.setattr(flow._ResidualState, "_push_negative", spied)
+        instances = [*gate4_instances(), make_mixed_instance(), make_mixed_instance(M=30)]
+        for inst in instances:
+            for strategy in STRATEGIES:
+                run_dca(inst, DcaConfig(strategy=strategy))
+        assert len(rescans) >= 100 and sum(size > 0 for size in rescans) >= 30
 
     def test_later_iterations_ship_few_units(self):
         M = 1000

@@ -34,6 +34,7 @@ from cgmflow.flow import (
     InfeasibleError,
     PathCosts,
     SolveStats,
+    _EDGE_ARRAYS,
     _ResidualState,
     build_flow_network,
     cost_table,
@@ -149,6 +150,53 @@ class TestConstruction:
         inst = free_instance(4, 3, 5)
         with pytest.raises(ValueError, match="interior"):
             build_flow_network(inst, (slope, offset))
+
+    DERIVED = {
+        "mixed": (make_mixed_instance(M=12), AlphaStrategy.M),
+        "synthetic": (gen_synthetic(5, 6, 300, seed=9), AlphaStrategy.L),
+        "two_steps": (gen_synthetic(2, 3, 7, seed=4), AlphaStrategy.R),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DERIVED))
+    def test_derived_surrogate_equals_fresh_build(self, case):
+        inst, strategy = self.DERIVED[case]
+        first = surrogate_zero(inst, strategy)
+        lin = extract_tables(first, solve_ssp(first)[0])
+        # from a surrogate, and from the as-built network (lf = -1 inside)
+        for previous in (first, build_flow_network(inst)):
+            derived = build_surrogate_network(inst, lin, strategy, previous)
+            fresh = build_surrogate_network(inst, lin, strategy)
+            assert derived.n_nodes == fresh.n_nodes and derived.layout is previous.layout
+            for name in ["supplies", *_EDGE_ARRAYS]:
+                got, want = getattr(derived, name), getattr(fresh, name)
+                assert np.array_equal(got, want) and got.dtype == want.dtype, name
+                assert not got.flags.writeable
+                if name not in ("lf", "slope", "offset"):
+                    assert got is getattr(previous, name)
+        # an unchanged linearization shares the slopes and offsets too
+        again = build_surrogate_network(inst, lin, strategy, derived)
+        assert again.slope is derived.slope and again.offset is derived.offset
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_derived_network_rejects_nonfinite_costs(self, bad):
+        inst = gen_synthetic(n_steps=4, n_states=3, population=10, seed=2)
+        previous = surrogate_zero(inst)
+        slope, offset = np.zeros((2, 3)), np.zeros((2, 3))
+        slope[1, 2] = bad
+        with pytest.raises(ValueError, match="slope must be finite"):
+            build_flow_network(inst, (slope, offset), previous)
+        with pytest.raises(ValueError, match="offset must be finite"):
+            build_flow_network(inst, (offset, slope), previous)
+        with pytest.raises(ValueError, match="interior"):
+            build_flow_network(inst, (slope[:1], offset), previous)
+
+    def test_derived_network_needs_the_same_sizes(self):
+        previous = surrogate_zero(gen_synthetic(n_steps=4, n_states=3, population=10, seed=2))
+        for other in (gen_synthetic(n_steps=4, n_states=3, population=11, seed=2),
+                      gen_synthetic(n_steps=5, n_states=3, population=10, seed=2)):
+            lin = ContingencyTables.zeros(other.n_steps, other.n_states)
+            with pytest.raises(ValueError, match="another instance"):
+                build_surrogate_network(other, lin, AlphaStrategy.L, previous)
 
 
 def reference_table(inst, net, linearization=None, strategy=AlphaStrategy.L):
@@ -494,10 +542,16 @@ class TestSolvers:
         flow, cost, stats = solve_ssp(net, None, cap)
         assert stats.method == "ssp" and stats.phases == blocks
         assert cost == pytest.approx(unit_cost, abs=1e-9)
-        # a warm start holds no excess: the unit phase whatever the cap
+        # a warm start halves from the largest power of two at most
+        # min(max_block, largest edge range), here M too
         warm = solve_ssp(net, flow, cap)
-        assert warm[2].phases == [1]
-        assert_same_solve(warm, solve_ssp(net, plain(flow)))
+        assert warm[2].phases == blocks
+        assert warm[1] == pytest.approx(unit_cost, abs=1e-9)
+        assert warm[2].min_reduced_cost >= -1e-9 * max(1.0, abs(unit_cost))
+        if cap == 1:
+            assert_same_solve(warm, solve_ssp(net, plain(flow)))
+        # capacity scaling from a start stays the unit phase
+        assert solve_capacity_scaling(net, plain(flow))[2].phases == [1]
 
     def test_uncapped_block_is_capacity_scaling(self):
         net = surrogate_zero(gen_synthetic(n_steps=5, n_states=4, population=300, seed=8))
@@ -956,12 +1010,16 @@ class TestWarmStart:
             assert stats.units < inst.population // 4
 
 
-def dc_networks(inst, count, strategy=AlphaStrategy.L):
-    """Surrogate networks of the first count DC iterations, each anchored at the last optimum."""
+def dc_networks(inst, count, strategy=AlphaStrategy.L, derive=False):
+    """Surrogate networks of the first count DC iterations, each anchored at the last optimum.
+
+    With derive each network is derived from the one before, as run_dca does.
+    """
     nets = [surrogate_zero(inst, strategy)]
     for _ in range(count - 1):
         flow = solve_ssp(nets[-1])[0]
-        nets.append(build_surrogate_network(inst, extract_tables(nets[-1], flow), strategy))
+        lin = extract_tables(nets[-1], flow)
+        nets.append(build_surrogate_network(inst, lin, strategy, nets[-1] if derive else None))
     return nets
 
 
@@ -1023,6 +1081,23 @@ class TestBasisReuse:
         (make_mixed_instance(M=12), AlphaStrategy.M),
     )
 
+    @pytest.mark.parametrize("derive", [False, True])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_basis_state_equals_plain_state(self, case, derive):
+        # the basis hands on its bounds and step-1 increments; only the
+        # edges whose costs changed are evaluated again
+        inst, strategy = self.CASES[case]
+        nets = dc_networks(inst, 4, strategy, derive)
+        flow = solve_ssp(nets[0])[0]
+        for net in nets[1:]:
+            want = _ResidualState(net, SolveStats(), plain(flow))
+            got = _ResidualState(net, SolveStats(), flow)
+            assert not flow._basis
+            assert got.scale == want.scale and got.step == want.step == 1
+            assert (got.bound == want.bound).all()
+            assert (got.inc == want.inc).all()
+            flow = solve_ssp(net, plain(flow))[0]
+
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_basis_start_equals_plain_start(self, case, arc_builds):
         inst, strategy = self.CASES[case]
@@ -1070,13 +1145,29 @@ class TestBasisReuse:
             assert arc_builds == [nxt]
             assert_same_solve(got, solver(nxt, plain(flow)))
 
-    @pytest.mark.parametrize("column", ["capacity", "obs_y", "obs_var"])
+    CHANGES = {
+        "capacity": lambda net: net.capacity + 1,
+        "obs_y": lambda net: net.obs_y + 1,
+        "obs_var": lambda net: net.obs_var + 1,
+        # ln z! is convex, so every edge stays convex
+        "lf": lambda net: net.lf + 1,
+        # the Gaussian node terms go
+        "obs_kind": lambda net: np.where(net.obs_kind == GAUSSIAN, 0, net.obs_kind),
+    }
+
+    @pytest.mark.parametrize("column", sorted(CHANGES))
     def test_other_costs_reuse_the_arcs(self, column, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         # a feasible flow carries at most M on any edge, so the optimum of
         # the changed network is a feasible start on nxt
-        changed = dataclasses.replace(first, **{column: getattr(first, column) + 1})
+        changed = dataclasses.replace(first, **{column: self.CHANGES[column](first)})
+        assert not np.array_equal(getattr(changed, column), getattr(first, column))
+        # the edges whose costs changed are evaluated again
+        flow = solve_ssp(changed)[0]
+        got = _ResidualState(nxt, SolveStats(), flow)
+        want = _ResidualState(nxt, SolveStats(), plain(flow))
+        assert got.scale == want.scale and (got.inc == want.inc).all()
         for solver in SOLVERS:
             flow = solver(changed)[0]
             arc_builds.clear()
