@@ -651,8 +651,13 @@ class _ResidualState:
         self._bound(changed)
         self.scale = max(1.0, float(self.bound.max(initial=0.0)))
 
-        self.z = self.lower.copy() if start is None else self._check_start(start)
-        self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
+        if start is None:
+            self.z = self.lower.copy()
+            self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
+        else:
+            # _check_start has just shown the start meets every supply
+            self.z = self._check_start(start)
+            self.excess = np.zeros(n, dtype=np.int64)
         # the step size inc holds
         self.step, self.near, self.signed = 1, _NEAR, _SIGN
         self._refresh(changed)

@@ -8,7 +8,13 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cgmflow import baseline
-from cgmflow.baseline import _slope_along, approx_objective, solve_approximate
+from cgmflow.baseline import (
+    _gradient,
+    _observation_derivatives,
+    _slope_along,
+    approx_objective,
+    solve_approximate,
+)
 from cgmflow.core import (
     CgmInstance,
     FractionalTables,
@@ -80,6 +86,38 @@ def vertex(inst, states):
     for t in range(N - 1):
         edge[t, states[t], states[t + 1]] = M
     return node, edge
+
+
+def path_slope(inst, node, edge, states):
+    """The solver's slope from x = (node, edge) toward the vertex on states."""
+    return _slope_along(inst, node, edge, np.asarray(states), _gradient(inst, node, edge)[2])
+
+
+def generic_slope(inst, node, edge, states):
+    """Reference slope along d = v - x, evaluated cell by cell.
+
+    gamma -> (phi', phi'', sum of |terms| of phi', sum of |terms| of phi'').
+    Every cell with d != 0 takes its own ln z, and every node its own h'(z).
+    """
+    N = inst.n_steps
+    v_node, v_edge = vertex(inst, states)
+    d_node, d_edge = v_node - node, v_edge - edge
+    x = np.concatenate([edge.ravel(), node[1 : N - 1].ravel()])
+    d = np.concatenate([d_edge.ravel(), d_node[1 : N - 1].ravel()])
+    signed = d.copy()
+    signed[edge.size :] *= -1.0
+    keep = d != 0
+    x, d, signed = x[keep], d[keep], signed[keep]
+    shift = -(d_edge * inst.log_potentials).ravel()
+
+    def slope(gamma):
+        z = x + gamma * d
+        h1, h2 = _observation_derivatives(*inst.observation_arrays, node + gamma * d_node)
+        first = np.concatenate([signed * np.log(z), shift, (d_node * h1).ravel()])
+        second = np.concatenate([signed * d / z, (d_node * d_node * h2).ravel()])
+        return first.sum(), second.sum(), np.abs(first).sum(), np.abs(second).sum()
+
+    return slope
 
 
 def line_searches(monkeypatch, inst, max_iters, check):
@@ -290,6 +328,28 @@ class TestLineSearch:
         assert len(line_searches(monkeypatch, mixed_instance(), 100, check)) == 100
         assert {1.0, 1.0 - 1e-9} == set(ends)
 
+    @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
+    def test_path_form_matches_generic_direction(self, monkeypatch, make):
+        inst = make()
+        iterates = []
+        path_form = baseline._slope_along
+
+        def record(instance, node, edge, states, terms):
+            iterates.append((node.copy(), edge.copy(), states.copy()))
+            return path_form(instance, node, edge, states, terms)
+
+        def check(along, hi, slope, res):
+            reference = generic_slope(inst, *iterates[-1])
+            for gamma in (0.1 * hi, 0.5 * hi, 0.9 * hi):
+                first, second, first_abs, second_abs = reference(gamma)
+                got_first, got_second = slope(gamma)
+                assert abs(got_first - first) <= 1e-8 * max(1.0, first_abs)
+                assert abs(got_second - second) <= 1e-8 * max(1.0, second_abs)
+
+        monkeypatch.setattr(baseline, "_slope_along", record)
+        assert len(line_searches(monkeypatch, inst, 100, check)) == 100
+        assert len(iterates) == 100
+
     def test_face_start_has_finite_slope(self):
         # x is a vertex: most entries are 0, and where x and the target agree
         # (on a step both paths share, and on every cell neither visits) d = 0
@@ -297,7 +357,7 @@ class TestLineSearch:
         node, edge = vertex(inst, [0, 1, 2, 3, 4])
         v_node, v_edge = vertex(inst, [0, 1, 5, 3, 6])
         d_node, d_edge = v_node - node, v_edge - edge
-        slope = _slope_along(inst, node, edge, d_node, d_edge)
+        slope = path_slope(inst, node, edge, [0, 1, 5, 3, 6])
 
         def along(gamma):
             tables = FractionalTables(node=node + gamma * d_node, edge=edge + gamma * d_edge)
@@ -309,5 +369,5 @@ class TestLineSearch:
             h = 1e-3 * min(gamma, 1.0 - gamma)
             fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
             assert first == pytest.approx(fd, rel=1e-6)
-        still = _slope_along(inst, node, edge, np.zeros_like(node), np.zeros_like(edge))
+        still = path_slope(inst, node, edge, [0, 1, 2, 3, 4])
         assert still(0.5) == (0.0, 0.0)
