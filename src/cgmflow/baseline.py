@@ -12,9 +12,10 @@ directional derivative has a closed form, so each line search is a Newton
 search, safeguarded by bisection, for the root of that derivative rather
 than a search on objective values.  A step goes from x toward a vertex v,
 the whole population on one path, so off that path z = (1 - gamma) x and
-those cells enter the derivative through a few sums taken once per step.
-Each derivative evaluation then touches only the path's cells and the
-Poisson-observed nodes: O(N) for Gaussian and unobserved nodes.
+those cells enter the step's value and derivative through a few sums taken
+once per step.  Each evaluation then touches only the path's cells and the
+Poisson-observed nodes: O(N) for Gaussian and unobserved nodes.  An
+iteration's work over all cells is the gradient, those sums and the move.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     CgmInstance,
     FractionalTables,
     _objective_value,
+    log_factorial_array,
 )
 
 __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
@@ -47,22 +49,48 @@ def _stirling(z: np.ndarray) -> np.ndarray:
     return xlogy(z, z) - z
 
 
-def _observation_derivatives(kind, y, var, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of the observation terms at real-valued node counts.
+class _Observations:
+    """An instance's observation arrays and the constants derived from them, set once per solve.
 
-    kind, y and var are observation arrays (CgmInstance.observation_arrays or
-    a selection of them) matching node.  Poisson counts are floored at EPS,
-    which keeps both finite at a zero count.
+    Terms are core.observation_cost's.  The Poisson-observed nodes (pois) are
+    kept apart, because their terms are not quadratic in the counts.
     """
-    gauss = kind == GAUSSIAN
-    first = np.where(gauss, (node - y) / var, 0.0)
-    second = np.where(gauss, 1.0 / var, 0.0)
-    pois = kind == POISSON
-    if pois.any():
-        z = np.maximum(node, EPS)
-        first = np.where(pois, 1.0 - y / z, first)
-        second = np.where(pois, y / (z * z), second)
-    return first, second
+
+    __slots__ = ("y", "var", "gauss", "gauss_second", "pois", "poisson", "pois_y", "pois_log_y_fact")
+
+    def __init__(self, instance: CgmInstance):
+        kind, self.y, self.var = instance.observation_arrays
+        self.gauss = kind == GAUSSIAN
+        # a Gaussian term's second derivative is the constant 1 / var
+        self.gauss_second = np.where(self.gauss, 1.0 / self.var, 0.0)
+        self.gauss_second.flags.writeable = False
+        self.pois = kind == POISSON
+        self.poisson = bool(self.pois.any())
+        self.pois_y = self.y[self.pois]
+        self.pois_log_y_fact = log_factorial_array(self.pois_y.astype(np.int64))
+
+    def derivatives(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of the observation terms at real-valued node counts."""
+        first = np.where(self.gauss, (node - self.y) / self.var, 0.0)
+        second = self.gauss_second
+        if self.poisson:
+            second = second.copy()
+            first[self.pois], second[self.pois] = self.poisson_derivatives(node[self.pois])
+        return first, second
+
+    def poisson_derivatives(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives at the Poisson nodes' counts z, floored at EPS to stay finite at 0."""
+        z = np.maximum(z, EPS)
+        return 1.0 - self.pois_y / z, self.pois_y / (z * z)
+
+    def gaussian_cost(self, node: np.ndarray) -> float:
+        """Sum of the Gaussian terms (x - y)^2 / (2 var) at node counts x."""
+        d = node - self.y
+        return 0.5 * float(np.vdot(d * d, self.gauss_second))
+
+    def poisson_cost(self, z: np.ndarray) -> float:
+        """Sum of the Poisson terms at the Poisson nodes' counts z: +inf where z = 0 < y."""
+        return float((z - xlogy(self.pois_y, z) + self.pois_log_y_fact).sum())
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -86,17 +114,17 @@ def _move(node: np.ndarray, edge: np.ndarray, path: tuple, gamma: float, mass: f
     return node, edge
 
 
-def _gradient(instance: CgmInstance, node: np.ndarray, edge: np.ndarray):
+def _gradient(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
     """Gradient (g_node, g_edge) of the relaxed objective at x, and what the line search reuses.
 
     Logs inside the gradient are floored at EPS.  The third value holds
     ln x on the interior nodes and on the edges (0 where x = 0) and the
-    observation derivatives h'(x) and h''(x), for _slope_along.
+    observation derivatives h'(x) and h''(x), for _along_path.
     """
     N = instance.n_steps
     ln_edge = _log(edge)
     g_edge = np.where(edge > EPS, ln_edge, LN_EPS) - instance.log_potentials
-    h1, h2 = _observation_derivatives(*instance.observation_arrays, node)
+    h1, h2 = observed.derivatives(node)
     inner = node[1 : N - 1]
     ln_inner = _log(inner)
     g_node = h1.copy()
@@ -117,36 +145,39 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     return _objective_value(instance, node, edge, _stirling)
 
 
-def _slope_along(
+def _along_path(
     instance: CgmInstance,
+    observed: _Observations,
     node: np.ndarray,
     edge: np.ndarray,
-    states: np.ndarray,
+    path: tuple,
     terms: tuple,
 ):
-    """gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
+    """phi and gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
 
     The step goes from x = (node, edge) toward the vertex v that puts the
-    whole population M on the path of states, so d = v - x.  With
-    z = x + gamma d, the derivative of the relaxed objective f along d is
+    whole population M on the path's cells (_path_cells), so d = v - x.
+    Off the path d = -x and z = (1 - gamma) x, so those cells enter through
+    sums taken once here: X = sum x and L = sum x ln x over the edge cells (E)
+    and the interior node cells (I), and P = sum x ln phi over E.  Their
+    share of phi is (1 - gamma)(L_E - L_I - (X_E - X_I) + ln(1 - gamma)(X_E - X_I) - P),
+    which is 0 at gamma = 1.  The derivative of the relaxed objective f along d is
 
         sum_e d_e (ln z_e - ln phi_e) - sum_interior d_n ln z_n + sum_n d_n h'(z_n)
 
-    and phi'' is sum_e d_e^2 / z_e - sum_interior d_n^2 / z_n + sum_n d_n^2 h''(z_n).
-    Off the path d = -x and ln z = ln(1 - gamma) + ln x, so those cells enter
-    through sums taken once here: X = sum x and L = sum x ln x over the edge
-    cells (E) and the interior node cells (I) give the terms
-    -ln(1 - gamma)(X_E - X_I) - (L_E - L_I) and (X_E - X_I) / (1 - gamma).
-    A Gaussian h' is linear, so the other nodes add a + gamma b with
-    a = sum d h'(x) and b = sum d^2 h''(x).  Each call then evaluates only
-    the 2N - 3 path cells and the Poisson nodes.  terms is _gradient's third
-    value at x.
-    Cells with d = 0 contribute exactly 0 even where z = 0; every other z is
-    positive for 0 < gamma < 1.
+    and phi'' is sum_e d_e^2 / z_e - sum_interior d_n^2 / z_n + sum_n d_n^2 h''(z_n),
+    where the off-path cells give -ln(1 - gamma)(X_E - X_I) - (L_E - L_I) + P
+    and (X_E - X_I) / (1 - gamma).  A Gaussian h is quadratic, so the other
+    nodes add H + gamma a + gamma^2 b / 2 to phi and a + gamma b to phi', with
+    H = sum h(x), a = sum d h'(x) and b = sum d^2 h''(x).  Each call then
+    evaluates only the 2N - 3 path cells and the Poisson nodes.  terms is
+    _gradient's third value at x.
+    Cells with d = 0 add nothing to phi' and phi'' even where z = 0; every
+    other z is positive for 0 < gamma < 1.
     """
     N, M = instance.n_steps, float(instance.population)
     ln_inner, ln_edge, h1, h2 = terms
-    at_node, at_edge = _path_cells(states)
+    at_node, at_edge = path
     off_node = node.copy()
     off_node[at_node] = 0.0
     off_edge = edge.copy()
@@ -154,45 +185,58 @@ def _slope_along(
     off_inner = off_node[1 : N - 1]
     off = float(off_edge.sum()) - float(off_inner.sum())
     ent = float(np.vdot(off_edge, ln_edge)) - float(np.vdot(off_inner, ln_inner))
-    shift = -float(np.vdot(off_edge, instance.log_potentials))
+    off_phi = float(np.vdot(off_edge, instance.log_potentials))
+    shift = -off_phi
 
-    # path cells with d != 0, as (sign * d, x, d); edges count +, interior nodes -
+    # path cells as (sign, x, d, ln phi); edges count +, interior nodes -
     cells = []
     for x, log_phi in zip(edge[at_edge].tolist(), instance.log_potentials[at_edge].tolist()):
         if x != M:
             shift += (M - x) * log_phi
-            cells.append((M - x, x, M - x))
-    for x in node[at_node][1 : N - 1].tolist():
-        if x != M:
-            cells.append((x - M, x, M - x))
+        cells.append((1.0, x, M - x, log_phi))
+    cells += [(-1.0, x, M - x, 0.0) for x in node[at_node][1 : N - 1].tolist()]
+    # those with d != 0, as (sign * d, x, d)
+    moving = [(sign * dx, x, dx) for sign, x, dx, _ in cells if dx != 0.0]
 
-    observed = instance.observation_arrays
     d = -off_node
     d[at_node] = M - node[at_node]
-    pois = observed[0] == POISSON
-    poisson = bool(pois.any())
+    gauss_cost = observed.gaussian_cost(node)
+    poisson = observed.poisson
     if poisson:
-        observed = [values[pois] for values in observed]
-        x_pois, d_pois = node[pois], d[pois]
+        x_pois, d_pois = node[observed.pois], d[observed.pois]
         dd_pois = d_pois * d_pois
-        d = np.where(pois, 0.0, d)
+        # z = (1 - gamma) x + gamma v as _move forms it, exact off the path near gamma = 1
+        v_pois = x_pois + d_pois
+        d = np.where(observed.pois, 0.0, d)
     a = float(np.vdot(d, h1))
     b = float(np.vdot(d * d, h2))
+
+    def value(gamma: float) -> float:
+        total = gauss_cost + gamma * a + 0.5 * gamma * gamma * b
+        if gamma < 1.0:
+            total += (1.0 - gamma) * (ent - off + math.log1p(-gamma) * off - off_phi)
+        for sign, x, dx, log_phi in cells:
+            z = x + gamma * dx
+            if z > 0.0:
+                total += sign * (z * math.log(z) - z) - z * log_phi
+        if poisson:
+            total += observed.poisson_cost((1.0 - gamma) * x_pois + gamma * v_pois)
+        return total
 
     def slope(gamma: float) -> tuple[float, float]:
         first = a + gamma * b - math.log1p(-gamma) * off - ent - shift
         second = b + off / (1.0 - gamma)
-        for sd, x, dx in cells:
+        for sd, x, dx in moving:
             z = x + gamma * dx
             first += sd * math.log(z)
             second += sd * dx / z
         if poisson:
-            p1, p2 = _observation_derivatives(*observed, x_pois + gamma * d_pois)
+            p1, p2 = observed.poisson_derivatives(x_pois + gamma * d_pois)
             first += float(d_pois @ p1)
             second += float(dd_pois @ p2)
         return first, second
 
-    return slope
+    return value, slope
 
 
 def minimize_scalar(along, slope, hi: float, x0: float) -> tuple[float, float, int]:
@@ -229,7 +273,10 @@ def minimize_scalar(along, slope, hi: float, x0: float) -> tuple[float, float, i
 
 @dataclass(slots=True)
 class ApproxReport:
-    """Conditional-gradient run record; objectives are Stirling values."""
+    """Conditional-gradient run record; objectives are Stirling values.
+
+    objectives[-1], gap and gap_rel describe the returned tables.
+    """
 
     objectives: list = field(default_factory=list)
     gap: float = INF
@@ -273,6 +320,15 @@ def _cheapest_path(g_node: np.ndarray, g_edge: np.ndarray) -> tuple[np.ndarray, 
     return np.array(states[::-1]), cost
 
 
+def _vertex(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
+    """The linear minimization at x: the vertex's path of states, the duality gap and _gradient's terms."""
+    g_node, g_edge, terms = _gradient(instance, observed, node, edge)
+    states, cost = _cheapest_path(g_node, g_edge)
+    # -gradient . (v - x), with v = M on the path's cells
+    gap = float(np.vdot(g_node, node)) + float(np.vdot(g_edge, edge)) - instance.population * cost
+    return states, gap, terms
+
+
 def solve_approximate(
     instance: CgmInstance, tol: float = 1e-6, max_iters: int = 1000
 ) -> tuple[FractionalTables, ApproxReport]:
@@ -281,9 +337,9 @@ def solve_approximate(
     Starts at the uniform feasible point, moves toward the vertex returned
     by a shortest-path linear minimization each step, and stops once the
     relative duality gap drops below tol; hitting max_iters first leaves
-    report.converged False.  Iterates stay feasible by construction (convex
-    combinations of feasible points), so marginal residuals remain at
-    floating-point scale.
+    report.converged False unless the returned tables' gap is within tol.
+    Iterates stay feasible by construction (convex combinations of feasible
+    points), so marginal residuals remain at floating-point scale.
 
     The step size gamma solves phi'(gamma) = 0 for phi(gamma) = f(x + gamma d)
     on the bracket [0, hi]: hi is 1, or 1 - 1e-9 when f is not finite at the
@@ -298,45 +354,41 @@ def solve_approximate(
     node = np.full((N, R), M / R)
     edge = np.full((max(N - 1, 0), R, R), M / (R * R))
     report = ApproxReport(tol=tol)
-    kind, y, _ = instance.observation_arrays
-    starved_t, starved_r = np.nonzero((kind == POISSON) & (y > 0))
+    observed = _Observations(instance)
+    starved_t, starved_r = np.nonzero(observed.pois & (observed.y > 0))
 
     current = _objective_value(instance, node, edge, _stirling)
+
+    def certify(gap: float) -> bool:
+        """Record the current iterate's objective and gap; True once the gap is within tol."""
+        report.objectives.append(current)
+        report.gap = gap
+        report.gap_rel = gap / max(1.0, abs(current))
+        report.converged = report.gap_rel <= tol
+        return report.converged
+
     gamma = 0.5
     for _ in range(max_iters):
         report.iterations += 1
-        g_node, g_edge, terms = _gradient(instance, node, edge)
-        states, cost = _cheapest_path(g_node, g_edge)
-        path = _path_cells(states)
-        # -gradient . (v - x), with v = M on the path's cells
-        gap = float(np.vdot(g_node, node)) + float(np.vdot(g_edge, edge)) - M * cost
-        report.gap = gap
-        report.gap_rel = gap / max(1.0, abs(current))
-        report.objectives.append(current)
-        if report.gap_rel <= tol:
-            report.converged = True
+        states, gap, terms = _vertex(instance, observed, node, edge)
+        if certify(gap):
             break
-
-        def along(gamma: float) -> float:
-            z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, M)
-            return _objective_value(instance, z_node, z_edge, _stirling)
-
+        path = _path_cells(states)
+        value, slope = _along_path(instance, observed, node, edge, path, terms)
         # f is +inf at the vertex exactly where it zeroes a positive Poisson count
         off_path = starved_t.size and (states[starved_t] != starved_r).any()
         hi = 1.0 - 1e-9 if off_path else 1.0
-        gamma, stepped, evals = minimize_scalar(
-            along,
-            _slope_along(instance, node, edge, states, terms),
-            hi,
-            min(gamma, 0.5 * hi),
-        )
+        gamma, stepped, evals = minimize_scalar(value, slope, hi, min(gamma, 0.5 * hi))
         report.linesearch_evals += evals
-        if stepped > current:
+        if stepped > value(0.0):
             # line search failed to improve; direction is exhausted at
             # floating-point scale, stop without claiming convergence
             break
         _move(node, edge, path, gamma, M)
         current = stepped
+    else:
+        # the cap stopped the loop: the report describes the tables returned
+        certify(_vertex(instance, observed, node, edge)[1])
 
     report.wall_time = time.perf_counter() - t0
     return FractionalTables(node=node, edge=edge), report

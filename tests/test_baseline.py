@@ -9,9 +9,12 @@ from scipy.optimize import minimize_scalar
 
 from cgmflow import baseline
 from cgmflow.baseline import (
+    _Observations,
+    _along_path,
     _gradient,
-    _observation_derivatives,
-    _slope_along,
+    _move,
+    _path_cells,
+    _stirling,
     approx_objective,
     solve_approximate,
 )
@@ -22,6 +25,7 @@ from cgmflow.core import (
     MISSING,
     Poisson,
     objective_fractional,
+    observation_cost,
     validate_tables,
 )
 from cgmflow.instances import gen_synthetic
@@ -88,9 +92,33 @@ def vertex(inst, states):
     return node, edge
 
 
-def path_slope(inst, node, edge, states):
-    """The solver's slope from x = (node, edge) toward the vertex on states."""
-    return _slope_along(inst, node, edge, np.asarray(states), _gradient(inst, node, edge)[2])
+def path_step(inst, node, edge, states):
+    """The solver's (value, slope) from x = (node, edge) toward the vertex on states."""
+    observed = _Observations(inst)
+    terms = _gradient(inst, observed, node, edge)[2]
+    return _along_path(inst, observed, node, edge, _path_cells(np.asarray(states)), terms)
+
+
+def full_along(inst, node, edge, path):
+    """Reference phi: gamma -> the relaxed objective of a moved copy of x = (node, edge)."""
+    node, edge = node.copy(), edge.copy()
+
+    def along(gamma):
+        z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, inst.population)
+        return approx_objective(inst, FractionalTables(node=z_node, edge=z_edge))
+
+    return along
+
+
+def objective_scale(inst, node, edge):
+    """Sum of |terms| of the relaxed objective at x = (node, edge)."""
+    terms = (
+        _stirling(edge),
+        edge * inst.log_potentials,
+        _stirling(node[1 : inst.n_steps - 1]),
+        observation_cost(*inst.observation_arrays, node),
+    )
+    return sum(float(np.abs(t).sum()) for t in terms)
 
 
 def generic_slope(inst, node, edge, states):
@@ -100,6 +128,7 @@ def generic_slope(inst, node, edge, states):
     Every cell with d != 0 takes its own ln z, and every node its own h'(z).
     """
     N = inst.n_steps
+    observed = _Observations(inst)
     v_node, v_edge = vertex(inst, states)
     d_node, d_edge = v_node - node, v_edge - edge
     x = np.concatenate([edge.ravel(), node[1 : N - 1].ravel()])
@@ -112,7 +141,7 @@ def generic_slope(inst, node, edge, states):
 
     def slope(gamma):
         z = x + gamma * d
-        h1, h2 = _observation_derivatives(*inst.observation_arrays, node + gamma * d_node)
+        h1, h2 = observed.derivatives(node + gamma * d_node)
         first = np.concatenate([signed * np.log(z), shift, (d_node * h1).ravel()])
         second = np.concatenate([signed * d / z, (d_node * d_node * h2).ravel()])
         return first.sum(), second.sum(), np.abs(first).sum(), np.abs(second).sum()
@@ -123,18 +152,24 @@ def generic_slope(inst, node, edge, states):
 def line_searches(monkeypatch, inst, max_iters, check):
     """Solve, calling check(along, hi, slope, result) after each line search.
 
-    result is the search's (gamma, along(gamma), evaluations).  The solver's
-    along reads the current iterate, so check runs before the step.
+    along is full_along at the iterate, the reference, independent of the
+    solver's path form; slope and result, the search's (gamma, phi(gamma),
+    evaluations), are the solver's.
     """
-    search = baseline.minimize_scalar
-    results = []
+    setup, search = baseline._along_path, baseline.minimize_scalar
+    alongs, results = [], []
+
+    def record(instance, observed, node, edge, path, terms):
+        alongs.append(full_along(instance, node, edge, path))
+        return setup(instance, observed, node, edge, path, terms)
 
     def spy(along, slope, hi, x0):
         res = search(along, slope, hi, x0)
-        check(along, hi, slope, res)
+        check(alongs[-1], hi, slope, res)
         results.append(res)
         return res
 
+    monkeypatch.setattr(baseline, "_along_path", record)
     monkeypatch.setattr(baseline, "minimize_scalar", spy)
     solve_approximate(inst, max_iters=max_iters)
     return results
@@ -252,6 +287,46 @@ class TestSolveApproximate:
         if report.gap_rel > 1e-14:
             assert not report.converged
 
+    def test_report_describes_the_tables_at_the_cap(self):
+        inst = relax_instance()
+        tables, report = solve_approximate(inst, max_iters=30)
+        assert report.iterations == 30 and not report.converged
+        assert len(report.objectives) == 31
+        assert report.objectives[-1] == pytest.approx(approx_objective(inst, tables), rel=1e-9)
+        assert report.gap_rel == report.gap / abs(report.objectives[-1])
+        # the cap's final gap can still certify the tables returned
+        _, report = solve_approximate(free_instance(2, 1, 2), max_iters=0)
+        assert report.converged and report.iterations == 0
+        assert report.objectives == [pytest.approx(2 * math.log(2) - 2, abs=1e-12)]
+
+    def test_objective_is_not_evaluated_per_iteration(self, monkeypatch):
+        full = baseline._objective_value
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return full(*args)
+
+        monkeypatch.setattr(baseline, "_objective_value", spy)
+        _, report = solve_approximate(relax_instance(), max_iters=50)
+        assert report.iterations == 50
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
+    def test_iterates_do_not_depend_on_the_value(self, monkeypatch, make):
+        inst = make()
+        tables, _ = solve_approximate(inst, max_iters=300)
+        path_form = baseline._along_path
+
+        def full_value(instance, observed, node, edge, path, terms):
+            _, slope = path_form(instance, observed, node, edge, path, terms)
+            return full_along(instance, node, edge, path), slope
+
+        monkeypatch.setattr(baseline, "_along_path", full_value)
+        again, _ = solve_approximate(inst, max_iters=300)
+        assert again.node.tobytes() == tables.node.tobytes()
+        assert again.edge.tobytes() == tables.edge.tobytes()
+
     def test_report_serializes(self):
         inst = free_instance(2, 2, 4)
         _, report = solve_approximate(inst, max_iters=50)
@@ -332,11 +407,11 @@ class TestLineSearch:
     def test_path_form_matches_generic_direction(self, monkeypatch, make):
         inst = make()
         iterates = []
-        path_form = baseline._slope_along
+        path_form = baseline._along_path
 
-        def record(instance, node, edge, states, terms):
-            iterates.append((node.copy(), edge.copy(), states.copy()))
-            return path_form(instance, node, edge, states, terms)
+        def record(instance, observed, node, edge, path, terms):
+            iterates.append((node.copy(), edge.copy(), path[0][1].copy()))
+            return path_form(instance, observed, node, edge, path, terms)
 
         def check(along, hi, slope, res):
             reference = generic_slope(inst, *iterates[-1])
@@ -346,9 +421,37 @@ class TestLineSearch:
                 assert abs(got_first - first) <= 1e-8 * max(1.0, first_abs)
                 assert abs(got_second - second) <= 1e-8 * max(1.0, second_abs)
 
-        monkeypatch.setattr(baseline, "_slope_along", record)
+        monkeypatch.setattr(baseline, "_along_path", record)
         assert len(line_searches(monkeypatch, inst, 100, check)) == 100
         assert len(iterates) == 100
+
+    @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
+    def test_path_form_value_matches_objective(self, monkeypatch, make):
+        inst = make()
+        steps, starved = [], []
+        path_form = baseline._along_path
+
+        def record(instance, observed, node, edge, path, terms):
+            value, slope = path_form(instance, observed, node, edge, path, terms)
+            steps.append((node.copy(), edge.copy(), path, value))
+            return value, slope
+
+        def check(along, hi, slope, res):
+            node, edge, path, value = steps[-1]
+            # gamma = 1 is the vertex itself, past hi where it starves a Poisson count
+            for gamma in (0.0, 0.1 * hi, 0.5 * hi, 0.9 * hi, hi, 1.0):
+                z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, inst.population)
+                full = approx_objective(inst, FractionalTables(node=z_node, edge=z_edge))
+                if math.isinf(full):
+                    starved.append(gamma)
+                    assert value(gamma) == full
+                else:
+                    assert abs(value(gamma) - full) <= 1e-12 * objective_scale(inst, z_node, z_edge)
+
+        monkeypatch.setattr(baseline, "_along_path", record)
+        assert len(line_searches(monkeypatch, inst, 100, check)) == 100
+        assert set(starved) <= {1.0}
+        assert bool(starved) == (make is not relax_instance)
 
     def test_face_start_has_finite_slope(self):
         # x is a vertex: most entries are 0, and where x and the target agree
@@ -357,17 +460,19 @@ class TestLineSearch:
         node, edge = vertex(inst, [0, 1, 2, 3, 4])
         v_node, v_edge = vertex(inst, [0, 1, 5, 3, 6])
         d_node, d_edge = v_node - node, v_edge - edge
-        slope = path_slope(inst, node, edge, [0, 1, 5, 3, 6])
+        value, slope = path_step(inst, node, edge, [0, 1, 5, 3, 6])
 
         def along(gamma):
             tables = FractionalTables(node=node + gamma * d_node, edge=edge + gamma * d_edge)
             return approx_objective(inst, tables)
 
+        for gamma in (0.0, 0.5, 1.0):
+            assert value(gamma) == pytest.approx(along(gamma), rel=1e-12)
         for gamma in (1e-6, 0.5, 1.0 - 1e-6):
             first, second = slope(gamma)
             assert math.isfinite(first) and second > 0
             h = 1e-3 * min(gamma, 1.0 - gamma)
             fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
             assert first == pytest.approx(fd, rel=1e-6)
-        still = path_slope(inst, node, edge, [0, 1, 2, 3, 4])
+        _, still = path_step(inst, node, edge, [0, 1, 2, 3, 4])
         assert still(0.5) == (0.0, 0.0)
