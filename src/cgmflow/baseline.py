@@ -33,7 +33,7 @@ from .core import (
     CgmInstance,
     FractionalTables,
     _objective_value,
-    log_factorial_array,
+    observation_cost,
 )
 
 __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
@@ -52,11 +52,12 @@ def _stirling(z: np.ndarray) -> np.ndarray:
 class _Observations:
     """An instance's observation arrays and the constants derived from them, set once per solve.
 
-    Terms are core.observation_cost's.  The Poisson-observed nodes (pois) are
+    Poisson terms are core.observation_cost's; Gaussian terms are the
+    quadratic (x - y)^2 / (2 var).  The Poisson-observed nodes (pois) are
     kept apart, because their terms are not quadratic in the counts.
     """
 
-    __slots__ = ("y", "var", "gauss", "gauss_second", "pois", "poisson", "pois_y", "pois_log_y_fact")
+    __slots__ = ("y", "var", "gauss", "gauss_second", "pois", "poisson", "pois_y")
 
     def __init__(self, instance: CgmInstance):
         kind, self.y, self.var = instance.observation_arrays
@@ -67,7 +68,6 @@ class _Observations:
         self.pois = kind == POISSON
         self.poisson = bool(self.pois.any())
         self.pois_y = self.y[self.pois]
-        self.pois_log_y_fact = log_factorial_array(self.pois_y.astype(np.int64))
 
     def derivatives(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First and second derivatives of the observation terms at real-valued node counts."""
@@ -90,7 +90,7 @@ class _Observations:
 
     def poisson_cost(self, z: np.ndarray) -> float:
         """Sum of the Poisson terms at the Poisson nodes' counts z: +inf where z = 0 < y."""
-        return float((z - xlogy(self.pois_y, z) + self.pois_log_y_fact).sum())
+        return float(observation_cost(POISSON, self.pois_y, 1.0, z).sum())
 
 
 def _log(x: np.ndarray) -> np.ndarray:

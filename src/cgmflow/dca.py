@@ -8,9 +8,8 @@ true objective never increases along the iterates and the loop reaches a
 fixed point after finitely many steps.
 
 Consecutive surrogates differ only in the interior node-edge slopes, so each
-network after the first is derived from the one before, and each inner
-solve after the first starts from the previous optimal flow and its duals
-and repairs them, instead of shipping the whole population again; it
+inner solve after the first starts from the previous optimal flow and its
+duals and repairs them, instead of shipping the whole population again; it
 evaluates costs only on the edges whose costs changed.  The first, cold
 solve ships the whole population, at a first block size chosen from the
 mean count per state (_first_block), and the first warm solve, which moves
@@ -144,19 +143,15 @@ def build_surrogate_network(
     instance: CgmInstance,
     linearization: ContingencyTables,
     strategy,
-    previous: Optional[FlowNetwork] = None,
 ) -> FlowNetwork:
     """Network of one difference-of-convex iteration.
 
     Interior node edges carry the affine surrogate of -log z! anchored at the
     linearization table (which need not be feasible; the all-zero table is
     the customary starting point), -log n! + alpha * (z - n), plus the
-    observation cost.  All edge costs are discrete convex.  previous, the
-    network of an earlier iteration on the same instance, is derived from
-    rather than rebuilt (flow.build_flow_network); the result is the same.
+    observation cost.  All edge costs are discrete convex.
     """
-    bounds = _affine_bounds(instance, linearization, strategy)
-    return build_flow_network(instance, bounds, previous)
+    return build_flow_network(instance, _affine_bounds(instance, linearization, strategy))
 
 
 def surrogate_objective(
@@ -246,18 +241,12 @@ def _first_block(instance: CgmInstance) -> int:
 def _first_warm_block(instance: CgmInstance) -> int:
     """First block size of run_dca's first warm solve: _first_block // 16, at least 1.
 
-    1 when M < 32R, else the largest power of two at most M / (32R).  The
-    first warm solve moves the counts from the optimum of the all-zero
+    The first warm solve moves the counts from the optimum of the all-zero
     linearization, whose interior slopes are 0, to that of slopes -ln n:
     up to 20-26 units per edge on the seed-901 dca-pop panel, against at
-    most 6 in any later warm solve, which stays at block 1.  Fitted on
-    gen_synthetic with R = 5 to 40 and M / R = 10 to 500 (the table is in
-    CHANGES.md).
+    most 6 in any later warm solve, which stays at block 1.
     """
-    M, R = instance.population, instance.n_states
-    if M < 32 * R:
-        return 1
-    return 1 << ((M // (32 * R)).bit_length() - 1)
+    return max(1, _first_block(instance) // 16)
 
 
 def run_dca(
@@ -276,10 +265,9 @@ def run_dca(
     one solve is exact.  At max_iters the last iterate is returned.
 
     Every iteration calls build_surrogate_network(instance, linearization,
-    strategy, network), network the previous iteration's (None at first),
-    and solve_ssp(network, flow, block).  The first solve starts cold at
-    the block _first_block picks and ships the population in blocks halving
-    from there down to 1 (block 1 is plain SSP); each later one is
+    strategy) and solve_ssp(network, flow, block).  The first solve starts
+    cold at the block _first_block picks and ships the population in blocks
+    halving from there down to 1 (block 1 is plain SSP); each later one is
     warm-started from the previous iteration's optimal flow and its duals,
     and re-costs only the interior edges whose surrogate changed.  The
     second solve starts at the block _first_warm_block picks (1 when
@@ -294,10 +282,10 @@ def run_dca(
 
     linearization = ContingencyTables.zeros(instance.n_steps, instance.n_states)
     previous = math.inf
-    network = flow = None
+    flow = None
 
     for k in range(config.max_iters):
-        network = build_surrogate_network(instance, linearization, config.strategy, network)
+        network = build_surrogate_network(instance, linearization, config.strategy)
         block = blocks[k] if k < len(blocks) else 1
         flow, surrogate, stats = solve_ssp(network, flow, block)
         tables = extract_tables(network, flow)

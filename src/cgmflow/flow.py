@@ -20,13 +20,10 @@ Interior node edges carry lf = -1, the true -ln z!, unless
 ``build_flow_network(instance, interior)`` is given an affine cost: then they
 carry lf = 0 and its slope and offset.  The difference-of-convex loop passes
 its surrogate that way (``dca.build_surrogate_network``), so this module
-imports nothing from ``dca``; it also passes the previous iteration's
-network, from which the next is derived: every array is shared but the
-interior slopes and offsets, and only those are checked.  Convexity holds
-by construction wherever lf >= 0: ln z! is discrete convex, the Gaussian
-term is a convex quadratic and the Poisson term z - y ln z is convex on
-z >= 1 and +inf at z = 0 when y > 0.  Only edges with lf < 0 need a
-numeric check.
+imports nothing from ``dca``.  Convexity holds by construction wherever
+lf >= 0: ln z! is discrete convex, the Gaussian term is a convex quadratic
+and the Poisson term z - y ln z is convex on z >= 1 and +inf at z = 0 when
+y > 0.  Only edges with lf < 0 need a numeric check.
 
 Both solvers handle convex edge costs natively on the residual network via
 incremental costs c(z+1) - c(z); an edge with a Poisson observation y > 0
@@ -82,14 +79,13 @@ and the search graph), each edge's cost-scale bound and the step-1
 increments at the returned flow.  The first warm start from such a Flow on
 a network with the same node count, tails and heads takes all of it over,
 so no other solve can share the arrays it edits, and evaluates costs only
-for the edges whose cost arrays differ from the basis network's.  Any other
-start builds the arcs and costs every edge.  The convexity check, the
-start check and the certificate run as on a fresh build.
+for the edges whose cost arrays differ in value from the basis network's.
+Any other start builds the arcs and costs every edge.  The convexity check,
+the start check and the certificate run as on a fresh build.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -232,7 +228,7 @@ class FlowNetwork:
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
             cast = values.astype(dtype)
-            if not np.array_equal(cast, values):
+            if cast.dtype != values.dtype and not np.array_equal(cast, values):
                 raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
             object.__setattr__(self, name, _readonly(cast))
         ends = np.concatenate([self.tails, self.heads])
@@ -241,7 +237,8 @@ class FlowNetwork:
         if (self.capacity < 0).any():
             raise ValueError("capacities must be nonnegative")
         kind = self.obs_kind
-        if not np.isin(kind, (0, GAUSSIAN, POISSON)).all():
+        # the kinds are 0, GAUSSIAN = 1 and POISSON = 2
+        if ((kind < 0) | (kind > POISSON)).any():
             raise ValueError("obs_kind must be 0, GAUSSIAN or POISSON")
         if (self.obs_var[kind == GAUSSIAN] <= 0).any():
             raise ValueError("Gaussian variances must be positive")
@@ -341,7 +338,6 @@ def cost_table(network: FlowNetwork) -> np.ndarray:
 def build_flow_network(
     instance: CgmInstance,
     interior: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    previous: Optional[FlowNetwork] = None,
 ) -> FlowNetwork:
     """Layered network of the instance.
 
@@ -352,11 +348,6 @@ def build_flow_network(
     interior = (slope, offset), two arrays of shape (n_steps - 2, n_states),
     replaces -log z! on those edges by the affine cost slope * z + offset,
     as in one difference-of-convex iteration (dca.build_surrogate_network).
-
-    previous, a network this function built for the same instance, is
-    derived from instead of building anew: the result shares every array of
-    previous but those whose interior values change, and checks only those
-    values (finiteness).  It equals a fresh build array for array.
     """
     N, R, M = instance.n_steps, instance.n_states, instance.population
     lf, slope, offset = -1.0, 0.0, 0.0
@@ -365,8 +356,6 @@ def build_flow_network(
         cells = (max(N - 2, 0), R)
         if np.shape(slope) != cells or np.shape(offset) != cells:
             raise ValueError(f"interior slope and offset must have shape {cells}")
-    if previous is not None:
-        return _with_interior(previous, instance, {"lf": lf, "slope": slope, "offset": offset})
     states = np.arange(R)
     # edge order: source edges, then per step its node edges followed by its
     # transition edges (row-major in i, j), then sink edges
@@ -421,28 +410,6 @@ def build_flow_network(
         obs_var=obs_var,
         layout=layout,
     )
-
-
-def _with_interior(previous: FlowNetwork, instance: CgmInstance, values: dict) -> FlowNetwork:
-    """previous with its interior node edges' lf, slope and offset set to values."""
-    layout = previous.layout
-    N = instance.n_steps
-    if layout is None or (layout.n_steps, layout.n_states, layout.population) != (
-        N, instance.n_states, instance.population
-    ):
-        raise ValueError("previous network was built for another instance")
-    inner = layout.node_edges[1 : N - 1]
-    network = copy.copy(previous)
-    for name, value in values.items():
-        old = getattr(previous, name)
-        if np.array_equal(old[inner], np.broadcast_to(value, inner.shape)):
-            continue
-        new = old.copy()
-        new[inner] = value
-        if not np.isfinite(new[inner]).all():
-            raise ValueError(f"{name} must be finite")
-        object.__setattr__(network, name, _readonly(new))
-    return network
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +548,8 @@ class SolveStats:
 _ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "edge_arcs", "arc_keys", "parallel", "graph")
 # the network arrays a basis must share with the next network, besides n_nodes
 _STRUCTURE = ("tails", "heads")
-# the network arrays an edge's costs depend on
-_COSTS = ("capacity", "lf", "slope", "offset", "obs_kind", "obs_y", "obs_var")
+# the network arrays an edge's costs depend on: every other edge array
+_COSTS = tuple(name for name in _EDGE_ARRAYS if name not in _STRUCTURE)
 # cost evaluations per block of the convexity check
 _CONVEX_BLOCK = 1 << 16
 # the flows a refresh evaluates, in steps from z, and the signs of the
@@ -592,12 +559,10 @@ _SIGN = np.array([[-1], [1]])
 
 
 def _changed_edges(old: FlowNetwork, new: FlowNetwork) -> np.ndarray:
-    """Edges whose cost arrays (_COSTS) differ; arrays the networks share are skipped."""
+    """Edges whose cost arrays (_COSTS) differ in value."""
     changed = np.zeros(new.n_edges, dtype=bool)
     for name in _COSTS:
-        before, after = getattr(old, name), getattr(new, name)
-        if before is not after:
-            changed |= before != after
+        changed |= getattr(old, name) != getattr(new, name)
     return np.flatnonzero(changed)
 
 
@@ -620,9 +585,8 @@ class _ResidualState:
     A warm start whose Flow carries a basis of the same structure (n_nodes
     and _STRUCTURE) takes over its arcs (_ARCS), its bounds and its step-1
     increments at the start flow, and re-costs only the edges whose cost
-    arrays (_COSTS) differ from the basis network's; arrays the two
-    networks share are not compared.  Any other state costs every edge.
-    Either way the state starts with inc at step 1.
+    arrays (_COSTS) differ in value from the basis network's.  Any other
+    state costs every edge.  Either way the state starts with inc at step 1.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):

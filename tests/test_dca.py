@@ -286,10 +286,9 @@ class TestWarmStartedLoop:
         assert all(p[-1] == 1 for p in phases)
         assert phases[2:] == [[1]] * (n - 2)
         networks = calls.of("build_surrogate_network")
-        assert [len(args) for args, _ in networks] == [4] * n
-        assert networks[0][0][3] is None
-        for (args, _), (_, previous) in zip(networks[1:], networks):
-            assert args[3] is previous
+        assert [len(args) for args, _ in networks] == [3] * n
+        for (args, _), (_, network) in zip(solves, networks):
+            assert args[0] is network
         for name in ("build_surrogate_network", "extract_tables", "objective"):
             assert len(calls.of(name)) == n
         assert report.surrogates == [result[1] for _, result in solves]

@@ -34,7 +34,6 @@ from cgmflow.flow import (
     InfeasibleError,
     PathCosts,
     SolveStats,
-    _EDGE_ARRAYS,
     _ResidualState,
     build_flow_network,
     cost_table,
@@ -151,52 +150,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="interior"):
             build_flow_network(inst, (slope, offset))
 
-    DERIVED = {
-        "mixed": (make_mixed_instance(M=12), AlphaStrategy.M),
-        "synthetic": (gen_synthetic(5, 6, 300, seed=9), AlphaStrategy.L),
-        "two_steps": (gen_synthetic(2, 3, 7, seed=4), AlphaStrategy.R),
-    }
-
-    @pytest.mark.parametrize("case", sorted(DERIVED))
-    def test_derived_surrogate_equals_fresh_build(self, case):
-        inst, strategy = self.DERIVED[case]
-        first = surrogate_zero(inst, strategy)
-        lin = extract_tables(first, solve_ssp(first)[0])
-        # from a surrogate, and from the as-built network (lf = -1 inside)
-        for previous in (first, build_flow_network(inst)):
-            derived = build_surrogate_network(inst, lin, strategy, previous)
-            fresh = build_surrogate_network(inst, lin, strategy)
-            assert derived.n_nodes == fresh.n_nodes and derived.layout is previous.layout
-            for name in ["supplies", *_EDGE_ARRAYS]:
-                got, want = getattr(derived, name), getattr(fresh, name)
-                assert np.array_equal(got, want) and got.dtype == want.dtype, name
-                assert not got.flags.writeable
-                if name not in ("lf", "slope", "offset"):
-                    assert got is getattr(previous, name)
-        # an unchanged linearization shares the slopes and offsets too
-        again = build_surrogate_network(inst, lin, strategy, derived)
-        assert again.slope is derived.slope and again.offset is derived.offset
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_derived_network_rejects_nonfinite_costs(self, bad):
         inst = gen_synthetic(n_steps=4, n_states=3, population=10, seed=2)
-        previous = surrogate_zero(inst)
         slope, offset = np.zeros((2, 3)), np.zeros((2, 3))
         slope[1, 2] = bad
         with pytest.raises(ValueError, match="slope must be finite"):
-            build_flow_network(inst, (slope, offset), previous)
+            build_flow_network(inst, (slope, offset))
         with pytest.raises(ValueError, match="offset must be finite"):
-            build_flow_network(inst, (offset, slope), previous)
+            build_flow_network(inst, (offset, slope))
         with pytest.raises(ValueError, match="interior"):
-            build_flow_network(inst, (slope[:1], offset), previous)
-
-    def test_derived_network_needs_the_same_sizes(self):
-        previous = surrogate_zero(gen_synthetic(n_steps=4, n_states=3, population=10, seed=2))
-        for other in (gen_synthetic(n_steps=4, n_states=3, population=11, seed=2),
-                      gen_synthetic(n_steps=5, n_states=3, population=10, seed=2)):
-            lin = ContingencyTables.zeros(other.n_steps, other.n_states)
-            with pytest.raises(ValueError, match="another instance"):
-                build_surrogate_network(other, lin, AlphaStrategy.L, previous)
+            build_flow_network(inst, (slope[:1], offset))
 
 
 def reference_table(inst, net, linearization=None, strategy=AlphaStrategy.L):
@@ -408,6 +372,23 @@ class TestCostTables:
         arcs[row][ARC_FIELDS.index(column)] = value
         with pytest.raises(ValueError, match=match):
             array_network(2, [2, -2], arcs)
+
+    @pytest.mark.parametrize(
+        "column,values,match",
+        [
+            # arrays already in their dtype, which are not compared with a cast
+            ("obs_kind", np.array([3], dtype=np.int8), "obs_kind must be 0, GAUSSIAN or POISSON"),
+            ("obs_kind", np.array([-1], dtype=np.int8), "obs_kind must be 0, GAUSSIAN or POISSON"),
+            ("capacity", np.array([-1], dtype=np.int64), "capacities must be nonnegative"),
+            ("lf", np.array([math.nan]), "lf must be finite"),
+            # a float obs_kind is cast to int8 and compared
+            ("obs_kind", np.array([1.5]), "obs_kind must hold int8"),
+        ],
+    )
+    def test_network_rejects_bad_arrays_of_any_dtype(self, column, values, match):
+        net = array_network(2, [2, -2], [[0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0]])
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(net, **{column: values})
 
     def test_solvers_reject_overflowing_costs(self):
         # finite, valid parameters whose Gaussian term overflows at z = 1
@@ -1010,16 +991,13 @@ class TestWarmStart:
             assert stats.units < inst.population // 4
 
 
-def dc_networks(inst, count, strategy=AlphaStrategy.L, derive=False):
-    """Surrogate networks of the first count DC iterations, each anchored at the last optimum.
-
-    With derive each network is derived from the one before, as run_dca does.
-    """
+def dc_networks(inst, count, strategy=AlphaStrategy.L):
+    """Surrogate networks of the first count DC iterations, each anchored at the last optimum."""
     nets = [surrogate_zero(inst, strategy)]
     for _ in range(count - 1):
         flow = solve_ssp(nets[-1])[0]
         lin = extract_tables(nets[-1], flow)
-        nets.append(build_surrogate_network(inst, lin, strategy, nets[-1] if derive else None))
+        nets.append(build_surrogate_network(inst, lin, strategy))
     return nets
 
 
@@ -1081,13 +1059,12 @@ class TestBasisReuse:
         (make_mixed_instance(M=12), AlphaStrategy.M),
     )
 
-    @pytest.mark.parametrize("derive", [False, True])
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_basis_state_equals_plain_state(self, case, derive):
+    def test_basis_state_equals_plain_state(self, case):
         # the basis hands on its bounds and step-1 increments; only the
         # edges whose costs changed are evaluated again
         inst, strategy = self.CASES[case]
-        nets = dc_networks(inst, 4, strategy, derive)
+        nets = dc_networks(inst, 4, strategy)
         flow = solve_ssp(nets[0])[0]
         for net in nets[1:]:
             want = _ResidualState(net, SolveStats(), plain(flow))
