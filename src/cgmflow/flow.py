@@ -271,7 +271,13 @@ class Flow:
     _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int64)
+        values = np.asarray(self.values)
+        if not np.issubdtype(values.dtype, np.integer):
+            rounded = np.rint(values)
+            if not (np.isfinite(values).all() and np.array_equal(rounded, values)):
+                raise ValueError("flow values must be integers")
+            values = rounded
+        values = values.astype(np.int64, copy=False)
         object.__setattr__(self, "values", _readonly(values))
         if self.duals is not None:
             object.__setattr__(self, "duals", _readonly(np.array(self.duals, dtype=float)))

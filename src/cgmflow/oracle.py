@@ -1,9 +1,13 @@
 """Exhaustive ground-truth solvers for tiny instances.
 
 Everything here trades speed for independence: no potentials, no residual
-graphs, no surrogates.  The enumerators walk the full feasible set and the
-brute-force MAP search is a plain stage-wise dynamic program over node
-compositions, so solver bugs and oracle bugs have no shared machinery.
+graphs, no surrogates.  The enumerators walk the full feasible set.  One
+plain stage-wise dynamic program over node compositions serves both
+brute-force MAP, on the objective's terms from core, and brute-force flow
+on a layered network, on the edges' cost rows from flow.cost_table; its
+budget counts expanded (composition, matrix) transitions.  So the oracles
+share no search code with the exact solvers, and each other only the
+search, not their costs.
 """
 
 from __future__ import annotations
@@ -185,21 +189,19 @@ def _node_term_tables(instance: CgmInstance) -> list:
     return terms.tolist()
 
 
-def brute_force_map(
-    instance: CgmInstance, budget: int = 10_000_000
-) -> tuple[ContingencyTables, float]:
-    """Global MAP table by exhaustive stage-wise dynamic programming.
+def _stagewise_min(node_terms: list, trans_terms: list, counter: _Counter) -> tuple:
+    """Minimum-cost table by a stage-wise dynamic program over node compositions.
 
-    Exact over the full feasible set; ties are broken by lexicographic order
-    of the interleaved sequence (nodes at step 1, matrix 1, nodes at step 2,
-    ...).  The budget caps the number of expanded (composition, matrix)
-    transitions.
+    node_terms[t][i][z] is the cost of node count z in cell (t, i) and
+    trans_terms[t][i][j][z] that of transition count z; the population is
+    the length of a node row minus one.  Returns (cost, node, edge) with
+    node of shape (N, R) and edge of shape (N - 1, R, R).  Ties are broken
+    by lexicographic order of the interleaved sequence (nodes at step 1,
+    matrix 1, nodes at step 2, ...).  The counter ticks once per expanded
+    (composition, matrix) transition.
     """
-    counter = _Counter(budget)
-    N, R, M = instance.n_steps, instance.n_states, instance.population
-    comps = list(compositions(M, R))
-    node_terms = _node_term_tables(instance)
-    log_phi = instance.log_potentials
+    N, R = len(node_terms), len(node_terms[0])
+    M = len(node_terms[0][0]) - 1
 
     def node_cost(t: int, c: tuple[int, ...]) -> float:
         total = 0.0
@@ -210,11 +212,9 @@ def brute_force_map(
             total += v
         return total
 
-    lf = [math.lgamma(z + 1) for z in range(M + 1)]
-
     # best[c] = (cost, interleaved path); INF states are dropped outright
     best: dict[tuple[int, ...], tuple[float, tuple]] = {}
-    for c in comps:
+    for c in compositions(M, R):
         cost = node_cost(0, c)
         if cost < INF:
             best[c] = (cost, (c,))
@@ -222,7 +222,7 @@ def brute_force_map(
         raise InfeasibleError("every node composition has infinite cost at step 1")
 
     for t in range(N - 1):
-        phi_t = log_phi[t]
+        terms = trans_terms[t]
         nxt: dict[tuple[int, ...], tuple[float, tuple]] = {}
         for c in sorted(best):
             base_cost, base_path = best[c]
@@ -235,7 +235,9 @@ def brute_force_map(
                 mcost = 0.0
                 for i, row in enumerate(mat):
                     for j, z in enumerate(row):
-                        mcost += lf[z] - z * phi_t[i, j]
+                        mcost += terms[i][j][z]
+                if mcost == INF:
+                    continue
                 cand_cost = base_cost + mcost + tail
                 cand_path = base_path + (mat, cols)
                 seen = nxt.get(cols)
@@ -249,12 +251,10 @@ def brute_force_map(
         if not best:
             raise InfeasibleError(f"every table has infinite cost by step {t + 2}")
 
-    winner = min(best.values(), key=lambda item: (item[0], item[1]))
-    path = winner[1]
+    cost, path = min(best.values())
     node = np.array(path[0::2], dtype=np.int64)
     edge = np.array(path[1::2], dtype=np.int64).reshape(max(N - 1, 0), R, R)
-    tables = ContingencyTables(node=node, edge=edge)
-    return tables, objective(instance, tables)
+    return cost, node, edge
 
 
 def _row_sum_matrices(row_sums: tuple[int, ...], n_cols: int):
@@ -263,100 +263,58 @@ def _row_sum_matrices(row_sums: tuple[int, ...], n_cols: int):
     return itertools.product(*per_row)
 
 
+def brute_force_map(
+    instance: CgmInstance, budget: int = 10_000_000
+) -> tuple[ContingencyTables, float]:
+    """Global MAP table by exhaustive stage-wise dynamic programming.
+
+    Exact over the full feasible set; ties are broken by lexicographic order
+    of the interleaved sequence (nodes at step 1, matrix 1, nodes at step 2,
+    ...).  The budget caps the number of expanded (composition, matrix)
+    transitions.
+    """
+    counter = _Counter(budget)
+    M = instance.population
+    lf = [math.lgamma(z + 1) for z in range(M + 1)]
+    trans_terms = [
+        [[[lf[z] - z * phi for z in range(M + 1)] for phi in row] for row in phi_t]
+        for phi_t in instance.log_potentials.tolist()
+    ]
+    _, node, edge = _stagewise_min(_node_term_tables(instance), trans_terms, counter)
+    tables = ContingencyTables(node=node, edge=edge)
+    return tables, objective(instance, tables)
+
+
 def brute_force_flow(
     network: FlowNetwork, budget: int = 10_000_000
 ) -> tuple[Flow, float]:
-    """Minimum-cost feasible integer flow by enumeration.
+    """Minimum-cost feasible integer flow by exhaustive search.
 
-    On networks with a table layout the feasible flows are walked through
-    the flow/table correspondence; otherwise a generic depth-first edge
-    assignment with conservation pruning is used.  Raises InfeasibleError
-    when no finite-cost feasible flow exists.
+    On networks with a table layout the feasible flows are the feasible
+    tables, so brute_force_map's stage-wise search runs on the edges' cost
+    rows (source edges folded into step 1, sink edges into step N) and the
+    budget caps its expanded (composition, matrix) transitions.  Otherwise
+    a generic depth-first edge assignment with conservation pruning is
+    used, and the budget caps the complete assignments it reaches.  Raises
+    InfeasibleError when no finite-cost feasible flow exists.
     """
     counter = _Counter(budget)
-    if network.layout is not None:
-        return _layout_min_flow(network, counter)
-    return _generic_min_flow(network, counter)
-
-
-def _layout_min_flow(network: FlowNetwork, counter: _Counter) -> tuple[Flow, float]:
     lay = network.layout
-    N, R, M = lay.n_steps, lay.n_states, lay.population
-    tables = cost_table(network).tolist()
-    src = [tables[int(lay.source_edges[i])] for i in range(R)]
-    snk = [tables[int(lay.sink_edges[i])] for i in range(R)]
-    nod = [[tables[int(lay.node_edges[t, i])] for i in range(R)] for t in range(N)]
-    trn = [
-        [[tables[int(lay.trans_edges[t, i, j])] for j in range(R)] for i in range(R)]
-        for t in range(max(N - 1, 0))
-    ]
-
-    best_cost = INF
-    best: Optional[np.ndarray] = None
-    comps = list(compositions(M, R))
-
-    def assemble(seq, mats) -> np.ndarray:
-        values = np.zeros(network.n_edges, dtype=np.int64)
-        for i in range(R):
-            values[int(lay.source_edges[i])] = seq[0][i]
-            values[int(lay.sink_edges[i])] = seq[-1][i]
-        for t in range(N):
-            for i in range(R):
-                values[int(lay.node_edges[t, i])] = seq[t][i]
-        for t, mat in enumerate(mats):
-            for i in range(R):
-                for j in range(R):
-                    values[int(lay.trans_edges[t, i, j])] = mat[i][j]
-        return values
-
-    def boundary_cost(seq) -> float:
-        total = 0.0
-        for i in range(R):
-            total += src[i][seq[0][i]] + snk[i][seq[-1][i]]
-            if total == INF:
-                return INF
-        return total
-
-    # search over node compositions per step, matrices with matching row sums
-    def recurse(t: int, seq: list, mats: list, cost: float):
-        nonlocal best_cost, best
-        if t == N - 1:
-            counter.tick()
-            total = cost + boundary_cost(seq)
-            if total < best_cost:
-                best_cost = total
-                best = assemble(seq, mats)
-            return
-        for mat in _row_sum_matrices(seq[-1], R):
-            mcost = 0.0
-            for i, row in enumerate(mat):
-                for j, z in enumerate(row):
-                    mcost += trn[t][i][j][z]
-            if mcost == INF:
-                continue
-            cols = tuple(map(sum, zip(*mat)))
-            ncost = 0.0
-            for i, z in enumerate(cols):
-                ncost += nod[t + 1][i][z]
-            if ncost == INF:
-                continue
-            seq.append(cols)
-            mats.append(mat)
-            recurse(t + 1, seq, mats, cost + mcost + ncost)
-            seq.pop()
-            mats.pop()
-
-    for c in comps:
-        start = 0.0
-        for i, z in enumerate(c):
-            start += nod[0][i][z]
-        if start == INF:
-            continue
-        recurse(0, [c], [], start)
-
-    if best is None or best_cost == INF:
-        raise InfeasibleError("no finite-cost feasible flow exists")
-    return Flow(values=best), float(best_cost)
+    if lay is None:
+        return _generic_min_flow(network, counter)
+    rows = cost_table(network)[:, : lay.population + 1]
+    node_terms = rows[lay.node_edges]
+    node_terms[0] += rows[lay.source_edges]
+    node_terms[-1] += rows[lay.sink_edges]
+    cost, node, edge = _stagewise_min(
+        node_terms.tolist(), rows[lay.trans_edges].tolist(), counter
+    )
+    values = np.zeros(network.n_edges, dtype=np.int64)
+    values[lay.source_edges] = node[0]
+    values[lay.sink_edges] = node[-1]
+    values[lay.node_edges] = node
+    values[lay.trans_edges] = edge
+    return Flow(values=values), float(cost)
 
 
 def _generic_min_flow(network: FlowNetwork, counter: _Counter) -> tuple[Flow, float]:

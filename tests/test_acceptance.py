@@ -143,6 +143,26 @@ def test_criterion_04_oracle_dominance():
         print(f"\n  exact-match rate: {matches}/{total}", flush=True)
 
 
+def test_exact_solves_match_brute_force_at_gate_4_sizes():
+    """Gate 1's checks, warm starts added, on gate 4's larger tiny instances."""
+    strategy = DcaConfig().strategy
+    for seed in range(200, 250):
+        inst = make_tiny_instance(seed, max_steps=4, max_states=3, max_population=6)
+        zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
+        first = build_surrogate_network(inst, zeros, strategy)
+        tables, _ = run_dca(inst)
+        second = build_surrogate_network(inst, tables, strategy)
+        _, first_best = brute_force_flow(first)
+        _, second_best = brute_force_flow(second)
+        start, cost, _ = solve_ssp(first)
+        assert cost == pytest.approx(first_best, abs=TOL)
+        assert solve_ssp(second)[1] == pytest.approx(second_best, abs=TOL)
+        assert solve_ssp(second, start)[1] == pytest.approx(second_best, abs=TOL)
+        # one search fed by two cost evaluators: flow's edge costs and core's terms
+        _, true_best = brute_force_flow(build_flow_network(inst))
+        assert true_best == pytest.approx(brute_force_map(inst)[1], abs=TOL)
+
+
 @pytest.mark.slow
 def test_criterion_05_dominates_baseline():
     with gate(5, "lower true objective than the relaxation"):

@@ -1,6 +1,7 @@
 """Difference-of-convex outer loop: slopes, surrogate bounds, descent."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import cgmflow.dca
 from cgmflow import flow
+from cgmflow.flow import solve_ssp
 from cgmflow.core import ContingencyTables, log_factorial, objective, validate_tables
 from cgmflow.dca import (
     AlphaStrategy,
@@ -16,6 +18,7 @@ from cgmflow.dca import (
     _first_block,
     _first_warm_block,
     alpha_value,
+    build_surrogate_network,
     run_dca,
     surrogate_g,
     surrogate_objective,
@@ -439,3 +442,57 @@ class TestStopRule:
         assert report.objectives == trajectory
         assert report.iterations == len(trajectory)
         assert report.converged
+
+
+def relabeled(inst, p):
+    """The instance with state a renamed to p[a]: a pure change of labels."""
+    return replace(
+        inst,
+        potentials=inst.potentials[:, p][:, :, p],
+        observations=inst.observations[:, p],
+        noise=tuple(tuple(row[k] for k in p) for row in inst.noise),
+    )
+
+
+class TestRelabeling:
+    """State labels are arbitrary, so relabeling the states changes no optimum.
+
+    A metamorphic test (Chen et al., ACM Comput. Surv. 51, 2018): the first
+    surrogate's optimal cost and the objective DCA reaches are compared
+    across random relabelings, with no reference answer needed.
+    """
+
+    CASES = [("tiny", seed) for seed in range(200, 260)] + [
+        ("mixed", 12),
+        ("synthetic", 10),
+        ("synthetic", 100),
+    ]
+
+    @staticmethod
+    def make(kind, arg):
+        if kind == "tiny":
+            return make_tiny_instance(arg, max_steps=4, max_states=3, max_population=6)
+        if kind == "mixed":
+            return make_mixed_instance(arg)
+        return gen_synthetic(n_steps=5, n_states=10, population=arg, seed=0)
+
+    @staticmethod
+    def first_surrogate_cost(inst):
+        zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
+        return solve_ssp(build_surrogate_network(inst, zeros, DcaConfig().strategy))[1]
+
+    @pytest.mark.parametrize("kind, arg", CASES, ids=[f"{k}{a}" for k, a in CASES])
+    def test_optima_do_not_depend_on_labels(self, kind, arg):
+        inst = self.make(kind, arg)
+        surrogate = self.first_surrogate_cost(inst)
+        tables, _ = run_dca(inst)
+        value = objective(inst, tables)
+        rng = np.random.default_rng(arg)
+        for _ in range(3):
+            p = rng.permutation(inst.n_states)
+            other = relabeled(inst, p)
+            moved = ContingencyTables(node=tables.node[:, p], edge=tables.edge[:, p][:, :, p])
+            assert objective(other, moved) == pytest.approx(value, rel=1e-9)
+            assert self.first_surrogate_cost(other) == pytest.approx(surrogate, rel=1e-9)
+            other_tables, _ = run_dca(other)
+            assert objective(other, other_tables) == pytest.approx(value, rel=1e-9)

@@ -1218,3 +1218,15 @@ class TestEquality:
         v, d = self.VALUES, self.DUALS
         assert Flow(values=v, duals=d) != Flow(values=v)
         assert Flow(values=v) != Flow(values=v, duals=d)
+
+
+class TestFlowValues:
+    @pytest.mark.parametrize("bad", [[1.5, 2.0], [np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_integral_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="flow values must be integers"):
+            Flow(values=np.array(bad))
+
+    def test_integral_floats_accepted(self):
+        flow = Flow(values=np.array([2.0, 0.0]))
+        assert flow.values.dtype == np.int64
+        assert flow.values.tolist() == [2, 0]

@@ -169,13 +169,13 @@ class TestBruteForceMap:
 
 class TestBruteForceFlow:
     def test_layout_network_agrees_with_generic(self):
-        inst = make_tiny_instance(11)
-        zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
-        net = build_surrogate_network(inst, zeros, AlphaStrategy.L)
-        flow_l, cost_l = brute_force_flow(net)
-        generic = replace(net, layout=None)
-        flow_g, cost_g = brute_force_flow(generic)
-        assert cost_l == pytest.approx(cost_g, abs=1e-12)
+        for seed in range(20):
+            inst = make_tiny_instance(seed, max_population=4)
+            zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
+            net = build_surrogate_network(inst, zeros, AlphaStrategy.L)
+            _, cost_l = brute_force_flow(net)
+            _, cost_g = brute_force_flow(replace(net, layout=None))
+            assert cost_l == pytest.approx(cost_g, abs=1e-12), seed
 
     def test_generic_min_matches_hand_computed(self):
         # two parallel 0 -> 1 edges with linear costs z and 3z
