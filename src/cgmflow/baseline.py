@@ -33,6 +33,7 @@ from .core import (
     CgmInstance,
     FractionalTables,
     _objective_value,
+    _relaxed_objective,
     observation_cost,
 )
 
@@ -43,6 +44,7 @@ EPS = 1e-6  # entry floor inside gradient logs; keeps the search direction finit
 LN_EPS = float(np.log(EPS))
 XATOL = 1e-11  # line-search step size at which gamma counts as found
 MAX_SLOPE_EVALS = 100  # bisection alone reaches XATOL from [0, 1] in 37
+MAX_ITERS = 1000  # conditional-gradient steps before solve_approximate stops
 
 
 def _stirling(z: np.ndarray) -> np.ndarray:
@@ -138,11 +140,7 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     Observation terms are evaluated at real-valued counts; a Poisson term
     with a positive observation diverges to +inf as its count reaches 0.
     """
-    node = np.asarray(tables.node, dtype=float)
-    edge = np.asarray(tables.edge, dtype=float)
-    if (node < 0).any() or (edge.size and (edge < 0).any()):
-        raise ValueError("table entries must be nonnegative")
-    return _objective_value(instance, node, edge, _stirling)
+    return _relaxed_objective(instance, tables, _stirling)
 
 
 def _along_path(
@@ -330,7 +328,7 @@ def _vertex(instance: CgmInstance, observed: _Observations, node: np.ndarray, ed
 
 
 def solve_approximate(
-    instance: CgmInstance, tol: float = 1e-6, max_iters: int = 1000
+    instance: CgmInstance, tol: float = 1e-6, max_iters: int = MAX_ITERS
 ) -> tuple[FractionalTables, ApproxReport]:
     """Minimize the Stirling-relaxed objective by conditional gradient.
 

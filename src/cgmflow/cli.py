@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline import approx_objective, solve_approximate
+from .baseline import MAX_ITERS as BASELINE_MAX_ITERS, approx_objective, solve_approximate
 from .core import (
     CgmInstance,
     ContingencyTables,
@@ -449,7 +449,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         config = DcaConfig(strategy=args.strategy)
         tables, doc = _timed_solve(_solve_dca, instance, config)
     else:
-        tables, doc = _timed_solve(_solve_baseline, instance, max_iters=500)
+        tables, doc = _timed_solve(_solve_baseline, instance)
 
     node = np.asarray(tables.node, dtype=float)
     raw_path = Path(f"{args.out}.raw.csv")
@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strategy", choices=["L", "M", "R"], default="L")
     solve.add_argument("--max-iters", type=_positive_int, default=1000)
     solve.add_argument("--baseline-tol", type=_positive_float, default=1e-6)
-    solve.add_argument("--baseline-max-iters", type=_positive_int, default=500)
+    solve.add_argument("--baseline-max-iters", type=_positive_int, default=BASELINE_MAX_ITERS)
     solve.add_argument("--budget", type=_positive_int, default=10_000_000,
                        help="oracle enumeration budget")
     solve.add_argument("--dump-network", type=Path, default=None,

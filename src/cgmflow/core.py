@@ -158,10 +158,20 @@ def log_factorial_array(z: np.ndarray) -> np.ndarray:
 # instance
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.flags.writeable = False
-    return arr
+def _frozen(values, dtype=float, error: str | None = None) -> np.ndarray:
+    """A read-only copy of values cast to dtype: every array type's intake rule.
+
+    Given error, raises ValueError(error) unless every value is finite and
+    survives the cast unchanged.  Boolean and integer values are always finite.
+    """
+    values = np.asarray(values)
+    if error is not None and values.dtype.kind not in "biu" and not np.isfinite(values).all():
+        raise ValueError(error)
+    out = values.astype(dtype)
+    if error is not None and out.dtype != values.dtype and not np.array_equal(out, values):
+        raise ValueError(error)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,8 +197,8 @@ class CgmInstance:
             raise ValueError("n_steps and n_states must be positive")
         if self.population < 1:
             raise ValueError("population must be positive")
-        pot = _as_readonly(np.asarray(self.potentials, dtype=float))
-        obs = _as_readonly(np.asarray(self.observations, dtype=float))
+        pot = _frozen(self.potentials)
+        obs = _frozen(self.observations)
         object.__setattr__(self, "potentials", pot)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "noise", tuple(tuple(row) for row in self.noise))
@@ -223,10 +233,9 @@ class CgmInstance:
                 if isinstance(model, Poisson) and y != int(y):
                     raise ValueError(f"Poisson observation ({t},{i}) must be an integer")
         y = np.where(kind > 0, obs, 0.0)
-        object.__setattr__(
-            self, "_observation_arrays", tuple(map(_as_readonly, (kind, y, var)))
-        )
-        object.__setattr__(self, "_log_potentials", _as_readonly(np.log(pot)))
+        arrays = (_frozen(kind, np.int8), _frozen(y), _frozen(var))
+        object.__setattr__(self, "_observation_arrays", arrays)
+        object.__setattr__(self, "_log_potentials", _frozen(np.log(pot)))
 
     @property
     def log_potentials(self) -> np.ndarray:
@@ -263,20 +272,9 @@ class ContingencyTables:
     edge: np.ndarray
 
     def __post_init__(self) -> None:
-        node = np.asarray(self.node)
-        edge = np.asarray(self.edge)
-        if not np.issubdtype(node.dtype, np.integer):
-            rounded = np.rint(node)
-            if not np.array_equal(rounded, node):
-                raise ValueError("node table entries must be integers")
-            node = rounded.astype(np.int64)
-        if not np.issubdtype(edge.dtype, np.integer):
-            rounded = np.rint(edge)
-            if not np.array_equal(rounded, edge):
-                raise ValueError("edge table entries must be integers")
-            edge = rounded.astype(np.int64)
-        object.__setattr__(self, "node", _as_readonly(node.astype(np.int64)))
-        object.__setattr__(self, "edge", _as_readonly(edge.astype(np.int64)))
+        for name in ("node", "edge"):
+            error = f"{name} table entries must be integers"
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64, error))
 
     @property
     def n_steps(self) -> int:
@@ -305,8 +303,8 @@ class FractionalTables:
     edge: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node", _as_readonly(np.asarray(self.node, dtype=float)))
-        object.__setattr__(self, "edge", _as_readonly(np.asarray(self.edge, dtype=float)))
+        object.__setattr__(self, "node", _frozen(self.node))
+        object.__setattr__(self, "edge", _frozen(self.edge))
 
     @property
     def n_steps(self) -> int:
@@ -409,17 +407,22 @@ def _interp_log_factorial(z: np.ndarray) -> np.ndarray:
     return (1.0 - w) * table[lo] + w * table[lo + 1]
 
 
-def objective_fractional(instance: CgmInstance, tables: Tables) -> float:
-    """Objective with each ln(z!) replaced by its linear interpolation.
-
-    Coincides exactly with ``objective`` on integer-valued tables.
-    """
+def _relaxed_objective(instance: CgmInstance, tables: Tables, log_fact) -> float:
+    """_objective_value of real-valued tables, once their shapes and signs check out."""
     node = np.asarray(tables.node, dtype=float)
     edge = np.asarray(tables.edge, dtype=float)
     _check_table_shapes(instance.n_steps, instance.n_states, node, edge)
     if (node < 0).any() or (edge.size and (edge < 0).any()):
         raise ValueError("table entries must be nonnegative")
-    return _objective_value(instance, node, edge, _interp_log_factorial)
+    return _objective_value(instance, node, edge, log_fact)
+
+
+def objective_fractional(instance: CgmInstance, tables: Tables) -> float:
+    """Objective with each ln(z!) replaced by its linear interpolation.
+
+    Coincides exactly with ``objective`` on integer-valued tables.
+    """
+    return _relaxed_objective(instance, tables, _interp_log_factorial)
 
 
 # ---------------------------------------------------------------------------

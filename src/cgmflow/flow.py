@@ -100,6 +100,7 @@ from .core import (
     POISSON,
     CgmInstance,
     ContingencyTables,
+    _frozen,
     log_factorial_array,
     observation_cost,
 )
@@ -132,12 +133,6 @@ class InfeasibleError(Exception):
 # network
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class CgmLayout:
     """Node and edge indexing of the layered construction.
@@ -158,7 +153,7 @@ class CgmLayout:
 
     def __post_init__(self) -> None:
         for name in ("source_edges", "node_edges", "trans_edges", "sink_edges"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
 
     def u_node(self, t: int, i: int) -> int:
         return 2 + 2 * t * self.n_states + i
@@ -214,23 +209,22 @@ class FlowNetwork:
     layout: Optional[CgmLayout] = None
 
     def __post_init__(self) -> None:
-        supplies = np.asarray(self.supplies, dtype=np.int64)
+        supplies = _frozen(self.supplies, np.int64, "supplies must be integers")
         if supplies.shape != (self.n_nodes,):
             raise ValueError("supplies must have one entry per node")
         if int(supplies.sum()) != 0:
             raise ValueError("supplies must sum to zero")
-        object.__setattr__(self, "supplies", _readonly(supplies))
+        object.__setattr__(self, "supplies", supplies)
         n_edges = np.shape(self.tails)
         for name, dtype in _EDGE_ARRAYS.items():
-            values = np.asarray(getattr(self, name))
+            if dtype is float:
+                error = f"{name} must be finite"
+            else:
+                error = f"{name} must hold {np.dtype(dtype).name} values"
+            values = _frozen(getattr(self, name), dtype, error)
             if values.shape != n_edges or values.ndim != 1:
                 raise ValueError(f"{name} must have one entry per edge")
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite")
-            cast = values.astype(dtype)
-            if cast.dtype != values.dtype and not np.array_equal(cast, values):
-                raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
-            object.__setattr__(self, name, _readonly(cast))
+            object.__setattr__(self, name, values)
         ends = np.concatenate([self.tails, self.heads])
         if ((ends < 0) | (ends >= self.n_nodes)).any():
             raise ValueError("edge endpoints must be nodes")
@@ -255,6 +249,8 @@ class FlowNetwork:
 class Flow:
     """Integer flow values per edge, indexed like the FlowNetwork's edge arrays.
 
+    values and duals are kept as read-only copies of what the caller passed.
+
     duals, set by the exact solvers and None elsewhere, are node potentials
     under which no unit step of the flow has a negative reduced cost: the
     optimality certificate, and with the flow a warm start for a later solve.
@@ -271,16 +267,11 @@ class Flow:
     _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if not np.issubdtype(values.dtype, np.integer):
-            rounded = np.rint(values)
-            if not (np.isfinite(values).all() and np.array_equal(rounded, values)):
-                raise ValueError("flow values must be integers")
-            values = rounded
-        values = values.astype(np.int64, copy=False)
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(
+            self, "values", _frozen(self.values, np.int64, "flow values must be integers")
+        )
         if self.duals is not None:
-            object.__setattr__(self, "duals", _readonly(np.array(self.duals, dtype=float)))
+            object.__setattr__(self, "duals", _frozen(self.duals))
 
     def __eq__(self, other: object) -> bool:
         """Equal values and equal duals, where None equals only None."""
@@ -916,8 +907,7 @@ class _ResidualState:
 
     def finalize(self) -> tuple[Flow, float]:
         """Return the flow and its cost after checking the optimality certificate."""
-        values = self.z.copy()
-        cost = self.costs.total(values)
+        cost = self.costs.total(self.z)
         self._at_step(1)
         red = self._reduced()
         worst = min(0.0, float(red[np.isfinite(red)].min(initial=0.0)))
@@ -927,7 +917,7 @@ class _ResidualState:
                 f"optimality certificate failed: min reduced cost {worst!r} below "
                 f"-1e-9 * {self.scale!r}"
             )
-        flow = Flow(values=values, duals=self.pi.copy())
+        flow = Flow(values=self.z, duals=self.pi)
         arcs = tuple(getattr(self, a) for a in _ARCS)
         flow._basis.append((self.network, arcs, self.bound, self.inc))
         return flow, cost

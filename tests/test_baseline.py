@@ -224,6 +224,14 @@ class TestApproxObjective:
         with pytest.raises(ValueError):
             approx_objective(inst, FractionalTables(node=[[-1.0], [2.0]], edge=[[[2.0]]]))
 
+    def test_rejects_misshapen_tables_as_objective_fractional_does(self):
+        # a (1, R) node table would broadcast against the (N, R) observations
+        inst = free_instance(2, 2, 2)
+        tab = FractionalTables(node=[[1.0, 1.0]], edge=[[[1.0, 0.0], [0.0, 1.0]]])
+        for evaluate in (objective_fractional, approx_objective):
+            with pytest.raises(ValueError, match=r"node table must have shape \(2, 2\)"):
+                evaluate(inst, tab)
+
     def test_gap_to_exact_objective(self):
         # Stirling drops the sqrt(2 pi z) factor: at the all-two tables the
         # error per transition term is log 2! - (2 log 2 - 2)

@@ -136,6 +136,13 @@ class TestGenerate:
                   "--grid", "2by2", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    def test_rejects_zero_grid_dimension(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--n-states", "3", "--population", "5",
+                  "--grid", "0x3", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "grid dimensions must be positive" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_dca_report_and_tables(self, tmp_path):
@@ -308,9 +315,9 @@ class TestReportSchema:
     def solve(self, tmp_path, method):
         inst_path = tmp_path / "inst.json"
         assert main(self.GENERATE + ["--out", str(inst_path)]) == 0
-        # compare runs the baseline at the library's default cap
+        # solve's defaults are the library's, which compare runs
         assert main(["solve", "--in", str(inst_path), "--method", method,
-                     "--baseline-max-iters", "1000", "--out", str(tmp_path / method)]) == 0
+                     "--out", str(tmp_path / method)]) == 0
         report = json.loads((tmp_path / f"{method}.report.json").read_text())
         return load_instance(inst_path), report
 
@@ -641,6 +648,45 @@ class TestBench:
         rows = read_csv(tmp_path / "bench.csv")
         assert {row["n_states"] for row in rows} == {"2", "3"}
         assert {row["sweep"] for row in rows} == {"n_states"}
+
+    def test_dca_and_baseline_points(self, tmp_path):
+        code = main(
+            [
+                "bench",
+                "--populations", "5",
+                "--n-states", "3",
+                "--n-steps", "3",
+                "--methods", "dca", "baseline",
+                "--repeats", "1",
+                "--out", str(tmp_path / "bench"),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(tmp_path / "bench.csv")
+        assert [row["method"] for row in rows] == ["dca", "baseline"]
+        assert all(row["censored"] == "0" for row in rows)
+        assert all(float(row["seconds"]) > 0 for row in rows)
+
+    def test_point_returning_past_its_budget_is_censored(self, tmp_path, monkeypatch):
+        # a point can finish past the budget before the timer fires
+        monkeypatch.setattr(cli, "_bench_point", lambda instance, method: 1.5)
+        code = main(
+            [
+                "bench",
+                "--populations", "5",
+                "--n-states", "2",
+                "--n-steps", "2",
+                "--methods", "ssp",
+                "--repeats", "3",
+                "--timeout-sec", "0.5",
+                "--out", str(tmp_path / "bench"),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(tmp_path / "bench.csv")
+        assert len(rows) == 1  # the remaining repeats are skipped
+        assert rows[0]["censored"] == "1"
+        assert float(rows[0]["seconds"]) == 0.5
 
     def test_empty_sweep_is_usage_error(self, tmp_path, capsys):
         code = main(["bench", "--out", str(tmp_path / "bench")])

@@ -449,3 +449,22 @@ class TestInstanceValidation:
     def test_tables_reject_true_fractions(self):
         with pytest.raises(ValueError):
             ContingencyTables(node=np.array([[1.5], [1.5]]), edge=np.array([[[1.5]]]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1.5])
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_tables_reject_non_integral_entries(self, where, bad):
+        arrays = {
+            "node": np.array([[2.0, 0.0], [1.0, 1.0]]),
+            "edge": np.array([[[1.0, 1.0], [0.0, 0.0]]]),
+        }
+        arrays[where].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{where} table entries must be integers"):
+            ContingencyTables(**arrays)
+
+    def test_tables_take_integral_floats_as_int64(self):
+        tables = ContingencyTables(
+            node=np.array([[2.0, 0.0], [1.0, 1.0]]), edge=[[[1.0, 1.0], [-0.0, 0.0]]]
+        )
+        assert tables.node.dtype == tables.edge.dtype == np.int64
+        assert tables.node.tolist() == [[2, 0], [1, 1]]
+        assert tables.edge.tolist() == [[[1, 1], [0, 0]]]

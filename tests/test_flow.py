@@ -397,6 +397,10 @@ class TestCostTables:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
                 solver(net)
 
+    def test_network_rejects_fractional_supplies(self):
+        with pytest.raises(ValueError, match="supplies must be integers"):
+            array_network(2, [1.5, -1.5], [[0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0]])
+
     def test_network_rejects_misshapen_arrays(self):
         with pytest.raises(ValueError, match="one entry per edge"):
             FlowNetwork(
@@ -1230,3 +1234,9 @@ class TestFlowValues:
         flow = Flow(values=np.array([2.0, 0.0]))
         assert flow.values.dtype == np.int64
         assert flow.values.tolist() == [2, 0]
+
+    def test_values_are_copied(self):
+        values = np.array([2, 0], dtype=np.int64)
+        flow = Flow(values=values)
+        assert values.flags.writeable and not flow.values.flags.writeable
+        assert not np.shares_memory(values, flow.values)

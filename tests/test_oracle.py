@@ -11,7 +11,9 @@ from cgmflow.core import (
     CgmInstance,
     ContingencyTables,
     MISSING,
+    log_factorial_array,
     objective,
+    observation_cost,
     validate_tables,
 )
 from cgmflow.dca import AlphaStrategy, build_surrogate_network
@@ -26,6 +28,17 @@ from cgmflow.oracle import (
     margin_matrices,
 )
 from conftest import make_tiny_instance
+
+
+def stacked_objectives(instance, tables):
+    """objective of every table at once, from core's public cost terms."""
+    node = np.stack([t.node for t in tables])
+    edge = np.stack([t.edge for t in tables])
+    cells = (1, 2, 3)
+    values = log_factorial_array(edge).sum(axis=cells)
+    values -= (edge * instance.log_potentials).sum(axis=cells)
+    values -= log_factorial_array(node[:, 1 : instance.n_steps - 1]).sum(axis=cells[:2])
+    return values + observation_cost(*instance.observation_arrays, node).sum(axis=cells[:2])
 
 
 def uniform_instance(N, R, M):
@@ -153,9 +166,14 @@ class TestBruteForceMap:
     def test_matches_exhaustive_minimum(self):
         for seed in range(8):
             inst = make_tiny_instance(seed)
-            best = min(objective(inst, t) for t in enumerate_feasible(inst))
+            feasible = list(enumerate_feasible(inst))
+            values = stacked_objectives(inst, feasible)
+            best = int(values.argmin())
+            for k in (best, 0, len(feasible) // 2, len(feasible) - 1):
+                # approx takes equal infinities as equal without subtracting them
+                assert values[k] == pytest.approx(objective(inst, feasible[k]), abs=1e-12)
             tables, value = brute_force_map(inst)
-            assert value == pytest.approx(best, abs=1e-12)
+            assert value == pytest.approx(values[best], abs=1e-12)
             assert objective(inst, tables) == pytest.approx(value, abs=1e-12)
             assert validate_tables(inst, tables) == []
 
