@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (
     GAUSSIAN,
@@ -34,6 +33,7 @@ from .core import (
     FractionalTables,
     _objective_value,
     _relaxed_objective,
+    _xlogy,
     observation_cost,
 )
 
@@ -48,7 +48,7 @@ MAX_ITERS = 1000  # conditional-gradient steps before solve_approximate stops
 
 
 def _stirling(z: np.ndarray) -> np.ndarray:
-    return xlogy(z, z) - z
+    return _xlogy(z, z) - z
 
 
 class _Observations:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "Gaussian",
@@ -167,9 +166,13 @@ def _frozen(values, dtype=float, error: str | None = None) -> np.ndarray:
     values = np.asarray(values)
     if error is not None and values.dtype.kind not in "biu" and not np.isfinite(values).all():
         raise ValueError(error)
-    out = values.astype(dtype)
-    if error is not None and out.dtype != values.dtype and not np.array_equal(out, values):
-        raise ValueError(error)
+    if error is None or values.dtype == dtype:
+        out = values.astype(dtype)
+    else:
+        with np.errstate(invalid="ignore"):  # a value out of dtype's range fails the comparison
+            out = values.astype(dtype)
+        if not np.array_equal(out, values):
+            raise ValueError(error)
     out.flags.writeable = False
     return out
 
@@ -303,8 +306,9 @@ class FractionalTables:
     edge: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node", _frozen(self.node))
-        object.__setattr__(self, "edge", _frozen(self.edge))
+        for name in ("node", "edge"):
+            error = f"{name} table entries must be finite"
+            object.__setattr__(self, name, _frozen(getattr(self, name), float, error))
 
     @property
     def n_steps(self) -> int:
@@ -335,6 +339,16 @@ def g_cost(z: int) -> float:
     return -log_factorial(z)
 
 
+def _xlogy(x, y) -> np.ndarray:
+    """x ln y elementwise, without warnings.
+
+    0 where x is 0 (unless y is NaN) and -inf where y is 0 < x, as scipy's xlogy.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(y)
+    return np.where((x == 0) & ~np.isnan(y), 0.0, out)
+
+
 def observation_cost(kind, y, var, z) -> np.ndarray:
     """Observation cost h(z) = -log p(y | z) up to a constant shift, elementwise.
 
@@ -350,7 +364,7 @@ def observation_cost(kind, y, var, z) -> np.ndarray:
     poisson = kind == POISSON
     if np.count_nonzero(poisson):
         log_y_fact = log_factorial_array(np.where(poisson, y, 0).astype(np.int64))
-        cost = np.where(poisson, z - xlogy(y, z) + log_y_fact, cost)
+        cost = np.where(poisson, z - _xlogy(y, z) + log_y_fact, cost)
     return cost
 
 
@@ -408,9 +422,9 @@ def _interp_log_factorial(z: np.ndarray) -> np.ndarray:
 
 
 def _relaxed_objective(instance: CgmInstance, tables: Tables, log_fact) -> float:
-    """_objective_value of real-valued tables, once their shapes and signs check out."""
-    node = np.asarray(tables.node, dtype=float)
-    edge = np.asarray(tables.edge, dtype=float)
+    """_objective_value of real-valued tables, once their shapes, finiteness and signs check out."""
+    node = _frozen(tables.node, float, "node table entries must be finite")
+    edge = _frozen(tables.edge, float, "edge table entries must be finite")
     _check_table_shapes(instance.n_steps, instance.n_states, node, edge)
     if (node < 0).any() or (edge.size and (edge < 0).any()):
         raise ValueError("table entries must be nonnegative")

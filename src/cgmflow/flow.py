@@ -92,6 +92,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+# at module level, so that no solve's wall_time includes the one-time scipy import
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
 

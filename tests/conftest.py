@@ -71,3 +71,15 @@ def make_mixed_instance(M: int = 6) -> CgmInstance:
         observations=observations,
         noise=(noise,) * 3,
     )
+
+
+def free_instance(N: int, R: int, M: int, phi=None) -> CgmInstance:
+    """No observations anywhere; potentials phi, all ones unless given."""
+    return CgmInstance(
+        n_steps=N,
+        n_states=R,
+        population=M,
+        potentials=np.ones((max(N - 1, 0), R, R)) if phi is None else phi,
+        observations=np.full((N, R), np.nan),
+        noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
+    )

@@ -22,7 +22,6 @@ from cgmflow.core import (
     CgmInstance,
     FractionalTables,
     Gaussian,
-    MISSING,
     Poisson,
     objective_fractional,
     observation_cost,
@@ -30,18 +29,7 @@ from cgmflow.core import (
 )
 from cgmflow.instances import gen_synthetic
 from cgmflow.oracle import enumerate_feasible
-from conftest import make_tiny_instance
-
-
-def free_instance(N, R, M):
-    return CgmInstance(
-        n_steps=N,
-        n_states=R,
-        population=M,
-        potentials=np.ones((max(N - 1, 0), R, R)),
-        observations=np.full((N, R), np.nan),
-        noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
-    )
+from conftest import free_instance, make_tiny_instance
 
 
 def relax_instance(seed=0):

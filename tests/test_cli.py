@@ -25,19 +25,12 @@ from cgmflow.instances import (
     load_tables,
     save_instance,
 )
+from conftest import free_instance
 
 
 def free_instance_file(tmp_path, N=2, R=1, M=2):
-    inst = CgmInstance(
-        n_steps=N,
-        n_states=R,
-        population=M,
-        potentials=np.ones((max(N - 1, 0), R, R)),
-        observations=np.full((N, R), np.nan),
-        noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
-    )
     path = tmp_path / "inst.json"
-    save_instance(inst, path)
+    save_instance(free_instance(N, R, M), path)
     return path
 
 

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from cgmflow.core import (
     CgmInstance,
@@ -289,6 +291,19 @@ def package_imports(module) -> set:
     return {name.split(".")[0] for name in found}
 
 
+def run_probe(probe: str) -> str:
+    """stdout of probe run in a fresh interpreter that imports cgmflow from this checkout."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(Path(core.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
 class TestLayering:
     def test_flow_and_core_import_no_later_layer(self):
         assert "core" in package_imports(flow)
@@ -297,18 +312,9 @@ class TestLayering:
         assert not {"flow", "dca"} & package_imports(core)
 
     def test_package_import_loads_neither_scipy_optimize_nor_cli(self):
-        src = Path(core.__file__).parents[1]
         probe = "import cgmflow, sys; print(sorted({'scipy.optimize', 'cgmflow.cli'} & set(sys.modules)))"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
-        for path in sorted((src / "cgmflow").rglob("*.py")):
+        assert run_probe(probe) == "[]"
+        for path in sorted(Path(core.__file__).parent.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom) and node.level == 0:
                     names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
@@ -317,6 +323,96 @@ class TestLayering:
                 else:
                     continue
                 assert not [n for n in names if n.split(".")[:2] == ["scipy", "optimize"]], path
+
+    def test_loading_generating_and_relaxing_load_no_scipy(self, tmp_path):
+        probe = f"""
+import sys
+import cgmflow
+inst = cgmflow.gen_synthetic(n_steps=3, n_states=3, population=6, seed=0)
+cgmflow.save_instance(inst, {str(tmp_path / "inst.json")!r})
+inst = cgmflow.load_instance({str(tmp_path / "inst.json")!r})
+poisson = cgmflow.CgmInstance(
+    n_steps=3, n_states=3, population=6, potentials=inst.potentials,
+    observations=inst.observations, noise=((cgmflow.Poisson(),) * 3,) * 3,
+)
+for instance in (inst, poisson):
+    tables, _ = cgmflow.solve_approximate(instance, max_iters=20)
+    cgmflow.approx_objective(instance, tables)
+    cgmflow.objective_fractional(instance, tables)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        assert run_probe(probe) == "[]"
+
+    @pytest.mark.parametrize(
+        "first_use",
+        ["cgmflow.run_dca", "cgmflow.dca", "cgmflow.flow", "from cgmflow import solve_ssp"],
+    )
+    def test_exact_solvers_load_scipy_on_first_use(self, first_use):
+        probe = f"""
+import sys
+import cgmflow
+before = "scipy.sparse.csgraph" in sys.modules
+{first_use}
+after = "scipy.sparse.csgraph" in sys.modules
+from cgmflow import InfeasibleError, solve_ssp
+assert cgmflow.run_dca is cgmflow.dca.run_dca and cgmflow.DcaConfig is cgmflow.dca.DcaConfig
+assert solve_ssp is cgmflow.flow.solve_ssp and InfeasibleError is cgmflow.flow.InfeasibleError
+assert cgmflow.oracle.brute_force_map and cgmflow.cli.main
+assert set(cgmflow.__all__) <= set(dir(cgmflow))
+print(before, after)
+"""
+        assert run_probe(probe) == "False True"
+
+    def test_unknown_names_raise_attribute_error(self):
+        import cgmflow
+
+        with pytest.raises(AttributeError, match="has no attribute 'solve_nothing'"):
+            cgmflow.solve_nothing
+
+
+class TestXlogy:
+    def test_integer_pairs_match_scipy_bit_for_bit(self):
+        grid = np.arange(0, 3001, 3, dtype=float)
+        x, y = grid[:, None], grid[None, :]
+        assert np.array_equal(core._xlogy(x, y).view(np.int64), xlogy(x, y).view(np.int64))
+        z = np.arange(3001, dtype=float)
+        assert np.array_equal(core._xlogy(z, z).view(np.int64), xlogy(z, z).view(np.int64))
+
+    def test_fractional_inputs_within_one_ulp_of_scipy(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 100.0, size=100_000)
+        y = np.concatenate([rng.uniform(0.0, 1e-6, 50_000), rng.uniform(0.0, 1e4, 50_000)])
+        # numpy's ln and the C library's, which scipy calls, may round apart by one ulp
+        ln_ours, ln_ref = core._xlogy(1.0, y), xlogy(1.0, y)
+        assert (np.abs(ln_ours - ln_ref) <= np.spacing(np.abs(ln_ref))).all()
+        # and the product can take up one more ulp in its own rounding
+        ours, ref = core._xlogy(x, y), xlogy(x, y)
+        assert (np.abs(ours - ref) <= 2 * np.spacing(np.abs(ref))).all()
+
+    def test_edge_values_match_scipy(self):
+        x = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 1.0, np.inf])
+        y = np.array([0.0, 3.0, np.inf, np.nan, 0.0, -1.0, np.nan, np.inf, 1.0])
+        # the suite turns warnings into errors, so this also checks that none is emitted
+        np.testing.assert_array_equal(core._xlogy(x, y), xlogy(x, y))
+        assert core._xlogy(0.0, 0.0) == 0.0
+        assert core._xlogy(2.0, 0.0) == -INF
+
+    def test_objectives_unchanged_from_scipy_xlogy(self, monkeypatch):
+        inst = make_mixed_instance(12)
+        rng = np.random.default_rng(1)
+        nodes = [np.zeros((3, 4)), np.full((3, 4), 3.0), rng.uniform(0.0, 6.0, size=(3, 4))]
+        tables = FractionalTables(
+            node=np.array([[3.0, 0.0, 4.5, 4.5], [6.0, 0.0, 3.0, 3.0], [0.5, 1.5, 2.0, 8.0]]),
+            edge=rng.uniform(0.0, 2.0, size=(2, 4, 4)),
+        )
+        ours = [core.observation_cost(*inst.observation_arrays, z) for z in nodes]
+        approx = approx_objective(inst, tables)
+        monkeypatch.setattr(core, "_xlogy", xlogy)
+        monkeypatch.setattr(baseline, "_xlogy", xlogy)
+        for got, z in zip(ours, nodes):
+            assert np.array_equal(got, core.observation_cost(*inst.observation_arrays, z))
+        assert approx == approx_objective(inst, tables)
+        assert np.isinf(ours[0]).any()
 
 
 class TestValidation:
@@ -460,6 +556,24 @@ class TestInstanceValidation:
         arrays[where].flat[0] = bad
         with pytest.raises(ValueError, match=f"{where} table entries must be integers"):
             ContingencyTables(**arrays)
+
+    @pytest.mark.parametrize("bad", [1e20, -1e20])
+    def test_tables_reject_out_of_range_entries_without_a_warning(self, bad):
+        with pytest.raises(ValueError, match="node table entries must be integers"):
+            ContingencyTables(node=[[bad, 1.0]], edge=np.zeros((0, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_fractional_tables_reject_non_finite_entries(self, where, bad):
+        inst = two_layer_instance()
+        arrays = {"node": np.array([[2.0], [2.0]]), "edge": np.array([[[2.0]]])}
+        arrays[where].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{where} table entries must be finite"):
+            FractionalTables(**arrays)
+        # tables of another type reach the relaxed objectives unchecked by a constructor
+        for evaluate in (objective_fractional, approx_objective):
+            with pytest.raises(ValueError, match=f"{where} table entries must be finite"):
+                evaluate(inst, SimpleNamespace(**arrays))
 
     def test_tables_take_integral_floats_as_int64(self):
         tables = ContingencyTables(

@@ -47,19 +47,7 @@ from cgmflow.flow import (
 )
 from cgmflow.instances import gen_synthetic
 from cgmflow.oracle import brute_force_flow, enumerate_feasible
-from conftest import make_mixed_instance, make_tiny_instance
-
-
-def free_instance(N, R, M, phi=None):
-    pot = np.ones((max(N - 1, 0), R, R)) if phi is None else phi
-    return CgmInstance(
-        n_steps=N,
-        n_states=R,
-        population=M,
-        potentials=pot,
-        observations=np.full((N, R), np.nan),
-        noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
-    )
+from conftest import free_instance, make_mixed_instance, make_tiny_instance
 
 
 def surrogate_zero(instance, strategy=AlphaStrategy.L):
@@ -354,6 +342,9 @@ class TestCostTables:
             ("obs_var", math.inf, "obs_var must be finite"),
             ("capacity", -1, "capacities must be nonnegative"),
             ("capacity", 1.5, "capacity must hold int64"),
+            # out of the dtype's range: the cast's RuntimeWarning must not surface
+            ("capacity", 1e20, "capacity must hold int64"),
+            ("obs_kind", 300.0, "obs_kind must hold int8"),
             ("obs_kind", 3, "obs_kind"),
             ("obs_var", 0.0, "Gaussian variances must be positive"),
             ("obs_var", -2.0, "Gaussian variances must be positive"),

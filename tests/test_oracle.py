@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from cgmflow.core import (
-    CgmInstance,
     ContingencyTables,
-    MISSING,
     log_factorial_array,
     objective,
     observation_cost,
@@ -27,7 +25,7 @@ from cgmflow.oracle import (
     enumerate_feasible,
     margin_matrices,
 )
-from conftest import make_tiny_instance
+from conftest import free_instance, make_tiny_instance
 
 
 def stacked_objectives(instance, tables):
@@ -39,17 +37,6 @@ def stacked_objectives(instance, tables):
     values -= (edge * instance.log_potentials).sum(axis=cells)
     values -= log_factorial_array(node[:, 1 : instance.n_steps - 1]).sum(axis=cells[:2])
     return values + observation_cost(*instance.observation_arrays, node).sum(axis=cells[:2])
-
-
-def uniform_instance(N, R, M):
-    return CgmInstance(
-        n_steps=N,
-        n_states=R,
-        population=M,
-        potentials=np.ones((max(N - 1, 0), R, R)),
-        observations=np.full((N, R), np.nan),
-        noise=tuple(tuple(MISSING for _ in range(R)) for _ in range(N)),
-    )
 
 
 def slow_count(N, R, M):
@@ -117,16 +104,16 @@ class TestCounts:
         [(2, 1, 3, 1), (2, 2, 2, 10), (3, 2, 2, 34)],
     )
     def test_known_counts(self, N, R, M, expected):
-        assert count_feasible(uniform_instance(N, R, M)) == expected
+        assert count_feasible(free_instance(N, R, M)) == expected
 
     def test_against_independent_counter(self):
         for N, R, M in [(1, 3, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)]:
-            inst = uniform_instance(N, R, M)
+            inst = free_instance(N, R, M)
             assert count_feasible(inst) == slow_count(N, R, M)
 
     def test_enumeration_matches_count(self):
         for N, R, M in [(1, 2, 5), (2, 2, 3), (3, 2, 2)]:
-            inst = uniform_instance(N, R, M)
+            inst = free_instance(N, R, M)
             tables = list(enumerate_feasible(inst))
             assert len(tables) == count_feasible(inst)
             seen = {
@@ -137,7 +124,7 @@ class TestCounts:
                 assert validate_tables(inst, t) == []
 
     def test_budget_enforced(self):
-        inst = uniform_instance(3, 2, 4)
+        inst = free_instance(3, 2, 4)
         with pytest.raises(BudgetExceededError):
             list(enumerate_feasible(inst, budget=5))
         with pytest.raises(BudgetExceededError):
@@ -145,7 +132,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
-        inst = uniform_instance(2, 2, 2)
+        inst = free_instance(2, 2, 2)
         zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
         net = build_surrogate_network(inst, zeros, AlphaStrategy.L)
         with pytest.raises(ValueError, match="budget must be positive"):
@@ -158,7 +145,7 @@ class TestCounts:
 
 class TestBruteForceMap:
     def test_two_layer_known_value(self):
-        inst = uniform_instance(2, 1, 2)
+        inst = free_instance(2, 1, 2)
         tables, value = brute_force_map(inst)
         assert value == pytest.approx(math.log(2), abs=1e-14)
         assert tables.node.tolist() == [[2], [2]]
