@@ -12,10 +12,13 @@ directional derivative has a closed form, so each line search is a Newton
 search, safeguarded by bisection, for the root of that derivative rather
 than a search on objective values.  A step goes from x toward a vertex v,
 the whole population on one path, so off that path z = (1 - gamma) x and
-those cells enter the step's value and derivative through a few sums taken
-once per step.  Each evaluation then touches only the path's cells and the
-Poisson-observed nodes: O(N) for Gaussian and unobserved nodes.  An
-iteration's work over all cells is the gradient, those sums and the move.
+those cells enter the step's value and derivative through a few
+whole-table sums.  The sums are carried across steps: taken over the
+tables once, at the start, and after each move updated in O(N) from the
+path's cells, since the move scales every other cell by 1 - gamma.  The
+line search's setup and each evaluation then touch only the path's cells
+and the Poisson-observed nodes.  An iteration's work over all cells is the
+gradient, the shortest-path sweep, the duality gap and the in-place move.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
 
 INF = math.inf
 EPS = 1e-6  # entry floor inside gradient logs; keeps the search direction finite
-LN_EPS = float(np.log(EPS))
 XATOL = 1e-11  # line-search step size at which gamma counts as found
 MAX_SLOPE_EVALS = 100  # bisection alone reaches XATOL from [0, 1] in 37
 MAX_ITERS = 1000  # conditional-gradient steps before solve_approximate stops
@@ -59,7 +61,7 @@ class _Observations:
     kept apart, because their terms are not quadratic in the counts.
     """
 
-    __slots__ = ("y", "var", "gauss", "gauss_second", "pois", "poisson", "pois_y")
+    __slots__ = ("y", "var", "gauss", "gauss_second", "gauss_y_square", "pois", "poisson", "pois_y")
 
     def __init__(self, instance: CgmInstance):
         kind, self.y, self.var = instance.observation_arrays
@@ -67,6 +69,7 @@ class _Observations:
         # a Gaussian term's second derivative is the constant 1 / var
         self.gauss_second = np.where(self.gauss, 1.0 / self.var, 0.0)
         self.gauss_second.flags.writeable = False
+        self.gauss_y_square = float(np.vdot(self.y * self.y, self.gauss_second))
         self.pois = kind == POISSON
         self.poisson = bool(self.pois.any())
         self.pois_y = self.y[self.pois]
@@ -85,19 +88,9 @@ class _Observations:
         z = np.maximum(z, EPS)
         return 1.0 - self.pois_y / z, self.pois_y / (z * z)
 
-    def gaussian_cost(self, node: np.ndarray) -> float:
-        """Sum of the Gaussian terms (x - y)^2 / (2 var) at node counts x."""
-        d = node - self.y
-        return 0.5 * float(np.vdot(d * d, self.gauss_second))
-
     def poisson_cost(self, z: np.ndarray) -> float:
         """Sum of the Poisson terms at the Poisson nodes' counts z: +inf where z = 0 < y."""
         return float(observation_cost(POISSON, self.pois_y, 1.0, z).sum())
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """ln x elementwise, with 0 where x is 0, so that x ln x is 0 there."""
-    return np.log(x, out=np.zeros_like(x), where=x > 0)
 
 
 def _path_cells(states: np.ndarray) -> tuple[tuple, tuple]:
@@ -116,22 +109,104 @@ def _move(node: np.ndarray, edge: np.ndarray, path: tuple, gamma: float, mass: f
     return node, edge
 
 
-def _gradient(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
-    """Gradient (g_node, g_edge) of the relaxed objective at x, and what the line search reuses.
+def _share(x_edge: list, log_phi: list, x_node: list, y: list, w: list) -> tuple:
+    """The path cells' terms of each of _Sums' sums, in its slot order.
 
-    Logs inside the gradient are floored at EPS.  The third value holds
-    ln x on the interior nodes and on the edges (0 where x = 0) and the
-    observation derivatives h'(x) and h''(x), for _along_path.
+    x_edge and log_phi are the path's edge cells, x_node its node cells
+    (interior: all but the first and last), y and w = 1 / var (0 off the
+    Gaussian nodes) the observations at them.
     """
+    edge_mass = edge_ent = edge_phi = inner_mass = inner_ent = square = cross = 0.0
+    for x, log in zip(x_edge, log_phi):
+        edge_mass += x
+        if x > 0.0:
+            edge_ent += x * math.log(x)
+        edge_phi += x * log
+    for x in x_node[1:-1]:
+        inner_mass += x
+        if x > 0.0:
+            inner_ent += x * math.log(x)
+    for x, obs, weight in zip(x_node, y, w):
+        square += x * x * weight
+        cross += x * obs * weight
+    return edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, square, cross
+
+
+class _Sums:
+    """Whole-table sums that _along_path reads, carried from step to step.
+
+    Over the edge cells: mass sum x, entropy sum x ln x and sum x ln phi;
+    over the interior node cells: mass and entropy; over the Gaussian nodes:
+    sum x^2 / var and sum x y / var.  They are summed over the tables once,
+    at the start.  A step scales every cell off its path by c = 1 - gamma,
+    so carry() scales each sum's off-path part by c (c^2 for x^2 / var;
+    x ln x also gains c ln c times the off-path mass) and adds the path
+    cells' new terms: O(N) a step.
+    """
+
+    __slots__ = (
+        "edge_mass", "edge_ent", "edge_phi", "inner_mass", "inner_ent", "square", "cross",
+        "_path", "_on_path",
+    )
+
+    def __init__(self, instance: CgmInstance, observed: _Observations, node, edge):
+        inner = node[1 : instance.n_steps - 1]
+        self.edge_mass = float(edge.sum())
+        self.edge_ent = float(_xlogy(edge, edge).sum())
+        self.edge_phi = float(np.vdot(edge, instance.log_potentials))
+        self.inner_mass = float(inner.sum())
+        self.inner_ent = float(_xlogy(inner, inner).sum())
+        self.square = float(np.vdot(node * node, observed.gauss_second))
+        self.cross = float(np.vdot(node * observed.y, observed.gauss_second))
+        self._path = None
+
+    def on_path(self, instance, observed, node, edge, path: tuple) -> tuple:
+        """The path's cells at x, as lists (x_edge, ln phi, x_node, y, 1 / var), and their _share.
+
+        The result for the last path is kept until carry() moves the
+        tables, so a step's line-search setup and its carry read the path's
+        cells once.
+        """
+        if path is not self._path:
+            at_node, at_edge = path
+            cells = (
+                edge[at_edge].tolist(),
+                instance.log_potentials[at_edge].tolist(),
+                node[at_node].tolist(),
+                observed.y[at_node].tolist(),
+                observed.gauss_second[at_node].tolist(),
+            )
+            self._path, self._on_path = path, (cells, _share(*cells))
+        return self._on_path
+
+    def carry(self, instance, observed, node, edge, path: tuple, gamma: float) -> None:
+        """Move x to (1 - gamma) x + gamma v in place (_move) and the sums with it."""
+        (x_edge, log_phi, x_node, y, w), before = self.on_path(instance, observed, node, edge, path)
+        _move(node, edge, path, gamma, instance.population)
+        self._path = None
+        c, step = 1.0 - gamma, gamma * instance.population
+        # the path cells' new values, formed as _move forms them
+        moved_edge, moved_node = [x * c + step for x in x_edge], [x * c + step for x in x_node]
+        after = _share(moved_edge, log_phi, moved_node, y, w)
+        c_ln_c = c * math.log(c) if c > 0.0 else 0.0
+        edge_off = self.edge_mass - before[0]
+        inner_off = self.inner_mass - before[3]
+        self.edge_mass = c * edge_off + after[0]
+        self.edge_ent = c * (self.edge_ent - before[1]) + c_ln_c * edge_off + after[1]
+        self.edge_phi = c * (self.edge_phi - before[2]) + after[2]
+        self.inner_mass = c * inner_off + after[3]
+        self.inner_ent = c * (self.inner_ent - before[4]) + c_ln_c * inner_off + after[4]
+        self.square = c * c * (self.square - before[5]) + after[5]
+        self.cross = c * (self.cross - before[6]) + after[6]
+
+
+def _gradient(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
+    """Gradient (g_node, g_edge) of the relaxed objective at x, with its logs floored at EPS."""
     N = instance.n_steps
-    ln_edge = _log(edge)
-    g_edge = np.where(edge > EPS, ln_edge, LN_EPS) - instance.log_potentials
-    h1, h2 = observed.derivatives(node)
-    inner = node[1 : N - 1]
-    ln_inner = _log(inner)
-    g_node = h1.copy()
-    g_node[1 : N - 1] -= np.where(inner > EPS, ln_inner, LN_EPS)
-    return g_node, g_edge, (ln_inner, ln_edge, h1, h2)
+    g_edge = np.log(np.maximum(edge, EPS)) - instance.log_potentials
+    g_node = observed.derivatives(node)[0]
+    g_node[1 : N - 1] -= np.log(np.maximum(node[1 : N - 1], EPS))
+    return g_node, g_edge
 
 
 def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
@@ -149,15 +224,16 @@ def _along_path(
     node: np.ndarray,
     edge: np.ndarray,
     path: tuple,
-    terms: tuple,
+    sums: _Sums,
 ):
     """phi and gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
 
     The step goes from x = (node, edge) toward the vertex v that puts the
     whole population M on the path's cells (_path_cells), so d = v - x.
     Off the path d = -x and z = (1 - gamma) x, so those cells enter through
-    sums taken once here: X = sum x and L = sum x ln x over the edge cells (E)
-    and the interior node cells (I), and P = sum x ln phi over E.  Their
+    sums: X = sum x and L = sum x ln x over the edge cells (E) and the
+    interior node cells (I), and P = sum x ln phi over E, each the carried
+    whole-table sum (sums, a _Sums at x) minus the path cells' terms.  Their
     share of phi is (1 - gamma)(L_E - L_I - (X_E - X_I) + ln(1 - gamma)(X_E - X_I) - P),
     which is 0 at gamma = 1.  The derivative of the relaxed objective f along d is
 
@@ -165,59 +241,60 @@ def _along_path(
 
     and phi'' is sum_e d_e^2 / z_e - sum_interior d_n^2 / z_n + sum_n d_n^2 h''(z_n),
     where the off-path cells give -ln(1 - gamma)(X_E - X_I) - (L_E - L_I) + P
-    and (X_E - X_I) / (1 - gamma).  A Gaussian h is quadratic, so the other
-    nodes add H + gamma a + gamma^2 b / 2 to phi and a + gamma b to phi', with
-    H = sum h(x), a = sum d h'(x) and b = sum d^2 h''(x).  Each call then
-    evaluates only the 2N - 3 path cells and the Poisson nodes.  terms is
-    _gradient's third value at x.
+    and (X_E - X_I) / (1 - gamma).  A Gaussian h is quadratic, so the
+    Gaussian nodes add H + gamma a + gamma^2 b / 2 to phi and a + gamma b to
+    phi', with H = sum h(x), a = sum d h'(x) and b = sum d^2 h''(x), which
+    follow from the carried S = sum x^2 / var and C = sum x y / var and the
+    path's nodes.  Setup and each call then read only the 2N - 3 path cells
+    and the Poisson nodes.
     Cells with d = 0 add nothing to phi' and phi'' even where z = 0; every
     other z is positive for 0 < gamma < 1.
     """
     N, M = instance.n_steps, float(instance.population)
-    ln_inner, ln_edge, h1, h2 = terms
-    at_node, at_edge = path
-    off_node = node.copy()
-    off_node[at_node] = 0.0
-    off_edge = edge.copy()
-    off_edge[at_edge] = 0.0
-    off_inner = off_node[1 : N - 1]
-    off = float(off_edge.sum()) - float(off_inner.sum())
-    ent = float(np.vdot(off_edge, ln_edge)) - float(np.vdot(off_inner, ln_inner))
-    off_phi = float(np.vdot(off_edge, instance.log_potentials))
+    (x_edge, log_phi, x_node, y, w), share = sums.on_path(instance, observed, node, edge, path)
+    edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, _, _ = share
+    off = (sums.edge_mass - edge_mass) - (sums.inner_mass - inner_mass)
+    ent = (sums.edge_ent - edge_ent) - (sums.inner_ent - inner_ent)
+    off_phi = sums.edge_phi - edge_phi
     shift = -off_phi
 
     # path cells as (sign, x, d, ln phi); edges count +, interior nodes -
     cells = []
-    for x, log_phi in zip(edge[at_edge].tolist(), instance.log_potentials[at_edge].tolist()):
+    for x, log in zip(x_edge, log_phi):
         if x != M:
-            shift += (M - x) * log_phi
-        cells.append((1.0, x, M - x, log_phi))
-    cells += [(-1.0, x, M - x, 0.0) for x in node[at_node][1 : N - 1].tolist()]
+            shift += (M - x) * log
+        cells.append((1.0, x, M - x, log))
+    cells += [(-1.0, x, M - x, 0.0) for x in x_node[1 : N - 1]]
     # those with d != 0, as (sign * d, x, d)
     moving = [(sign * dx, x, dx) for sign, x, dx, _ in cells if dx != 0.0]
 
-    d = -off_node
-    d[at_node] = M - node[at_node]
-    gauss_cost = observed.gaussian_cost(node)
+    # Gaussian nodes, with w = 1 / var and d = M - x on the path, -x off it:
+    # H = (S - 2C + sum y^2 w) / 2, a = C - S + M sum_path (x - y) w and
+    # b = S + M sum_path (M - 2x) w
+    gauss_cost = 0.5 * (sums.square - 2.0 * sums.cross + observed.gauss_y_square)
+    a = sums.cross - sums.square
+    b = sums.square
+    for x, obs, weight in zip(x_node, y, w):
+        a += M * (x - obs) * weight
+        b += M * (M - 2.0 * x) * weight
     poisson = observed.poisson
     if poisson:
-        x_pois, d_pois = node[observed.pois], d[observed.pois]
+        vertex = np.zeros_like(node)
+        vertex[path[0]] = M
+        x_pois, v_pois = node[observed.pois], vertex[observed.pois]
+        d_pois = v_pois - x_pois
         dd_pois = d_pois * d_pois
-        # z = (1 - gamma) x + gamma v as _move forms it, exact off the path near gamma = 1
-        v_pois = x_pois + d_pois
-        d = np.where(observed.pois, 0.0, d)
-    a = float(np.vdot(d, h1))
-    b = float(np.vdot(d * d, h2))
 
     def value(gamma: float) -> float:
         total = gauss_cost + gamma * a + 0.5 * gamma * gamma * b
         if gamma < 1.0:
             total += (1.0 - gamma) * (ent - off + math.log1p(-gamma) * off - off_phi)
-        for sign, x, dx, log_phi in cells:
+        for sign, x, dx, log in cells:
             z = x + gamma * dx
             if z > 0.0:
-                total += sign * (z * math.log(z) - z) - z * log_phi
+                total += sign * (z * math.log(z) - z) - z * log
         if poisson:
+            # z = (1 - gamma) x + gamma v as _move forms it: 0 off the path at gamma = 1
             total += observed.poisson_cost((1.0 - gamma) * x_pois + gamma * v_pois)
         return total
 
@@ -319,12 +396,12 @@ def _cheapest_path(g_node: np.ndarray, g_edge: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _vertex(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
-    """The linear minimization at x: the vertex's path of states, the duality gap and _gradient's terms."""
-    g_node, g_edge, terms = _gradient(instance, observed, node, edge)
+    """The linear minimization at x: the vertex's path of states and the duality gap."""
+    g_node, g_edge = _gradient(instance, observed, node, edge)
     states, cost = _cheapest_path(g_node, g_edge)
     # -gradient . (v - x), with v = M on the path's cells
     gap = float(np.vdot(g_node, node)) + float(np.vdot(g_edge, edge)) - instance.population * cost
-    return states, gap, terms
+    return states, gap
 
 
 def solve_approximate(
@@ -346,7 +423,14 @@ def solve_approximate(
     hi / 2, and fall back to bisection when they leave the bracket; hi itself
     is never evaluated, and the search stops once a step moves less than XATOL.
     report.linesearch_evals counts the derivative evaluations.
+
+    Raises ValueError for a negative max_iters and for a tol that is
+    negative or NaN.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     t0 = time.perf_counter()
     N, R, M = instance.n_steps, instance.n_states, instance.population
     node = np.full((N, R), M / R)
@@ -356,6 +440,7 @@ def solve_approximate(
     starved_t, starved_r = np.nonzero(observed.pois & (observed.y > 0))
 
     current = _objective_value(instance, node, edge, _stirling)
+    sums = _Sums(instance, observed, node, edge)
 
     def certify(gap: float) -> bool:
         """Record the current iterate's objective and gap; True once the gap is within tol."""
@@ -368,11 +453,11 @@ def solve_approximate(
     gamma = 0.5
     for _ in range(max_iters):
         report.iterations += 1
-        states, gap, terms = _vertex(instance, observed, node, edge)
+        states, gap = _vertex(instance, observed, node, edge)
         if certify(gap):
             break
         path = _path_cells(states)
-        value, slope = _along_path(instance, observed, node, edge, path, terms)
+        value, slope = _along_path(instance, observed, node, edge, path, sums)
         # f is +inf at the vertex exactly where it zeroes a positive Poisson count
         off_path = starved_t.size and (states[starved_t] != starved_r).any()
         hi = 1.0 - 1e-9 if off_path else 1.0
@@ -382,7 +467,7 @@ def solve_approximate(
             # line search failed to improve; direction is exhausted at
             # floating-point scale, stop without claiming convergence
             break
-        _move(node, edge, path, gamma, M)
+        sums.carry(instance, observed, node, edge, path, gamma)
         current = stepped
     else:
         # the cap stopped the loop: the report describes the tables returned

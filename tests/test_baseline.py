@@ -1,17 +1,19 @@
 """Continuous relaxation and its conditional-gradient solver."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
 
 from cgmflow import baseline
 from cgmflow.baseline import (
     _Observations,
+    _Sums,
     _along_path,
-    _gradient,
     _move,
     _path_cells,
     _stirling,
@@ -19,6 +21,7 @@ from cgmflow.baseline import (
     solve_approximate,
 )
 from cgmflow.core import (
+    GAUSSIAN,
     CgmInstance,
     FractionalTables,
     Gaussian,
@@ -83,8 +86,8 @@ def vertex(inst, states):
 def path_step(inst, node, edge, states):
     """The solver's (value, slope) from x = (node, edge) toward the vertex on states."""
     observed = _Observations(inst)
-    terms = _gradient(inst, observed, node, edge)[2]
-    return _along_path(inst, observed, node, edge, _path_cells(np.asarray(states)), terms)
+    sums = _Sums(inst, observed, node, edge)
+    return _along_path(inst, observed, node, edge, _path_cells(np.asarray(states)), sums)
 
 
 def full_along(inst, node, edge, path):
@@ -135,6 +138,22 @@ def generic_slope(inst, node, edge, states):
         return first.sum(), second.sum(), np.abs(first).sum(), np.abs(second).sum()
 
     return slope
+
+
+def sum_terms(inst, node, edge):
+    """The terms of each of _Sums' sums at x = (node, edge), cell by cell, by slot name."""
+    inner = node[1 : inst.n_steps - 1]
+    kind, y, var = inst.observation_arrays
+    w = np.where(kind == GAUSSIAN, 1.0 / var, 0.0)
+    return {
+        "edge_mass": edge,
+        "edge_ent": xlogy(edge, edge),
+        "edge_phi": edge * inst.log_potentials,
+        "inner_mass": inner,
+        "inner_ent": xlogy(inner, inner),
+        "square": node * node * w,
+        "cross": node * y * w,
+    }
 
 
 def line_searches(monkeypatch, inst, max_iters, check):
@@ -323,6 +342,13 @@ class TestSolveApproximate:
         assert again.node.tobytes() == tables.node.tobytes()
         assert again.edge.tobytes() == tables.edge.tobytes()
 
+    @pytest.mark.parametrize(
+        "name, value", [("max_iters", -1), ("tol", math.nan), ("tol", -1e-6), ("tol", -math.inf)]
+    )
+    def test_rejects_a_negative_cap_and_a_negative_or_nan_tol(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            solve_approximate(free_instance(2, 2, 4), **{name: value})
+
     def test_report_serializes(self):
         inst = free_instance(2, 2, 4)
         _, report = solve_approximate(inst, max_iters=50)
@@ -448,6 +474,32 @@ class TestLineSearch:
         assert len(line_searches(monkeypatch, inst, 100, check)) == 100
         assert set(starved) <= {1.0}
         assert bool(starved) == (make is not relax_instance)
+
+    @pytest.mark.parametrize(
+        "make",
+        [relax_instance, poisson_instance, mixed_instance]
+        # N = 3, 2, 2 and 1
+        + [
+            pytest.param(partial(make_tiny_instance, seed), id=f"tiny{seed}")
+            for seed in (4, 9, 16, 27)
+        ],
+    )
+    def test_carried_sums_match_the_tables(self, monkeypatch, make):
+        inst = make()
+        path_form = baseline._along_path
+        calls = []
+
+        def record(instance, observed, node, edge, path, sums):
+            for name, terms in sum_terms(instance, node, edge).items():
+                carried = getattr(sums, name)
+                assert abs(carried - terms.sum()) <= 1e-12 * np.abs(terms).sum(), name
+            calls.append(path)
+            return path_form(instance, observed, node, edge, path, sums)
+
+        monkeypatch.setattr(baseline, "_along_path", record)
+        _, report = solve_approximate(inst, max_iters=300)
+        assert report.iterations == 300
+        assert len(calls) == 300
 
     def test_face_start_has_finite_slope(self):
         # x is a vertex: most entries are 0, and where x and the target agree

@@ -705,7 +705,7 @@ class TestBench:
         assert len(rows) == 1  # first repeat censored, rest skipped
         assert rows[0]["censored"] == "1"
 
-        # unbounded, this relaxation solve (N=5, R=100, M=100) runs for seconds;
+        # unbounded, this relaxation solve (N=5, R=200, M=100) runs for seconds;
         # the budget stops it and restores the timer and the signal handler
         handler = signal.getsignal(signal.SIGALRM)
         t0 = time.perf_counter()
@@ -713,7 +713,7 @@ class TestBench:
             [
                 "bench",
                 "--populations", "100",
-                "--n-states", "100",
+                "--n-states", "200",
                 "--n-steps", "5",
                 "--methods", "baseline",
                 "--repeats", "3",
