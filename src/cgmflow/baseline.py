@@ -12,13 +12,15 @@ directional derivative has a closed form, so each line search is a Newton
 search, safeguarded by bisection, for the root of that derivative rather
 than a search on objective values.  A step goes from x toward a vertex v,
 the whole population on one path, so off that path z = (1 - gamma) x and
-those cells enter the step's value and derivative through a few
-whole-table sums.  The sums are carried across steps: taken over the
-tables once, at the start, and after each move updated in O(N) from the
-path's cells, since the move scales every other cell by 1 - gamma.  The
-line search's setup and each evaluation then touch only the path's cells
-and the Poisson-observed nodes.  An iteration's work over all cells is the
-gradient, the shortest-path sweep, the duality gap and the in-place move.
+those cells enter the step's derivatives through a few whole-table sums.
+The same sums give the objective itself.  They are carried across steps:
+taken over the tables once, at the start, and for each step formed in
+O(N) from the path's cells, since the move scales every other cell by
+1 - gamma.  The line search's setup and each evaluation then touch only
+the path's cells and the Poisson-observed nodes, and the objective is
+read off the sums; the solver never sums it over the tables.  An
+iteration's work over all cells is the gradient, the shortest-path sweep,
+the duality gap and the in-place move.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
     POISSON,
     CgmInstance,
     FractionalTables,
-    _objective_value,
     _relaxed_objective,
     _xlogy,
     observation_cost,
@@ -74,14 +75,12 @@ class _Observations:
         self.poisson = bool(self.pois.any())
         self.pois_y = self.y[self.pois]
 
-    def derivatives(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and second derivatives of the observation terms at real-valued node counts."""
+    def derivative(self, node: np.ndarray) -> np.ndarray:
+        """First derivative of the observation terms at real-valued node counts."""
         first = np.where(self.gauss, (node - self.y) / self.var, 0.0)
-        second = self.gauss_second
         if self.poisson:
-            second = second.copy()
-            first[self.pois], second[self.pois] = self.poisson_derivatives(node[self.pois])
-        return first, second
+            first[self.pois] = 1.0 - self.pois_y / np.maximum(node[self.pois], EPS)
+        return first
 
     def poisson_derivatives(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives at the Poisson nodes' counts z, floored at EPS to stay finite at 0."""
@@ -133,39 +132,61 @@ def _share(x_edge: list, log_phi: list, x_node: list, y: list, w: list) -> tuple
 
 
 class _Sums:
-    """Whole-table sums that _along_path reads, carried from step to step.
+    """Whole-table sums at one iterate x, from which _along_path and objective() read.
 
     Over the edge cells: mass sum x, entropy sum x ln x and sum x ln phi;
     over the interior node cells: mass and entropy; over the Gaussian nodes:
-    sum x^2 / var and sum x y / var.  They are summed over the tables once,
-    at the start.  A step scales every cell off its path by c = 1 - gamma,
-    so carry() scales each sum's off-path part by c (c^2 for x^2 / var;
-    x ln x also gains c ln c times the off-path mass) and adds the path
-    cells' new terms: O(N) a step.
+    sum x^2 / var and sum x y / var; and the Poisson nodes' counts (pois).
+    of() sums them over the tables, once, at the start.  A step scales
+    every cell off its path by c = 1 - gamma, so moved() scales each sum's
+    off-path part by c (c^2 for x^2 / var; x ln x also gains c ln c times
+    the off-path mass) and adds the path cells' new terms: O(N) a step.
     """
 
     __slots__ = (
         "edge_mass", "edge_ent", "edge_phi", "inner_mass", "inner_ent", "square", "cross",
-        "_path", "_on_path",
+        "pois", "_path", "_on_path",
     )
 
-    def __init__(self, instance: CgmInstance, observed: _Observations, node, edge):
-        inner = node[1 : instance.n_steps - 1]
-        self.edge_mass = float(edge.sum())
-        self.edge_ent = float(_xlogy(edge, edge).sum())
-        self.edge_phi = float(np.vdot(edge, instance.log_potentials))
-        self.inner_mass = float(inner.sum())
-        self.inner_ent = float(_xlogy(inner, inner).sum())
-        self.square = float(np.vdot(node * node, observed.gauss_second))
-        self.cross = float(np.vdot(node * observed.y, observed.gauss_second))
+    def __init__(self, edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, square, cross, pois):
+        self.edge_mass, self.edge_ent, self.edge_phi = edge_mass, edge_ent, edge_phi
+        self.inner_mass, self.inner_ent = inner_mass, inner_ent
+        self.square, self.cross, self.pois = square, cross, pois
         self._path = None
+
+    @classmethod
+    def of(cls, instance: CgmInstance, observed: _Observations, node, edge) -> _Sums:
+        """The sums over the tables x = (node, edge)."""
+        inner = node[1 : instance.n_steps - 1]
+        return cls(
+            float(edge.sum()),
+            float(_xlogy(edge, edge).sum()),
+            float(np.vdot(edge, instance.log_potentials)),
+            float(inner.sum()),
+            float(_xlogy(inner, inner).sum()),
+            float(np.vdot(node * node, observed.gauss_second)),
+            float(np.vdot(node * observed.y, observed.gauss_second)),
+            node[observed.pois],
+        )
+
+    def objective(self, observed: _Observations) -> float:
+        """The relaxed objective f at x: +inf where a Poisson count is 0 under a positive observation.
+
+        (sum_E x ln x - sum_E x) - sum_E x ln phi - (sum_I x ln x - sum_I x)
+        plus the Gaussian terms (S - 2C + sum y^2 / var) / 2 and the Poisson terms.
+        """
+        total = (self.edge_ent - self.edge_mass) - self.edge_phi - (self.inner_ent - self.inner_mass)
+        total += 0.5 * (self.square - 2.0 * self.cross + observed.gauss_y_square)
+        if observed.poisson:
+            total += observed.poisson_cost(self.pois)
+        return total
 
     def on_path(self, instance, observed, node, edge, path: tuple) -> tuple:
         """The path's cells at x, as lists (x_edge, ln phi, x_node, y, 1 / var), and their _share.
 
-        The result for the last path is kept until carry() moves the
-        tables, so a step's line-search setup and its carry read the path's
-        cells once.
+        The result for the last path is kept, so a step's line-search setup
+        and moved() read the path's cells once; x never changes under a
+        _Sums, so it does not go stale.
         """
         if path is not self._path:
             at_node, at_edge = path
@@ -179,11 +200,9 @@ class _Sums:
             self._path, self._on_path = path, (cells, _share(*cells))
         return self._on_path
 
-    def carry(self, instance, observed, node, edge, path: tuple, gamma: float) -> None:
-        """Move x to (1 - gamma) x + gamma v in place (_move) and the sums with it."""
+    def moved(self, instance, observed, node, edge, path: tuple, gamma: float) -> _Sums:
+        """The sums at (1 - gamma) x + gamma v, the tables _move makes; x itself stays."""
         (x_edge, log_phi, x_node, y, w), before = self.on_path(instance, observed, node, edge, path)
-        _move(node, edge, path, gamma, instance.population)
-        self._path = None
         c, step = 1.0 - gamma, gamma * instance.population
         # the path cells' new values, formed as _move forms them
         moved_edge, moved_node = [x * c + step for x in x_edge], [x * c + step for x in x_node]
@@ -191,20 +210,34 @@ class _Sums:
         c_ln_c = c * math.log(c) if c > 0.0 else 0.0
         edge_off = self.edge_mass - before[0]
         inner_off = self.inner_mass - before[3]
-        self.edge_mass = c * edge_off + after[0]
-        self.edge_ent = c * (self.edge_ent - before[1]) + c_ln_c * edge_off + after[1]
-        self.edge_phi = c * (self.edge_phi - before[2]) + after[2]
-        self.inner_mass = c * inner_off + after[3]
-        self.inner_ent = c * (self.inner_ent - before[4]) + c_ln_c * inner_off + after[4]
-        self.square = c * c * (self.square - before[5]) + after[5]
-        self.cross = c * (self.cross - before[6]) + after[6]
+        pois = self.pois
+        if observed.poisson:
+            pois = pois * c
+            pois[_poisson_on_path(observed, path)] += step
+        return _Sums(
+            c * edge_off + after[0],
+            c * (self.edge_ent - before[1]) + c_ln_c * edge_off + after[1],
+            c * (self.edge_phi - before[2]) + after[2],
+            c * inner_off + after[3],
+            c * (self.inner_ent - before[4]) + c_ln_c * inner_off + after[4],
+            c * c * (self.square - before[5]) + after[5],
+            c * (self.cross - before[6]) + after[6],
+            pois,
+        )
+
+
+def _poisson_on_path(observed: _Observations, path: tuple) -> np.ndarray:
+    """Which Poisson nodes the path visits, as a mask over observed.pois_y."""
+    visited = np.zeros(observed.pois.shape, dtype=bool)
+    visited[path[0]] = True
+    return visited[observed.pois]
 
 
 def _gradient(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
     """Gradient (g_node, g_edge) of the relaxed objective at x, with its logs floored at EPS."""
     N = instance.n_steps
     g_edge = np.log(np.maximum(edge, EPS)) - instance.log_potentials
-    g_node = observed.derivatives(node)[0]
+    g_node = observed.derivative(node)
     g_node[1 : N - 1] -= np.log(np.maximum(node[1 : N - 1], EPS))
     return g_node, g_edge
 
@@ -226,27 +259,25 @@ def _along_path(
     path: tuple,
     sums: _Sums,
 ):
-    """phi and gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
+    """gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
 
     The step goes from x = (node, edge) toward the vertex v that puts the
     whole population M on the path's cells (_path_cells), so d = v - x.
     Off the path d = -x and z = (1 - gamma) x, so those cells enter through
     sums: X = sum x and L = sum x ln x over the edge cells (E) and the
     interior node cells (I), and P = sum x ln phi over E, each the carried
-    whole-table sum (sums, a _Sums at x) minus the path cells' terms.  Their
-    share of phi is (1 - gamma)(L_E - L_I - (X_E - X_I) + ln(1 - gamma)(X_E - X_I) - P),
-    which is 0 at gamma = 1.  The derivative of the relaxed objective f along d is
+    whole-table sum (sums, the _Sums at x) minus the path cells' terms.
+    The derivative of the relaxed objective f along d is
 
         sum_e d_e (ln z_e - ln phi_e) - sum_interior d_n ln z_n + sum_n d_n h'(z_n)
 
     and phi'' is sum_e d_e^2 / z_e - sum_interior d_n^2 / z_n + sum_n d_n^2 h''(z_n),
     where the off-path cells give -ln(1 - gamma)(X_E - X_I) - (L_E - L_I) + P
     and (X_E - X_I) / (1 - gamma).  A Gaussian h is quadratic, so the
-    Gaussian nodes add H + gamma a + gamma^2 b / 2 to phi and a + gamma b to
-    phi', with H = sum h(x), a = sum d h'(x) and b = sum d^2 h''(x), which
-    follow from the carried S = sum x^2 / var and C = sum x y / var and the
-    path's nodes.  Setup and each call then read only the 2N - 3 path cells
-    and the Poisson nodes.
+    Gaussian nodes add a + gamma b to phi', with a = sum d h'(x) and
+    b = sum d^2 h''(x), which follow from the carried S = sum x^2 / var and
+    C = sum x y / var and the path's nodes.  Setup and each call then read
+    only the 2N - 3 path cells and the Poisson nodes.
     Cells with d = 0 add nothing to phi' and phi'' even where z = 0; every
     other z is positive for 0 < gamma < 1.
     """
@@ -255,23 +286,18 @@ def _along_path(
     edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, _, _ = share
     off = (sums.edge_mass - edge_mass) - (sums.inner_mass - inner_mass)
     ent = (sums.edge_ent - edge_ent) - (sums.inner_ent - inner_ent)
-    off_phi = sums.edge_phi - edge_phi
-    shift = -off_phi
+    shift = edge_phi - sums.edge_phi
 
-    # path cells as (sign, x, d, ln phi); edges count +, interior nodes -
-    cells = []
+    # path cells with d != 0, as (sign * d, x, d); edges count +, interior nodes -
+    moving = []
     for x, log in zip(x_edge, log_phi):
         if x != M:
             shift += (M - x) * log
-        cells.append((1.0, x, M - x, log))
-    cells += [(-1.0, x, M - x, 0.0) for x in x_node[1 : N - 1]]
-    # those with d != 0, as (sign * d, x, d)
-    moving = [(sign * dx, x, dx) for sign, x, dx, _ in cells if dx != 0.0]
+            moving.append((M - x, x, M - x))
+    moving += [(x - M, x, M - x) for x in x_node[1 : N - 1] if x != M]
 
     # Gaussian nodes, with w = 1 / var and d = M - x on the path, -x off it:
-    # H = (S - 2C + sum y^2 w) / 2, a = C - S + M sum_path (x - y) w and
-    # b = S + M sum_path (M - 2x) w
-    gauss_cost = 0.5 * (sums.square - 2.0 * sums.cross + observed.gauss_y_square)
+    # a = C - S + M sum_path (x - y) w and b = S + M sum_path (M - 2x) w
     a = sums.cross - sums.square
     b = sums.square
     for x, obs, weight in zip(x_node, y, w):
@@ -279,24 +305,9 @@ def _along_path(
         b += M * (M - 2.0 * x) * weight
     poisson = observed.poisson
     if poisson:
-        vertex = np.zeros_like(node)
-        vertex[path[0]] = M
-        x_pois, v_pois = node[observed.pois], vertex[observed.pois]
-        d_pois = v_pois - x_pois
+        x_pois = sums.pois
+        d_pois = np.where(_poisson_on_path(observed, path), M, 0.0) - x_pois
         dd_pois = d_pois * d_pois
-
-    def value(gamma: float) -> float:
-        total = gauss_cost + gamma * a + 0.5 * gamma * gamma * b
-        if gamma < 1.0:
-            total += (1.0 - gamma) * (ent - off + math.log1p(-gamma) * off - off_phi)
-        for sign, x, dx, log in cells:
-            z = x + gamma * dx
-            if z > 0.0:
-                total += sign * (z * math.log(z) - z) - z * log
-        if poisson:
-            # z = (1 - gamma) x + gamma v as _move forms it: 0 off the path at gamma = 1
-            total += observed.poisson_cost((1.0 - gamma) * x_pois + gamma * v_pois)
-        return total
 
     def slope(gamma: float) -> tuple[float, float]:
         first = a + gamma * b - math.log1p(-gamma) * off - ent - shift
@@ -311,14 +322,14 @@ def _along_path(
             second += float(dd_pois @ p2)
         return first, second
 
-    return value, slope
+    return slope
 
 
-def minimize_scalar(along, slope, hi: float, x0: float) -> tuple[float, float, int]:
-    """Minimize a convex along over [0, hi] by the root of its derivative.
+def minimize_scalar(slope, hi: float, x0: float) -> tuple[float, int]:
+    """Minimize a convex function over [0, hi] by the root of its derivative.
 
-    Returns (gamma, along(gamma), derivative evaluations).  slope(gamma)
-    gives along's first and second derivatives; the first is negative at 0.
+    Returns (gamma, derivative evaluations).  slope(gamma) gives the
+    function's first and second derivatives; the first is negative at 0.
     Newton steps from x0 shrink the bracket [lo, hi] by the sign of each
     derivative; a step that leaves the bracket is replaced by its midpoint.
     hi itself is never evaluated, and the search stops once a step moves
@@ -343,7 +354,7 @@ def minimize_scalar(along, slope, hi: float, x0: float) -> tuple[float, float, i
         gamma = step
         if moved < XATOL:
             break
-    return gamma, along(gamma), evals
+    return gamma, evals
 
 
 @dataclass(slots=True)
@@ -439,8 +450,8 @@ def solve_approximate(
     observed = _Observations(instance)
     starved_t, starved_r = np.nonzero(observed.pois & (observed.y > 0))
 
-    current = _objective_value(instance, node, edge, _stirling)
-    sums = _Sums(instance, observed, node, edge)
+    sums = _Sums.of(instance, observed, node, edge)
+    current = sums.objective(observed)
 
     def certify(gap: float) -> bool:
         """Record the current iterate's objective and gap; True once the gap is within tol."""
@@ -457,18 +468,20 @@ def solve_approximate(
         if certify(gap):
             break
         path = _path_cells(states)
-        value, slope = _along_path(instance, observed, node, edge, path, sums)
+        slope = _along_path(instance, observed, node, edge, path, sums)
         # f is +inf at the vertex exactly where it zeroes a positive Poisson count
         off_path = starved_t.size and (states[starved_t] != starved_r).any()
         hi = 1.0 - 1e-9 if off_path else 1.0
-        gamma, stepped, evals = minimize_scalar(value, slope, hi, min(gamma, 0.5 * hi))
+        gamma, evals = minimize_scalar(slope, hi, min(gamma, 0.5 * hi))
         report.linesearch_evals += evals
-        if stepped > value(0.0):
+        after = sums.moved(instance, observed, node, edge, path, gamma)
+        stepped = after.objective(observed)
+        if stepped > current:
             # line search failed to improve; direction is exhausted at
             # floating-point scale, stop without claiming convergence
             break
-        sums.carry(instance, observed, node, edge, path, gamma)
-        current = stepped
+        _move(node, edge, path, gamma, M)
+        sums, current = after, stepped
     else:
         # the cap stopped the loop: the report describes the tables returned
         certify(_vertex(instance, observed, node, edge)[1])

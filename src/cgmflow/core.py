@@ -13,13 +13,14 @@ three families of separable terms:
 The observation term has one implementation, ``observation_cost``, which
 evaluates it elementwise from per-node (or per-arc) arrays of kind, y and
 variance; every objective, the flow network's arc costs and the oracle call
-it, and so do the relaxation baseline's objective and its line search's
-Poisson terms.  That line search takes the Gaussian terms, quadratic in the
-step size gamma, as H + gamma a + gamma^2 b / 2 from their value H and
-first and second derivatives a and b along the step.  The three families
-are summed in one place, ``_objective_value``, which takes the ln z! to
-use: ``objective`` passes the exact table, ``objective_fractional`` its
-linear interpolation and the relaxation baseline Stirling's approximation.
+it, and so do the relaxation baseline's objective and its solver's Poisson
+terms.  That solver takes the Gaussian terms, quadratic in the counts, from
+whole-table sums of x^2 / var and x y / var.  The three families are summed
+in one place, ``_objective_value``, which takes the ln z! to use:
+``objective`` passes the exact table, ``objective_fractional`` its linear
+interpolation and the relaxation baseline Stirling's approximation.  The
+baseline's solver reads that Stirling objective off the whole-table sums it
+carries from step to step instead.
 
 Constant shifts (log M!, the partition function, Gaussian normalization) are
 dropped throughout; they do not move the argmin and every solver in this

@@ -65,20 +65,10 @@ def alpha_value(strategy: AlphaStrategy, n: int) -> float:
     At n = 0 the admissible interval is [0, +inf); all strategies return 0,
     the unique finite endpoint, which preserves the upper-bound property.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    strategy = AlphaStrategy(strategy)
-    if n == 0:
-        return 0.0
-    if strategy is AlphaStrategy.L:
-        return -math.log(n)
-    if strategy is AlphaStrategy.M:
-        return -0.5 * (math.log(n) + math.log(n + 1))
-    return -math.log(n + 1)
+    return float(_alpha_values(AlphaStrategy(strategy), np.asarray(n)))
 
 
-# math.log(k) at k = 0, 1, 2, ... (0 at k = 0), grown on demand; np.log may
-# round differently from math.log, which alpha_value uses
+# math.log(k) at k = 0, 1, 2, ... (0 at k = 0), grown on demand
 _LOGS = np.zeros(1)
 
 
@@ -93,7 +83,7 @@ def _logs(n: int) -> np.ndarray:
 
 
 def _alpha_values(strategy: AlphaStrategy, n: np.ndarray) -> np.ndarray:
-    """alpha_value(strategy, k) for every k in the count array n, bit for bit."""
+    """Supergradient slope under the given strategy at every k in the count array n."""
     if (n < 0).any():
         raise ValueError("n must be nonnegative")
     logs = _logs(int(n.max(initial=0)) + 1)

@@ -857,24 +857,18 @@ class _ResidualState:
         )
         self.stats.searches += 1
         self.stats.dijkstra_pops += int(np.count_nonzero(np.isfinite(dist)))
-        if sinks.size == 1:
-            # one deficit: one path, if the search reached it
-            targets, reach = sinks, dist[sinks[0]]
-            if reach == INF:
-                return False
-        else:
-            targets = sinks[np.isfinite(dist[sinks])]
-            if not targets.size:
-                return False
-            if targets.size > 1:
-                # nearest deficit of each tree; lexsort is stable and sinks
-                # ascend, so equal distances keep the lowest node index first
-                targets = targets[np.lexsort((dist[targets], root[targets]))]
-                trees = root[targets]
-                first = np.ones(trees.size, dtype=bool)
-                np.not_equal(trees[1:], trees[:-1], out=first[1:])
-                targets = targets[first]
-            reach = dist[targets].max()
+        targets = sinks[np.isfinite(dist[sinks])]
+        if not targets.size:
+            return False
+        if targets.size > 1:
+            # nearest deficit of each tree; lexsort is stable and sinks
+            # ascend, so equal distances keep the lowest node index first
+            targets = targets[np.lexsort((dist[targets], root[targets]))]
+            trees = root[targets]
+            first = np.ones(trees.size, dtype=bool)
+            np.not_equal(trees[1:], trees[:-1], out=first[1:])
+            targets = targets[first]
+        reach = dist[targets].max()
         self.pi -= np.minimum(dist, reach)
 
         # each path's arcs, target back to root, one contiguous run per path

@@ -1,5 +1,6 @@
 """Continuous relaxation and its conditional-gradient solver."""
 
+import itertools
 import math
 from functools import partial
 
@@ -9,11 +10,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
 
-from cgmflow import baseline
+from cgmflow import baseline, core
 from cgmflow.baseline import (
     _Observations,
     _Sums,
     _along_path,
+    _cheapest_path,
     _move,
     _path_cells,
     _stirling,
@@ -22,6 +24,7 @@ from cgmflow.baseline import (
 )
 from cgmflow.core import (
     GAUSSIAN,
+    POISSON,
     CgmInstance,
     FractionalTables,
     Gaussian,
@@ -83,11 +86,21 @@ def vertex(inst, states):
     return node, edge
 
 
+def sums_value(inst, observed, sums, node, edge, path):
+    """gamma -> the objective read off sums (a _Sums at x = (node, edge)) moved by gamma along path."""
+    return lambda gamma: sums.moved(inst, observed, node, edge, path, gamma).objective(observed)
+
+
 def path_step(inst, node, edge, states):
-    """The solver's (value, slope) from x = (node, edge) toward the vertex on states."""
+    """The solver's (value, slope) from x = (node, edge) toward the vertex on states.
+
+    value is sums_value of fresh sums at x; slope is _along_path's.
+    """
     observed = _Observations(inst)
-    sums = _Sums(inst, observed, node, edge)
-    return _along_path(inst, observed, node, edge, _path_cells(np.asarray(states)), sums)
+    sums = _Sums.of(inst, observed, node, edge)
+    path = _path_cells(np.asarray(states))
+    slope = _along_path(inst, observed, node, edge, path, sums)
+    return sums_value(inst, observed, sums, node, edge, path), slope
 
 
 def full_along(inst, node, edge, path):
@@ -116,10 +129,13 @@ def generic_slope(inst, node, edge, states):
     """Reference slope along d = v - x, evaluated cell by cell.
 
     gamma -> (phi', phi'', sum of |terms| of phi', sum of |terms| of phi'').
-    Every cell with d != 0 takes its own ln z, and every node its own h'(z).
+    Every cell with d != 0 takes its own ln z, and every node its own h'(z)
+    and h''(z): 1 / var on a Gaussian node and y / z^2 on a Poisson node.
     """
     N = inst.n_steps
     observed = _Observations(inst)
+    kind, y, var = inst.observation_arrays
+    pois = kind == POISSON
     v_node, v_edge = vertex(inst, states)
     d_node, d_edge = v_node - node, v_edge - edge
     x = np.concatenate([edge.ravel(), node[1 : N - 1].ravel()])
@@ -132,7 +148,10 @@ def generic_slope(inst, node, edge, states):
 
     def slope(gamma):
         z = x + gamma * d
-        h1, h2 = observed.derivatives(node + gamma * d_node)
+        z_node = node + gamma * d_node
+        h1 = observed.derivative(z_node)
+        h2 = np.where(kind == GAUSSIAN, 1.0 / var, 0.0)
+        h2[pois] = y[pois] / (z_node[pois] * z_node[pois])
         first = np.concatenate([signed * np.log(z), shift, (d_node * h1).ravel()])
         second = np.concatenate([signed * d / z, (d_node * d_node * h2).ravel()])
         return first.sum(), second.sum(), np.abs(first).sum(), np.abs(second).sum()
@@ -160,18 +179,18 @@ def line_searches(monkeypatch, inst, max_iters, check):
     """Solve, calling check(along, hi, slope, result) after each line search.
 
     along is full_along at the iterate, the reference, independent of the
-    solver's path form; slope and result, the search's (gamma, phi(gamma),
-    evaluations), are the solver's.
+    solver's path form; slope and result, the search's (gamma, evaluations),
+    are the solver's.
     """
     setup, search = baseline._along_path, baseline.minimize_scalar
     alongs, results = [], []
 
-    def record(instance, observed, node, edge, path, terms):
+    def record(instance, observed, node, edge, path, sums):
         alongs.append(full_along(instance, node, edge, path))
-        return setup(instance, observed, node, edge, path, terms)
+        return setup(instance, observed, node, edge, path, sums)
 
-    def spy(along, slope, hi, x0):
-        res = search(along, slope, hi, x0)
+    def spy(slope, hi, x0):
+        res = search(slope, hi, x0)
         check(alongs[-1], hi, slope, res)
         results.append(res)
         return res
@@ -315,32 +334,41 @@ class TestSolveApproximate:
         assert report.objectives == [pytest.approx(2 * math.log(2) - 2, abs=1e-12)]
 
     def test_objective_is_not_evaluated_per_iteration(self, monkeypatch):
-        full = baseline._objective_value
+        # every objective the solver reports is read off its carried sums
         calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return full(*args)
-
-        monkeypatch.setattr(baseline, "_objective_value", spy)
-        _, report = solve_approximate(relax_instance(), max_iters=50)
-        assert report.iterations == 50
-        assert len(calls) <= 2
+        for module, name in ((core, "_objective_value"), (baseline, "_relaxed_objective")):
+            full = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, full=full: calls.append(args) or full(*args))
+        for make in (relax_instance, mixed_instance):
+            _, report = solve_approximate(make(), max_iters=50)
+            assert report.iterations == 50 and len(report.objectives) == 51
+        assert calls == []
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
     def test_iterates_do_not_depend_on_the_value(self, monkeypatch, make):
+        # the objective feeds the report and the no-improvement stop alone:
+        # with a constant in its place, which never stops, the solver visits
+        # the same tables bit for bit (tol = 0, so the gap alone certifies)
         inst = make()
-        tables, _ = solve_approximate(inst, max_iters=300)
         path_form = baseline._along_path
 
-        def full_value(instance, observed, node, edge, path, terms):
-            _, slope = path_form(instance, observed, node, edge, path, terms)
-            return full_along(instance, node, edge, path), slope
+        def iterates() -> list:
+            seen = []
 
-        monkeypatch.setattr(baseline, "_along_path", full_value)
-        again, _ = solve_approximate(inst, max_iters=300)
-        assert again.node.tobytes() == tables.node.tobytes()
-        assert again.edge.tobytes() == tables.edge.tobytes()
+            def record(instance, observed, node, edge, path, sums):
+                seen.append(node.tobytes() + edge.tobytes())
+                return path_form(instance, observed, node, edge, path, sums)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(baseline, "_along_path", record)
+                solve_approximate(inst, tol=0.0, max_iters=300)
+            return seen
+
+        tables = iterates()
+        monkeypatch.setattr(baseline._Sums, "objective", lambda self, observed: 0.0)
+        again = iterates()
+        assert len(tables) > 100 and len(again) >= len(tables)
+        assert again[: len(tables)] == tables
 
     @pytest.mark.parametrize(
         "name, value", [("max_iters", -1), ("tol", math.nan), ("tol", -1e-6), ("tol", -math.inf)]
@@ -405,12 +433,12 @@ class TestLineSearch:
 
     def test_poisson_vertex_keeps_search_inside(self, monkeypatch):
         def check(along, hi, slope, res):
-            gamma, value, _ = res
+            gamma, _ = res
             # the vertex has zero counts under positive Poisson observations
             assert math.isinf(along(1.0))
             assert hi == 1.0 - 1e-9
             assert 0.0 < gamma < hi
-            assert math.isfinite(value) and value < along(0.0)
+            assert math.isfinite(along(gamma)) and along(gamma) < along(0.0)
 
         assert len(line_searches(monkeypatch, poisson_instance(), 1, check)) == 1
 
@@ -449,19 +477,22 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
     def test_path_form_value_matches_objective(self, monkeypatch, make):
+        # the objective read off the carried sums, at the iterate and moved
+        # along the step, against approx_objective of the moved tables
         inst = make()
         steps, starved = [], []
         path_form = baseline._along_path
 
-        def record(instance, observed, node, edge, path, terms):
-            value, slope = path_form(instance, observed, node, edge, path, terms)
-            steps.append((node.copy(), edge.copy(), path, value))
-            return value, slope
+        def record(instance, observed, node, edge, path, sums):
+            x_node, x_edge = node.copy(), edge.copy()
+            value = sums_value(instance, observed, sums, x_node, x_edge, path)
+            steps.append((x_node, x_edge, path, value))
+            return path_form(instance, observed, node, edge, path, sums)
 
         def check(along, hi, slope, res):
             node, edge, path, value = steps[-1]
             # gamma = 1 is the vertex itself, past hi where it starves a Poisson count
-            for gamma in (0.0, 0.1 * hi, 0.5 * hi, 0.9 * hi, hi, 1.0):
+            for gamma in (0.0, 0.1 * hi, 0.5 * hi, res[0], 0.9 * hi, hi, 1.0):
                 z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, inst.population)
                 full = approx_objective(inst, FractionalTables(node=z_node, edge=z_edge))
                 if math.isinf(full):
@@ -493,6 +524,8 @@ class TestLineSearch:
             for name, terms in sum_terms(instance, node, edge).items():
                 carried = getattr(sums, name)
                 assert abs(carried - terms.sum()) <= 1e-12 * np.abs(terms).sum(), name
+            # the Poisson counts are carried as _move forms them, bit for bit
+            assert sums.pois.tobytes() == node[observed.pois].tobytes()
             calls.append(path)
             return path_form(instance, observed, node, edge, path, sums)
 
@@ -524,3 +557,36 @@ class TestLineSearch:
             assert first == pytest.approx(fd, rel=1e-6)
         _, still = path_step(inst, node, edge, [0, 1, 2, 3, 4])
         assert still(0.5) == (0.0, 0.0)
+
+
+class TestCheapestPath:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_every_path_enumerated(self, seed):
+        rng = np.random.default_rng(seed)
+        for N in (1, 2, 3, 4):
+            for R in (1, 2, 3, 4):
+                g_node = rng.normal(size=(N, R))
+                g_edge = rng.normal(size=(N - 1, R, R))
+                costs = {}
+                for states in itertools.product(range(R), repeat=N):
+                    total = g_node[0, states[0]]
+                    for t in range(N - 1):
+                        total += g_edge[t, states[t], states[t + 1]] + g_node[t + 1, states[t + 1]]
+                    costs[states] = total
+                best = min(costs, key=costs.get)
+                states, cost = _cheapest_path(g_node, g_edge)
+                assert tuple(states.tolist()) == best
+                assert cost == pytest.approx(costs[best], abs=1e-12)
+
+    def test_breaks_exact_ties_by_lowest_end_then_lowest_predecessor(self):
+        # only [0, 1, 2], [2, 0, 1] and [1, 2, 1] cost 0: the lowest end state
+        # (1) leaves the last two, and the lowest predecessor of that end (0)
+        # picks [2, 0, 1], though [0, 1, 2] comes first in lexical order
+        paths = ([0, 1, 2], [2, 0, 1], [1, 2, 1])
+        g_node = np.full((3, 3), 5.0)
+        g_edge = np.full((2, 3, 3), 5.0)
+        for path in paths:
+            g_node[np.arange(3), path] = 0.0
+            g_edge[np.arange(2), path[:-1], path[1:]] = 0.0
+        states, cost = _cheapest_path(g_node, g_edge)
+        assert states.tolist() == [2, 0, 1] and cost == 0.0

@@ -65,7 +65,12 @@ class TestAlphaValue:
         # 2-D, like the interior cells of a linearization table; np.log in
         # place of math.log would differ first at n = 9170
         got = cgmflow.dca._alpha_values(strategy, np.arange(20000).reshape(4, 5000)).ravel()
-        want = np.array([alpha_value(strategy, k) for k in range(20000)])
+        scalar = {
+            AlphaStrategy.L: lambda k: -math.log(k),
+            AlphaStrategy.M: lambda k: -0.5 * (math.log(k) + math.log(k + 1)),
+            AlphaStrategy.R: lambda k: -math.log(k + 1),
+        }[strategy]
+        want = np.array([0.0] + [scalar(k) for k in range(1, 20000)])
         assert (got == want).all()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signs of zero too
         with pytest.raises(ValueError, match="nonnegative"):
