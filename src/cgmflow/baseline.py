@@ -1,32 +1,43 @@
 """Approximate solver: Stirling's approximation plus continuous relaxation.
 
 Replacing every log z! by z log z - z makes the objective convex over the
-relaxed (real-valued) marginal polytope.  The polytope's vertices are
-all-population single-path loadings of the layered network, so conditional
-gradient steps need only a shortest-path sweep per iteration.  The output is
-fractional; its quality gap versus the exact solver comes from Stirling's
-error at small counts, which is also why its tables come out dense.
+relaxed (real-valued) marginal polytope.  Its minimizer is fractional, and
+dense where counts are small, which is where Stirling's error is largest.
 
-The relaxed objective is convex along every step direction d, and its
-directional derivative has a closed form, so each line search is a Newton
-search, safeguarded by bisection, for the root of that derivative rather
-than a search on objective values.  A step goes from x toward a vertex v,
-the whole population on one path, so off that path z = (1 - gamma) x and
-those cells enter the step's derivatives through a few whole-table sums.
-The same sums give the objective itself.  They are carried across steps:
-taken over the tables once, at the start, and for each step formed in
-O(N) from the path's cells, since the move scales every other cell by
-1 - gamma.  The line search's setup and each evaluation then touch only
-the path's cells and the Poisson-observed nodes, and the objective is
-read off the sums; the solver never sums it over the tables.  An
-iteration's work over all cells is the gradient, the shortest-path sweep,
-the duality gap and the in-place move.
+On a chain the relaxation is solved through its dual.  With x = M mu for
+marginals mu, the Stirling terms of the edges less those of the interior
+nodes are M ln M - M less M times the chain's entropy H(mu), which on a
+chain is exactly its Bethe form.  So the relaxed objective is
+
+    f = M ln M - M - M (H(mu) + sum_e mu_e ln phi_e) + sum_n h_n(x_n).
+
+Writing each observation term through its convex conjugate,
+h_n(x) = max_lam (lam x - h*_n(lam)), and minimizing over mu first leaves
+a smooth concave dual in one multiplier per node,
+
+    D(lam) = -M ln Z(lam) + M ln M - M - sum_n h*_n(lam_n),
+
+where Z(lam) is the chain's partition function with node factors
+exp(-lam_n).  One log-space forward-backward pass gives ln Z(lam) and the
+marginals mu(lam); the gradient is M mu_n - h*_n'(lam_n).  Per node kind:
+
+    Gaussian        h* = y lam + var lam^2 / 2
+    Poisson, y > 0  h* = -y + y ln y - ln y! - y ln(1 - lam), for lam < 1
+    Poisson, y = 0  lam = 1, fixed: h* is 0 up to 1, where D is still rising
+    missing         lam = 0, fixed: h* is finite there alone
+
+Every x(lam) = M mu(lam) is strictly positive and feasible, so by weak
+duality f(x(lam)) - D(lam) >= 0 bounds its distance to the optimum: that
+is the solver's duality gap.  The solver ascends D by L-BFGS with
+backtracking.  An instance with one step has no edges and no entropy term;
+it is solved by bisection on the simplex multiplier (_single_step).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,210 +47,24 @@ from .core import (
     POISSON,
     CgmInstance,
     FractionalTables,
+    _objective_value,
     _relaxed_objective,
     _xlogy,
+    log_factorial_array,
     observation_cost,
 )
 
 __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
 
 INF = math.inf
-EPS = 1e-6  # entry floor inside gradient logs; keeps the search direction finite
-XATOL = 1e-11  # line-search step size at which gamma counts as found
-MAX_SLOPE_EVALS = 100  # bisection alone reaches XATOL from [0, 1] in 37
-MAX_ITERS = 1000  # conditional-gradient steps before solve_approximate stops
+MAX_ITERS = 1000  # quasi-Newton steps before solve_approximate stops
+MEMORY = 10  # curvature pairs the L-BFGS direction keeps
+ARMIJO = 1e-4  # share of the predicted rise in D a step must reach
+MAX_TRIALS = 60  # line-search evaluations, step 1 halved down to 2^-59
 
 
 def _stirling(z: np.ndarray) -> np.ndarray:
     return _xlogy(z, z) - z
-
-
-class _Observations:
-    """An instance's observation arrays and the constants derived from them, set once per solve.
-
-    Poisson terms are core.observation_cost's; Gaussian terms are the
-    quadratic (x - y)^2 / (2 var).  The Poisson-observed nodes (pois) are
-    kept apart, because their terms are not quadratic in the counts.
-    """
-
-    __slots__ = ("y", "var", "gauss", "gauss_second", "gauss_y_square", "pois", "poisson", "pois_y")
-
-    def __init__(self, instance: CgmInstance):
-        kind, self.y, self.var = instance.observation_arrays
-        self.gauss = kind == GAUSSIAN
-        # a Gaussian term's second derivative is the constant 1 / var
-        self.gauss_second = np.where(self.gauss, 1.0 / self.var, 0.0)
-        self.gauss_second.flags.writeable = False
-        self.gauss_y_square = float(np.vdot(self.y * self.y, self.gauss_second))
-        self.pois = kind == POISSON
-        self.poisson = bool(self.pois.any())
-        self.pois_y = self.y[self.pois]
-
-    def derivative(self, node: np.ndarray) -> np.ndarray:
-        """First derivative of the observation terms at real-valued node counts."""
-        first = np.where(self.gauss, (node - self.y) / self.var, 0.0)
-        if self.poisson:
-            first[self.pois] = 1.0 - self.pois_y / np.maximum(node[self.pois], EPS)
-        return first
-
-    def poisson_derivatives(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives at the Poisson nodes' counts z, floored at EPS to stay finite at 0."""
-        z = np.maximum(z, EPS)
-        return 1.0 - self.pois_y / z, self.pois_y / (z * z)
-
-    def poisson_cost(self, z: np.ndarray) -> float:
-        """Sum of the Poisson terms at the Poisson nodes' counts z: +inf where z = 0 < y."""
-        return float(observation_cost(POISSON, self.pois_y, 1.0, z).sum())
-
-
-def _path_cells(states: np.ndarray) -> tuple[tuple, tuple]:
-    """Index tuples of the node cells and the edge cells a path of states visits."""
-    steps = np.arange(len(states))
-    return (steps, states), (steps[:-1], states[:-1], states[1:])
-
-
-def _move(node: np.ndarray, edge: np.ndarray, path: tuple, gamma: float, mass: float):
-    """Replace x by (1 - gamma) x + gamma v in place, v being mass on the path's cells."""
-    at_node, at_edge = path
-    node *= 1.0 - gamma
-    node[at_node] += gamma * mass
-    edge *= 1.0 - gamma
-    edge[at_edge] += gamma * mass
-    return node, edge
-
-
-def _share(x_edge: list, log_phi: list, x_node: list, y: list, w: list) -> tuple:
-    """The path cells' terms of each of _Sums' sums, in its slot order.
-
-    x_edge and log_phi are the path's edge cells, x_node its node cells
-    (interior: all but the first and last), y and w = 1 / var (0 off the
-    Gaussian nodes) the observations at them.
-    """
-    edge_mass = edge_ent = edge_phi = inner_mass = inner_ent = square = cross = 0.0
-    for x, log in zip(x_edge, log_phi):
-        edge_mass += x
-        if x > 0.0:
-            edge_ent += x * math.log(x)
-        edge_phi += x * log
-    for x in x_node[1:-1]:
-        inner_mass += x
-        if x > 0.0:
-            inner_ent += x * math.log(x)
-    for x, obs, weight in zip(x_node, y, w):
-        square += x * x * weight
-        cross += x * obs * weight
-    return edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, square, cross
-
-
-class _Sums:
-    """Whole-table sums at one iterate x, from which _along_path and objective() read.
-
-    Over the edge cells: mass sum x, entropy sum x ln x and sum x ln phi;
-    over the interior node cells: mass and entropy; over the Gaussian nodes:
-    sum x^2 / var and sum x y / var; and the Poisson nodes' counts (pois).
-    of() sums them over the tables, once, at the start.  A step scales
-    every cell off its path by c = 1 - gamma, so moved() scales each sum's
-    off-path part by c (c^2 for x^2 / var; x ln x also gains c ln c times
-    the off-path mass) and adds the path cells' new terms: O(N) a step.
-    """
-
-    __slots__ = (
-        "edge_mass", "edge_ent", "edge_phi", "inner_mass", "inner_ent", "square", "cross",
-        "pois", "_path", "_on_path",
-    )
-
-    def __init__(self, edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, square, cross, pois):
-        self.edge_mass, self.edge_ent, self.edge_phi = edge_mass, edge_ent, edge_phi
-        self.inner_mass, self.inner_ent = inner_mass, inner_ent
-        self.square, self.cross, self.pois = square, cross, pois
-        self._path = None
-
-    @classmethod
-    def of(cls, instance: CgmInstance, observed: _Observations, node, edge) -> _Sums:
-        """The sums over the tables x = (node, edge)."""
-        inner = node[1 : instance.n_steps - 1]
-        return cls(
-            float(edge.sum()),
-            float(_xlogy(edge, edge).sum()),
-            float(np.vdot(edge, instance.log_potentials)),
-            float(inner.sum()),
-            float(_xlogy(inner, inner).sum()),
-            float(np.vdot(node * node, observed.gauss_second)),
-            float(np.vdot(node * observed.y, observed.gauss_second)),
-            node[observed.pois],
-        )
-
-    def objective(self, observed: _Observations) -> float:
-        """The relaxed objective f at x: +inf where a Poisson count is 0 under a positive observation.
-
-        (sum_E x ln x - sum_E x) - sum_E x ln phi - (sum_I x ln x - sum_I x)
-        plus the Gaussian terms (S - 2C + sum y^2 / var) / 2 and the Poisson terms.
-        """
-        total = (self.edge_ent - self.edge_mass) - self.edge_phi - (self.inner_ent - self.inner_mass)
-        total += 0.5 * (self.square - 2.0 * self.cross + observed.gauss_y_square)
-        if observed.poisson:
-            total += observed.poisson_cost(self.pois)
-        return total
-
-    def on_path(self, instance, observed, node, edge, path: tuple) -> tuple:
-        """The path's cells at x, as lists (x_edge, ln phi, x_node, y, 1 / var), and their _share.
-
-        The result for the last path is kept, so a step's line-search setup
-        and moved() read the path's cells once; x never changes under a
-        _Sums, so it does not go stale.
-        """
-        if path is not self._path:
-            at_node, at_edge = path
-            cells = (
-                edge[at_edge].tolist(),
-                instance.log_potentials[at_edge].tolist(),
-                node[at_node].tolist(),
-                observed.y[at_node].tolist(),
-                observed.gauss_second[at_node].tolist(),
-            )
-            self._path, self._on_path = path, (cells, _share(*cells))
-        return self._on_path
-
-    def moved(self, instance, observed, node, edge, path: tuple, gamma: float) -> _Sums:
-        """The sums at (1 - gamma) x + gamma v, the tables _move makes; x itself stays."""
-        (x_edge, log_phi, x_node, y, w), before = self.on_path(instance, observed, node, edge, path)
-        c, step = 1.0 - gamma, gamma * instance.population
-        # the path cells' new values, formed as _move forms them
-        moved_edge, moved_node = [x * c + step for x in x_edge], [x * c + step for x in x_node]
-        after = _share(moved_edge, log_phi, moved_node, y, w)
-        c_ln_c = c * math.log(c) if c > 0.0 else 0.0
-        edge_off = self.edge_mass - before[0]
-        inner_off = self.inner_mass - before[3]
-        pois = self.pois
-        if observed.poisson:
-            pois = pois * c
-            pois[_poisson_on_path(observed, path)] += step
-        return _Sums(
-            c * edge_off + after[0],
-            c * (self.edge_ent - before[1]) + c_ln_c * edge_off + after[1],
-            c * (self.edge_phi - before[2]) + after[2],
-            c * inner_off + after[3],
-            c * (self.inner_ent - before[4]) + c_ln_c * inner_off + after[4],
-            c * c * (self.square - before[5]) + after[5],
-            c * (self.cross - before[6]) + after[6],
-            pois,
-        )
-
-
-def _poisson_on_path(observed: _Observations, path: tuple) -> np.ndarray:
-    """Which Poisson nodes the path visits, as a mask over observed.pois_y."""
-    visited = np.zeros(observed.pois.shape, dtype=bool)
-    visited[path[0]] = True
-    return visited[observed.pois]
-
-
-def _gradient(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
-    """Gradient (g_node, g_edge) of the relaxed objective at x, with its logs floored at EPS."""
-    N = instance.n_steps
-    g_edge = np.log(np.maximum(edge, EPS)) - instance.log_potentials
-    g_node = observed.derivative(node)
-    g_node[1 : N - 1] -= np.log(np.maximum(node[1 : N - 1], EPS))
-    return g_node, g_edge
 
 
 def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
@@ -251,117 +76,200 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     return _relaxed_objective(instance, tables, _stirling)
 
 
-def _along_path(
-    instance: CgmInstance,
-    observed: _Observations,
-    node: np.ndarray,
-    edge: np.ndarray,
-    path: tuple,
-    sums: _Sums,
-):
-    """gamma -> (phi'(gamma), phi''(gamma)) for phi(gamma) = f(x + gamma d).
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    top = x.max(axis=axis)
+    return top + np.log(np.exp(x - np.expand_dims(top, axis)).sum(axis=axis))
 
-    The step goes from x = (node, edge) toward the vertex v that puts the
-    whole population M on the path's cells (_path_cells), so d = v - x.
-    Off the path d = -x and z = (1 - gamma) x, so those cells enter through
-    sums: X = sum x and L = sum x ln x over the edge cells (E) and the
-    interior node cells (I), and P = sum x ln phi over E, each the carried
-    whole-table sum (sums, the _Sums at x) minus the path cells' terms.
-    The derivative of the relaxed objective f along d is
 
-        sum_e d_e (ln z_e - ln phi_e) - sum_interior d_n ln z_n + sum_n d_n h'(z_n)
+def _chain(log_phi: np.ndarray, lam: np.ndarray, M: float):
+    """(ln Z, node, edge): the chain with node factors exp(-lam) and its tables M * marginals.
 
-    and phi'' is sum_e d_e^2 / z_e - sum_interior d_n^2 / z_n + sum_n d_n^2 h''(z_n),
-    where the off-path cells give -ln(1 - gamma)(X_E - X_I) - (L_E - L_I) + P
-    and (X_E - X_I) / (1 - gamma).  A Gaussian h is quadratic, so the
-    Gaussian nodes add a + gamma b to phi', with a = sum d h'(x) and
-    b = sum d^2 h''(x), which follow from the carried S = sum x^2 / var and
-    C = sum x y / var and the path's nodes.  Setup and each call then read
-    only the 2N - 3 path cells and the Poisson nodes.
-    Cells with d = 0 add nothing to phi' and phi'' even where z = 0; every
-    other z is positive for 0 < gamma < 1.
+    The node tables are the edge tables' row sums, and the last step's
+    their column sums, so the marginal equalities hold to rounding.
     """
-    N, M = instance.n_steps, float(instance.population)
-    (x_edge, log_phi, x_node, y, w), share = sums.on_path(instance, observed, node, edge, path)
-    edge_mass, edge_ent, edge_phi, inner_mass, inner_ent, _, _ = share
-    off = (sums.edge_mass - edge_mass) - (sums.inner_mass - inner_mass)
-    ent = (sums.edge_ent - edge_ent) - (sums.inner_ent - inner_ent)
-    shift = edge_phi - sums.edge_phi
-
-    # path cells with d != 0, as (sign * d, x, d); edges count +, interior nodes -
-    moving = []
-    for x, log in zip(x_edge, log_phi):
-        if x != M:
-            shift += (M - x) * log
-            moving.append((M - x, x, M - x))
-    moving += [(x - M, x, M - x) for x in x_node[1 : N - 1] if x != M]
-
-    # Gaussian nodes, with w = 1 / var and d = M - x on the path, -x off it:
-    # a = C - S + M sum_path (x - y) w and b = S + M sum_path (M - 2x) w
-    a = sums.cross - sums.square
-    b = sums.square
-    for x, obs, weight in zip(x_node, y, w):
-        a += M * (x - obs) * weight
-        b += M * (M - 2.0 * x) * weight
-    poisson = observed.poisson
-    if poisson:
-        x_pois = sums.pois
-        d_pois = np.where(_poisson_on_path(observed, path), M, 0.0) - x_pois
-        dd_pois = d_pois * d_pois
-
-    def slope(gamma: float) -> tuple[float, float]:
-        first = a + gamma * b - math.log1p(-gamma) * off - ent - shift
-        second = b + off / (1.0 - gamma)
-        for sd, x, dx in moving:
-            z = x + gamma * dx
-            first += sd * math.log(z)
-            second += sd * dx / z
-        if poisson:
-            p1, p2 = observed.poisson_derivatives(x_pois + gamma * d_pois)
-            first += float(d_pois @ p1)
-            second += float(dd_pois @ p2)
-        return first, second
-
-    return slope
+    fwd = np.empty_like(lam)
+    bwd = np.empty_like(lam)
+    fwd[0] = -lam[0]
+    for t in range(len(log_phi)):
+        fwd[t + 1] = _log_sum_exp(fwd[t][:, None] + log_phi[t], axis=0) - lam[t + 1]
+    bwd[-1] = 0.0
+    for t in reversed(range(len(log_phi))):
+        bwd[t] = _log_sum_exp(log_phi[t] + (bwd[t + 1] - lam[t + 1]), axis=1)
+    log_z = float(_log_sum_exp(fwd[-1], axis=0))
+    edge = np.exp(fwd[:-1, :, None] + log_phi + (bwd[1:] - lam[1:] - log_z)[:, None, :])
+    edge *= M
+    node = np.empty_like(lam)
+    node[:-1] = edge.sum(axis=2)
+    node[-1] = edge[-1].sum(axis=0)
+    return log_z, node, edge
 
 
-def minimize_scalar(slope, hi: float, x0: float) -> tuple[float, int]:
-    """Minimize a convex function over [0, hi] by the root of its derivative.
+class _Observations:
+    """The free multipliers of an instance's dual and the conjugates h* of their terms.
 
-    Returns (gamma, derivative evaluations).  slope(gamma) gives the
-    function's first and second derivatives; the first is negative at 0.
-    Newton steps from x0 shrink the bracket [lo, hi] by the sign of each
-    derivative; a step that leaves the bracket is replaced by its midpoint.
-    hi itself is never evaluated, and the search stops once a step moves
-    less than XATOL.
+    free lists the Gaussian nodes' flat indices, then the positive Poisson
+    nodes'; fixed holds every node's multiplier off them (1 at a Poisson
+    y = 0, 0 at a missing node).
+    """
+
+    __slots__ = ("free", "fixed", "n_gauss", "y", "var", "constant")
+
+    def __init__(self, instance: CgmInstance):
+        shape = (instance.n_steps, instance.n_states)
+        kind, y, var = (a.ravel() for a in instance.observation_arrays)
+        poisson = kind == POISSON
+        gauss = np.flatnonzero(kind == GAUSSIAN)
+        pois = np.flatnonzero(poisson & (y > 0))
+        self.free = np.concatenate([gauss, pois])
+        self.fixed = np.where(poisson & (y == 0), 1.0, 0.0).reshape(shape)
+        self.n_gauss = gauss.size
+        self.y, self.var = y[self.free], var[gauss]
+        pois_y = y[pois]
+        self.constant = float(
+            (_xlogy(pois_y, pois_y) - pois_y - log_factorial_array(pois_y.astype(np.int64))).sum()
+        )
+
+    def conjugate(self, lam: np.ndarray):
+        """(sum of h*, h*', h*'') at the free multipliers lam, or None where a Poisson lam >= 1."""
+        g = self.n_gauss
+        rest = 1.0 - lam[g:]
+        if not (rest > 0.0).all():
+            return None
+        y_g, y_p, lam_g = self.y[:g], self.y[g:], lam[:g]
+        value = float(y_g @ lam_g) + 0.5 * float(self.var @ (lam_g * lam_g))
+        value += self.constant - float(y_p @ np.log(rest))
+        first = np.concatenate([y_g + self.var * lam_g, y_p / rest])
+        second = np.concatenate([self.var, y_p / (rest * rest)])
+        return value, first, second
+
+
+@dataclass(slots=True)
+class _Point:
+    """One evaluation of the dual at the free multipliers lam, with the tables x(lam).
+
+    curvature is a diagonal estimate of -D's Hessian: h*'' plus the
+    diagonal of M times the node indicators' covariance.
+    """
+
+    lam: np.ndarray
+    dual: float
+    grad: np.ndarray
+    curvature: np.ndarray
+    node: np.ndarray
+    edge: np.ndarray
+
+
+def _evaluate(instance: CgmInstance, observed: _Observations, lam: np.ndarray):
+    """The _Point at the free multipliers lam, or None outside D's domain."""
+    conjugate = observed.conjugate(lam)
+    if conjugate is None:
+        return None
+    value, first, second = conjugate
+    M = float(instance.population)
+    full = observed.fixed.copy()
+    full.flat[observed.free] = lam
+    log_z, node, edge = _chain(instance.log_potentials, full, M)
+    x = node.flat[observed.free]
+    dual = M * (math.log(M) - 1.0 - log_z) - value
+    return _Point(lam, dual, x - first, second + x * (1.0 - x / M), node, edge)
+
+
+def _direction(point: _Point, pairs) -> np.ndarray:
+    """The L-BFGS ascent direction: the two-loop recursion over pairs from 1 / curvature."""
+    q = point.grad.copy()
+    scales = []
+    for s, y, rho in reversed(pairs):
+        scales.append(rho * float(s @ q))
+        q -= scales[-1] * y
+    q /= point.curvature
+    for (s, y, rho), a in zip(pairs, reversed(scales)):
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+def minimize_scalar(trial, dual: float, rise: float):
+    """Backtracking line search on phi(t) = -D at step t: (the point reached, evaluations).
+
+    trial(t) gives the _Point a step of length t reaches, None outside
+    D's domain; dual is D at t = 0 and rise its slope there, positive.
+    Steps t = 1, 1/2, 1/4, ... are tried until D rises by at least
+    ARMIJO t rise, and strictly; after MAX_TRIALS the point is None.
 
     The name stays fixed: perfbench wraps it as its baseline.linesearch span.
     """
-    lo = 0.0
-    gamma = x0
-    for evals in range(1, MAX_SLOPE_EVALS + 1):
-        first, second = slope(gamma)
-        if first == 0.0:
-            break
-        if first > 0.0:
-            hi = gamma
-        else:
-            lo = gamma
-        step = gamma - first / second if second > 0.0 else math.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        moved = abs(step - gamma)
-        gamma = step
-        if moved < XATOL:
-            break
-    return gamma, evals
+    t = 1.0
+    for evals in range(1, MAX_TRIALS + 1):
+        point = trial(t)
+        if point is not None and point.dual > dual and point.dual >= dual + ARMIJO * t * rise:
+            return point, evals
+        t *= 0.5
+    return None, MAX_TRIALS
+
+
+def _single_step(instance: CgmInstance):
+    """(node, D): the relaxed optimum of an instance with one step, and a dual bound on it.
+
+    With no edges f = sum_n h_n(x_n) on {x >= 0, sum x = M}.  At the
+    simplex multiplier nu each node takes the x that minimizes
+    h_n(x) - nu x: max(0, y + var nu) at a Gaussian node and y / (1 - nu)
+    at a Poisson node with y > 0, both rising in nu.  The flat kinds take
+    no mass below their break value and any mass at it: a missing node
+    (h = 0) at nu = 0 and a Poisson y = 0 node (h = x) at nu = 1.  So nu
+    stops at the lowest break value present if the rising nodes take less
+    than M there, and the flat nodes of that kind share the leftover
+    equally; otherwise bisection finds the nu where the rising nodes take
+    M, and their counts are scaled to sum to M exactly.
+    D(nu) = nu M + sum_n min_x (h_n(x) - nu x).
+    """
+    kind, y, var = (a[0] for a in instance.observation_arrays)
+    M = float(instance.population)
+    gauss = kind == GAUSSIAN
+    pois = (kind == POISSON) & (y > 0)
+    missing, empty = kind == 0, (kind == POISSON) & (y == 0)
+    flat = missing if missing.any() else empty
+    cap = 0.0 if missing.any() else 1.0 if empty.any() else INF
+
+    def taken(nu: float) -> np.ndarray:
+        x = np.zeros(y.shape)
+        x[gauss] = np.maximum(0.0, y[gauss] + var[gauss] * nu)
+        x[pois] = y[pois] / (1.0 - nu)
+        return x
+
+    # taken(cap) is finite unless a positive Poisson node meets cap = 1
+    finite_at_cap = cap == 0.0 or (cap == 1.0 and not pois.any())
+    if finite_at_cap and taken(cap).sum() <= M:
+        nu = cap
+        rising = taken(nu)
+        node = rising.copy()
+        node[flat] += (M - rising.sum()) / np.count_nonzero(flat)
+    else:
+        hi = min(cap, 1.0) if pois.any() else cap
+        if hi == INF:
+            hi = 1.0
+            while taken(hi).sum() < M:
+                hi *= 2.0
+        lo = -1.0
+        while taken(lo).sum() > M:
+            lo *= 2.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if taken(mid).sum() > M:
+                hi = mid
+            else:
+                lo = mid
+        nu = lo
+        rising = taken(nu)
+        node = rising * (M / rising.sum())
+    # the flat kinds add 0 to D at nu <= cap
+    return node, nu * M + float((observation_cost(kind, y, var, rising) - nu * rising).sum())
 
 
 @dataclass(slots=True)
 class ApproxReport:
-    """Conditional-gradient run record; objectives are Stirling values.
+    """Dual-ascent run record; objectives are Stirling values, one per iterate.
 
-    objectives[-1], gap and gap_rel describe the returned tables.
+    objectives[-1], gap and gap_rel describe the returned tables: gap is
+    their objective less the dual value that bounds the optimum from below.
     """
 
     objectives: list = field(default_factory=list)
@@ -387,53 +295,21 @@ class ApproxReport:
         }
 
 
-def _cheapest_path(g_node: np.ndarray, g_edge: np.ndarray) -> tuple[np.ndarray, float]:
-    """States of the minimum-total-gradient source-to-sink path, one per step, and that total."""
-    columns = np.arange(g_node.shape[1])
-    dist = g_node[0]
-    back = []
-    for t in range(len(g_node) - 1):
-        through = dist[:, None] + g_edge[t]
-        best = through.argmin(axis=0)
-        back.append(best)
-        dist = through[best, columns] + g_node[t + 1]
-    state = int(dist.argmin())
-    cost = float(dist[state])
-    states = [state]
-    for best in reversed(back):
-        state = int(best[state])
-        states.append(state)
-    return np.array(states[::-1]), cost
-
-
-def _vertex(instance: CgmInstance, observed: _Observations, node: np.ndarray, edge: np.ndarray):
-    """The linear minimization at x: the vertex's path of states and the duality gap."""
-    g_node, g_edge = _gradient(instance, observed, node, edge)
-    states, cost = _cheapest_path(g_node, g_edge)
-    # -gradient . (v - x), with v = M on the path's cells
-    gap = float(np.vdot(g_node, node)) + float(np.vdot(g_edge, edge)) - instance.population * cost
-    return states, gap
-
-
 def solve_approximate(
     instance: CgmInstance, tol: float = 1e-6, max_iters: int = MAX_ITERS
 ) -> tuple[FractionalTables, ApproxReport]:
-    """Minimize the Stirling-relaxed objective by conditional gradient.
+    """Minimize the Stirling-relaxed objective through its chain dual.
 
-    Starts at the uniform feasible point, moves toward the vertex returned
-    by a shortest-path linear minimization each step, and stops once the
-    relative duality gap drops below tol; hitting max_iters first leaves
-    report.converged False unless the returned tables' gap is within tol.
-    Iterates stay feasible by construction (convex combinations of feasible
-    points), so marginal residuals remain at floating-point scale.
-
-    The step size gamma solves phi'(gamma) = 0 for phi(gamma) = f(x + gamma d)
-    on the bracket [0, hi]: hi is 1, or 1 - 1e-9 when f is not finite at the
-    vertex (a positive Poisson observation off its path, so with count 0).
-    phi'(0) is minus the duality gap, so negative.  Newton steps start from the previous step size, capped at
-    hi / 2, and fall back to bisection when they leave the bracket; hi itself
-    is never evaluated, and the search stops once a step moves less than XATOL.
-    report.linesearch_evals counts the derivative evaluations.
+    L-BFGS (MEMORY pairs, scaled by the diagonal curvature estimate) ascends
+    D from lam = 0.  Each iteration certifies the tables x(lam): it records
+    f(x(lam)) and the gap f(x(lam)) - D(lam), and stops once gap_rel is
+    within tol.  Otherwise the backtracking line search (minimize_scalar)
+    takes a step that raises D, keeping every Poisson lam below 1;
+    report.linesearch_evals counts its dual evaluations.  A line search
+    that cannot raise D stops the solve, and so does max_iters; either
+    leaves report.converged False unless the returned tables' gap is
+    within tol.  An instance with one step is solved by _single_step, with
+    no iterations.
 
     Raises ValueError for a negative max_iters and for a tol that is
     negative or NaN.
@@ -443,48 +319,50 @@ def solve_approximate(
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     t0 = time.perf_counter()
-    N, R, M = instance.n_steps, instance.n_states, instance.population
-    node = np.full((N, R), M / R)
-    edge = np.full((max(N - 1, 0), R, R), M / (R * R))
     report = ApproxReport(tol=tol)
-    observed = _Observations(instance)
-    starved_t, starved_r = np.nonzero(observed.pois & (observed.y > 0))
 
-    sums = _Sums.of(instance, observed, node, edge)
-    current = sums.objective(observed)
-
-    def certify(gap: float) -> bool:
-        """Record the current iterate's objective and gap; True once the gap is within tol."""
+    def certify(node: np.ndarray, edge: np.ndarray, dual: float) -> bool:
+        """Record the tables' objective and gap; True once the gap is within tol."""
+        current = _objective_value(instance, node, edge, _stirling)
         report.objectives.append(current)
-        report.gap = gap
-        report.gap_rel = gap / max(1.0, abs(current))
+        report.gap = current - dual
+        report.gap_rel = report.gap / max(1.0, abs(current)) if current < INF else INF
         report.converged = report.gap_rel <= tol
         return report.converged
 
-    gamma = 0.5
+    if instance.n_steps == 1:
+        node, dual = _single_step(instance)
+        node, edge = node[None, :], np.zeros((0, instance.n_states, instance.n_states))
+        certify(node, edge, dual)
+        report.wall_time = time.perf_counter() - t0
+        return FractionalTables(node=node, edge=edge), report
+
+    observed = _Observations(instance)
+    point = _evaluate(instance, observed, np.zeros(observed.free.size))
+    pairs = deque(maxlen=MEMORY)
     for _ in range(max_iters):
         report.iterations += 1
-        states, gap = _vertex(instance, observed, node, edge)
-        if certify(gap):
+        if certify(point.node, point.edge, point.dual):
             break
-        path = _path_cells(states)
-        slope = _along_path(instance, observed, node, edge, path, sums)
-        # f is +inf at the vertex exactly where it zeroes a positive Poisson count
-        off_path = starved_t.size and (states[starved_t] != starved_r).any()
-        hi = 1.0 - 1e-9 if off_path else 1.0
-        gamma, evals = minimize_scalar(slope, hi, min(gamma, 0.5 * hi))
+        step = _direction(point, pairs)
+        rise = float(point.grad @ step)
+        if not rise > 0.0:
+            break
+        moved, evals = minimize_scalar(
+            lambda t, lam=point.lam, step=step: _evaluate(instance, observed, lam + t * step),
+            point.dual,
+            rise,
+        )
         report.linesearch_evals += evals
-        after = sums.moved(instance, observed, node, edge, path, gamma)
-        stepped = after.objective(observed)
-        if stepped > current:
-            # line search failed to improve; direction is exhausted at
-            # floating-point scale, stop without claiming convergence
+        if moved is None:
             break
-        _move(node, edge, path, gamma, M)
-        sums, current = after, stepped
+        s, y = moved.lam - point.lam, point.grad - moved.grad
+        if float(s @ y) > 0.0:
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        point = moved
     else:
         # the cap stopped the loop: the report describes the tables returned
-        certify(_vertex(instance, observed, node, edge)[1])
+        certify(point.node, point.edge, point.dual)
 
     report.wall_time = time.perf_counter() - t0
-    return FractionalTables(node=node, edge=edge), report
+    return FractionalTables(node=point.node, edge=point.edge), report

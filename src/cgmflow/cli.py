@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline import MAX_ITERS as BASELINE_MAX_ITERS, approx_objective, solve_approximate
+from .baseline import approx_objective, solve_approximate
 from .core import (
     CgmInstance,
     ContingencyTables,
@@ -616,9 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output prefix: writes <out>.tables.json, <out>.report.json")
     solve.add_argument("--method", choices=["dca", "baseline", "oracle"], default="dca")
     solve.add_argument("--strategy", choices=["L", "M", "R"], default="L")
-    solve.add_argument("--max-iters", type=_positive_int, default=1000)
-    solve.add_argument("--baseline-tol", type=_positive_float, default=1e-6)
-    solve.add_argument("--baseline-max-iters", type=_positive_int, default=BASELINE_MAX_ITERS)
+    # the library's own defaults, so the two cannot drift apart
+    relax = inspect.signature(solve_approximate).parameters
+    solve.add_argument("--max-iters", type=_positive_int, default=DcaConfig().max_iters)
+    solve.add_argument("--baseline-tol", type=_positive_float, default=relax["tol"].default)
+    solve.add_argument("--baseline-max-iters", type=_positive_int,
+                       default=relax["max_iters"].default)
     solve.add_argument("--budget", type=_positive_int, default=10_000_000,
                        help="oracle enumeration budget")
     solve.add_argument("--dump-network", type=Path, default=None,

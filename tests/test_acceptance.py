@@ -185,7 +185,8 @@ def test_criterion_05_dominates_baseline():
                 )
                 tables, _ = run_dca(inst)
                 dca_vals.append(objective(inst, tables))
-                btab, _ = solve_approximate(inst)
+                btab, report = solve_approximate(inst)
+                assert report.converged, (cell_index, k, report.gap_rel)
                 base_vals.append(objective_fractional(inst, btab))
             wins = sum(d <= b + TOL for d, b in zip(dca_vals, base_vals))
             print(
@@ -206,7 +207,8 @@ def test_criterion_06_sparsity_gap():
         ):
             inst = gen_synthetic(n_steps=5, n_states=20, population=100, kind=kind, seed=0)
             tables, _ = run_dca(inst)
-            btab, _ = solve_approximate(inst)
+            btab, report = solve_approximate(inst)
+            assert report.converged, (kind, report.gap_rel)
             dca_sp = sparsity(tables)
             base_sp = sparsity(btab)
             print(f"\n  {kind.value}: {dca_sp:.3f} vs {base_sp:.3f}", flush=True)

@@ -1,4 +1,4 @@
-"""Continuous relaxation and its conditional-gradient solver."""
+"""Continuous relaxation and its dual solver."""
 
 import itertools
 import math
@@ -8,22 +8,12 @@ import numpy as np
 import pytest
 
 from scipy.optimize import minimize_scalar
-from scipy.special import xlogy
 
-from cgmflow import baseline, core
-from cgmflow.baseline import (
-    _Observations,
-    _Sums,
-    _along_path,
-    _cheapest_path,
-    _move,
-    _path_cells,
-    _stirling,
-    approx_objective,
-    solve_approximate,
-)
+from cgmflow import baseline
+from cgmflow.baseline import approx_objective, solve_approximate
 from cgmflow.core import (
     GAUSSIAN,
+    MISSING,
     POISSON,
     CgmInstance,
     FractionalTables,
@@ -33,9 +23,9 @@ from cgmflow.core import (
     observation_cost,
     validate_tables,
 )
-from cgmflow.instances import gen_synthetic
+from cgmflow.instances import PotentialKind, gen_synthetic
 from cgmflow.oracle import enumerate_feasible
-from conftest import free_instance, make_tiny_instance
+from conftest import free_instance, make_mixed_instance, make_tiny_instance
 
 
 def relax_instance(seed=0):
@@ -75,6 +65,30 @@ def mixed_instance(seed=0):
     )
 
 
+def crowded_poisson_instance():
+    """Poisson y = 1 on two states holding M = 100: each multiplier rests near 0.98."""
+    return CgmInstance(
+        n_steps=3,
+        n_states=2,
+        population=100,
+        potentials=np.ones((2, 2, 2)),
+        observations=np.ones((3, 2)),
+        noise=((Poisson(), Poisson()),) * 3,
+    )
+
+
+def one_step_instance(noise, observations, M):
+    R = len(noise)
+    return CgmInstance(
+        n_steps=1,
+        n_states=R,
+        population=M,
+        potentials=np.ones((0, R, R)),
+        observations=np.array([observations], dtype=float),
+        noise=(tuple(noise),),
+    )
+
+
 def vertex(inst, states):
     """Tables of the whole population following one path of states."""
     N, R, M = inst.n_steps, inst.n_states, inst.population
@@ -86,119 +100,156 @@ def vertex(inst, states):
     return node, edge
 
 
-def sums_value(inst, observed, sums, node, edge, path):
-    """gamma -> the objective read off sums (a _Sums at x = (node, edge)) moved by gamma along path."""
-    return lambda gamma: sums.moved(inst, observed, node, edge, path, gamma).objective(observed)
+def cheapest_path(g_node, g_edge):
+    """States of the minimum-total-cost path, one per step, and that total (Viterbi).
 
-
-def path_step(inst, node, edge, states):
-    """The solver's (value, slope) from x = (node, edge) toward the vertex on states.
-
-    value is sums_value of fresh sums at x; slope is _along_path's.
+    Exact ties go to the lowest end state, then to the lowest predecessor.
     """
-    observed = _Observations(inst)
-    sums = _Sums.of(inst, observed, node, edge)
-    path = _path_cells(np.asarray(states))
-    slope = _along_path(inst, observed, node, edge, path, sums)
-    return sums_value(inst, observed, sums, node, edge, path), slope
+    columns = np.arange(g_node.shape[1])
+    dist = g_node[0]
+    back = []
+    for t in range(len(g_node) - 1):
+        through = dist[:, None] + g_edge[t]
+        best = through.argmin(axis=0)
+        back.append(best)
+        dist = through[best, columns] + g_node[t + 1]
+    state = int(dist.argmin())
+    cost = float(dist[state])
+    states = [state]
+    for best in reversed(back):
+        state = int(best[state])
+        states.append(state)
+    return np.array(states[::-1]), cost
 
 
-def full_along(inst, node, edge, path):
-    """Reference phi: gamma -> the relaxed objective of a moved copy of x = (node, edge)."""
-    node, edge = node.copy(), edge.copy()
+def node_slope(inst, node):
+    """h'_n at real-valued node counts: (x - y) / var, 1 - y / x, 1 at Poisson y = 0 and 0 if missing."""
+    kind, y, var = inst.observation_arrays
+    pois = kind == POISSON
+    poisson_slope = 1.0 - y / np.where(pois & (node > 0), node, 1.0)
+    poisson_slope[pois & (node == 0) & (y > 0)] = -math.inf
+    return np.where(kind == GAUSSIAN, (node - y) / var, np.where(pois, poisson_slope, 0.0))
 
-    def along(gamma):
-        z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, inst.population)
-        return approx_objective(inst, FractionalTables(node=z_node, edge=z_edge))
 
-    return along
+def gradient(inst, node, edge):
+    """Gradient (g_node, g_edge) of the relaxed objective at strictly positive tables."""
+    N = inst.n_steps
+    g_edge = np.log(edge) - inst.log_potentials
+    g_node = node_slope(inst, node)
+    g_node[1 : N - 1] -= np.log(node[1 : N - 1])
+    return g_node, g_edge
+
+
+def frank_wolfe_gap(inst, tables):
+    """<grad f(x), x - v> at the path vertex v that minimizes it: an upper bound on f(x) - min f."""
+    g_node, g_edge = gradient(inst, tables.node, tables.edge)
+    states, cost = cheapest_path(g_node, g_edge)
+    at_x = float(np.vdot(g_node, tables.node)) + float(np.vdot(g_edge, tables.edge))
+    return at_x - inst.population * cost, states
 
 
 def objective_scale(inst, node, edge):
     """Sum of |terms| of the relaxed objective at x = (node, edge)."""
     terms = (
-        _stirling(edge),
+        baseline._stirling(edge),
         edge * inst.log_potentials,
-        _stirling(node[1 : inst.n_steps - 1]),
+        baseline._stirling(node[1 : inst.n_steps - 1]),
         observation_cost(*inst.observation_arrays, node),
     )
     return sum(float(np.abs(t).sum()) for t in terms)
 
 
-def generic_slope(inst, node, edge, states):
-    """Reference slope along d = v - x, evaluated cell by cell.
+def marginal_residual(inst, tables):
+    """Largest violation of sum_i x = M and of the row and column equalities, relative to M."""
+    node, edge, M = tables.node, tables.edge, inst.population
+    worst = np.abs(node.sum(axis=1) - M).max()
+    if edge.size:
+        worst = max(worst, np.abs(edge.sum(axis=2) - node[:-1]).max())
+        worst = max(worst, np.abs(edge.sum(axis=1) - node[1:]).max())
+    return worst / M
 
-    gamma -> (phi', phi'', sum of |terms| of phi', sum of |terms| of phi'').
-    Every cell with d != 0 takes its own ln z, and every node its own h'(z)
-    and h''(z): 1 / var on a Gaussian node and y / z^2 on a Poisson node.
-    """
-    N = inst.n_steps
-    observed = _Observations(inst)
+
+def conjugate(inst, lam):
+    """h*_n(lam_n) at every node, by the closed forms (fixed nodes at their fixed lam give 0)."""
     kind, y, var = inst.observation_arrays
-    pois = kind == POISSON
-    v_node, v_edge = vertex(inst, states)
-    d_node, d_edge = v_node - node, v_edge - edge
-    x = np.concatenate([edge.ravel(), node[1 : N - 1].ravel()])
-    d = np.concatenate([d_edge.ravel(), d_node[1 : N - 1].ravel()])
-    signed = d.copy()
-    signed[edge.size :] *= -1.0
-    keep = d != 0
-    x, d, signed = x[keep], d[keep], signed[keep]
-    shift = -(d_edge * inst.log_potentials).ravel()
-
-    def slope(gamma):
-        z = x + gamma * d
-        z_node = node + gamma * d_node
-        h1 = observed.derivative(z_node)
-        h2 = np.where(kind == GAUSSIAN, 1.0 / var, 0.0)
-        h2[pois] = y[pois] / (z_node[pois] * z_node[pois])
-        first = np.concatenate([signed * np.log(z), shift, (d_node * h1).ravel()])
-        second = np.concatenate([signed * d / z, (d_node * d_node * h2).ravel()])
-        return first.sum(), second.sum(), np.abs(first).sum(), np.abs(second).sum()
-
-    return slope
+    positive = (kind == POISSON) & (y > 0)
+    gauss = y * lam + var * lam * lam / 2.0
+    ln_y_fact = np.array([math.lgamma(v + 1.0) for v in y.ravel()]).reshape(y.shape)
+    rest = np.where(positive, 1.0 - lam, 1.0)
+    pois = -y + np.where(positive, y * np.log(np.where(positive, y, 1.0)), 0.0) - ln_y_fact
+    pois -= y * np.log(rest)
+    return np.where(kind == GAUSSIAN, gauss, np.where(positive, pois, 0.0))
 
 
-def sum_terms(inst, node, edge):
-    """The terms of each of _Sums' sums at x = (node, edge), cell by cell, by slot name."""
-    inner = node[1 : inst.n_steps - 1]
-    kind, y, var = inst.observation_arrays
-    w = np.where(kind == GAUSSIAN, 1.0 / var, 0.0)
-    return {
-        "edge_mass": edge,
-        "edge_ent": xlogy(edge, edge),
-        "edge_phi": edge * inst.log_potentials,
-        "inner_mass": inner,
-        "inner_ent": xlogy(inner, inner),
-        "square": node * node * w,
-        "cross": node * y * w,
-    }
+def transfer_reference(log_phi, lam, M):
+    """ln Z and the tables M * marginals by scaled transfer-matrix products in linear space."""
+    N = lam.shape[0]
+    phi = np.exp(log_phi)
+    shift = lam.min(axis=1)
+    w = np.exp(-(lam - shift[:, None]))
+    alpha = [w[0] / w[0].sum()]
+    log_z = math.log(w[0].sum()) - shift[0]
+    for t in range(N - 1):
+        a = (alpha[t] @ phi[t]) * w[t + 1]
+        log_z += math.log(a.sum()) - shift[t + 1]
+        alpha.append(a / a.sum())
+    beta = [np.ones_like(w[0])] * N
+    for t in reversed(range(N - 1)):
+        b = phi[t] @ (w[t + 1] * beta[t + 1])
+        beta[t] = b / b.sum()
+    node = np.array([a * b / (a * b).sum() for a, b in zip(alpha, beta)]) * M
+    edge = []
+    for t in range(N - 1):
+        pair = alpha[t][:, None] * phi[t] * (w[t + 1] * beta[t + 1])[None, :]
+        edge.append(pair / pair.sum() * M)
+    return log_z, node, np.array(edge)
 
 
-def line_searches(monkeypatch, inst, max_iters, check):
-    """Solve, calling check(along, hi, slope, result) after each line search.
+class Points(list):
+    """(full multipliers, ln Z, _Point) per dual evaluation inside D's domain."""
 
-    along is full_along at the iterate, the reference, independent of the
-    solver's path form; slope and result, the search's (gamma, evaluations),
-    are the solver's.
-    """
-    setup, search = baseline._along_path, baseline.minimize_scalar
-    alongs, results = [], []
+    calls = 0  # every evaluation, those outside the domain too
 
-    def record(instance, observed, node, edge, path, sums):
-        alongs.append(full_along(instance, node, edge, path))
-        return setup(instance, observed, node, edge, path, sums)
 
-    def spy(slope, hi, x0):
-        res = search(slope, hi, x0)
-        check(alongs[-1], hi, slope, res)
-        results.append(res)
-        return res
+def record_points(monkeypatch):
+    """Spy on the solver's dual evaluations, returning the Points they fill."""
+    seen, chains = Points(), []
+    chain, evaluate = baseline._chain, baseline._evaluate
 
-    monkeypatch.setattr(baseline, "_along_path", record)
+    def spy_chain(log_phi, lam, M):
+        result = chain(log_phi, lam, M)
+        chains.append((lam.copy(), result[0]))
+        return result
+
+    def spy_evaluate(instance, observed, lam):
+        before = len(chains)
+        seen.calls += 1
+        point = evaluate(instance, observed, lam)
+        if point is not None:
+            assert len(chains) == before + 1
+            seen.append((*chains[-1], point))
+        return point
+
+    monkeypatch.setattr(baseline, "_chain", spy_chain)
+    monkeypatch.setattr(baseline, "_evaluate", spy_evaluate)
+    return seen
+
+
+def line_searches(monkeypatch, inst, check, **options):
+    """Solve, calling check(trial, dual, rise, result) after each line search; returns the report."""
+    search = baseline.minimize_scalar
+    count = []
+
+    def spy(trial, dual, rise):
+        result = search(trial, dual, rise)
+        check(trial, dual, rise, result)
+        count.append(result)
+        return result
+
     monkeypatch.setattr(baseline, "minimize_scalar", spy)
-    solve_approximate(inst, max_iters=max_iters)
-    return results
+    _, report = solve_approximate(inst, **options)
+    assert len(count) >= 1
+    return report
 
 
 def as_fractional(tables):
@@ -210,6 +261,24 @@ def blend(a, b, lam):
         node=(1 - lam) * a.node + lam * b.node,
         edge=(1 - lam) * a.edge + lam * b.edge,
     )
+
+
+GATE_5_SIZED = [
+    pytest.param(partial(gen_synthetic, 5, R, M, kind=kind, seed=1000 * cell), id=f"{kind.value}-R{R}-M{M}")
+    for cell, (kind, R, M) in enumerate(
+        (kind, R, M)
+        for kind in (PotentialKind.UNIFORM, PotentialKind.DISTANCE_1D)
+        for R in (10, 20)
+        for M in (10, 100)
+    )
+]
+SOLVED = (
+    [relax_instance, crowded_poisson_instance]
+    + [pytest.param(partial(poisson_instance, s), id=f"poisson{s}") for s in range(5)]
+    + [pytest.param(partial(mixed_instance, s), id=f"mixed{s}") for s in range(5)]
+    + [pytest.param(partial(make_mixed_instance, M), id=f"conftest-mixed{M}") for M in (6, 12, 40)]
+    + GATE_5_SIZED
+)
 
 
 class TestApproxObjective:
@@ -295,16 +364,52 @@ class TestSolveApproximate:
         assert tables.node.tolist() == [[2.0], [2.0]]
 
     def test_descent_and_feasible_output(self):
+        # the objectives of the dual's iterates need not fall; the answer's
+        # Frank-Wolfe gap, an upper bound on its distance to the optimum
+        # found apart from the dual, does fall within the default tol
         for seed in (0, 3, 11):
             inst = make_tiny_instance(seed, max_population=5)
-            tables, report = solve_approximate(inst, max_iters=300)
+            tables, report = solve_approximate(inst, tol=1e-12, max_iters=300)
+            assert report.converged
+            assert validate_tables(inst, tables, tol=1e-9) == []
+            assert (tables.node > 0).all() or inst.n_steps == 1
             objs = report.objectives
-            assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
-            assert validate_tables(inst, tables, tol=1e-6) == []
-            assert (tables.node >= -1e-12).all()
-            assert approx_objective(inst, tables) == pytest.approx(
-                objs[-1], abs=1e-9
+            assert approx_objective(inst, tables) == pytest.approx(objs[-1], rel=1e-9)
+            if inst.n_steps > 1:
+                gap, _ = frank_wolfe_gap(inst, tables)
+                assert gap <= 1e-6 * max(1.0, abs(objs[-1]))
+
+    @pytest.mark.parametrize("make", SOLVED)
+    def test_converges_with_independent_certificates(self, make):
+        inst = make()
+        tables, report = solve_approximate(inst)
+        assert report.converged and report.gap_rel <= report.tol
+        assert report.iterations <= 30
+        assert report.objectives[-1] == pytest.approx(approx_objective(inst, tables), rel=1e-9)
+        assert marginal_residual(inst, tables) <= 1e-9
+        assert (tables.node > 0).all() and (tables.edge > 0).all()
+        # solved tightly, the answer's Frank-Wolfe gap is within the default tol
+        tables, report = solve_approximate(inst, tol=1e-12)
+        assert report.converged
+        gap, _ = frank_wolfe_gap(inst, tables)
+        assert -1e-9 <= gap / max(1.0, abs(report.objectives[-1])) <= 1e-6
+
+    def test_frank_wolfe_gap_over_every_path(self):
+        # the Viterbi pass against every path vertex enumerated, at the answer
+        inst = make_mixed_instance(12)
+        tables, _ = solve_approximate(inst, tol=1e-12)
+        gap, states = frank_wolfe_gap(inst, tables)
+        f = approx_objective(inst, tables)
+        g_node, g_edge = gradient(inst, tables.node, tables.edge)
+        at_x = float(np.vdot(g_node, tables.node)) + float(np.vdot(g_edge, tables.edge))
+        worst = max(
+            at_x - float(np.vdot(g_node, v_node)) - float(np.vdot(g_edge, v_edge))
+            for v_node, v_edge in (
+                vertex(inst, path) for path in itertools.product(range(inst.n_states), repeat=3)
             )
+        )
+        assert gap == pytest.approx(worst, abs=1e-9 * abs(f))
+        assert 0.0 <= gap <= 1e-6 * abs(f)
 
     def test_converged_implies_gap_below_tol(self):
         inst = make_tiny_instance(4, max_population=4)
@@ -323,9 +428,9 @@ class TestSolveApproximate:
 
     def test_report_describes_the_tables_at_the_cap(self):
         inst = relax_instance()
-        tables, report = solve_approximate(inst, max_iters=30)
-        assert report.iterations == 30 and not report.converged
-        assert len(report.objectives) == 31
+        tables, report = solve_approximate(inst, tol=0.0, max_iters=1)
+        assert report.iterations == 1 and not report.converged
+        assert len(report.objectives) == 2
         assert report.objectives[-1] == pytest.approx(approx_objective(inst, tables), rel=1e-9)
         assert report.gap_rel == report.gap / abs(report.objectives[-1])
         # the cap's final gap can still certify the tables returned
@@ -333,42 +438,43 @@ class TestSolveApproximate:
         assert report.converged and report.iterations == 0
         assert report.objectives == [pytest.approx(2 * math.log(2) - 2, abs=1e-12)]
 
-    def test_objective_is_not_evaluated_per_iteration(self, monkeypatch):
-        # every objective the solver reports is read off its carried sums
-        calls = []
-        for module, name in ((core, "_objective_value"), (baseline, "_relaxed_objective")):
-            full = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, full=full: calls.append(args) or full(*args))
-        for make in (relax_instance, mixed_instance):
-            _, report = solve_approximate(make(), max_iters=50)
-            assert report.iterations == 50 and len(report.objectives) == 51
-        assert calls == []
+    def test_stops_when_the_dual_cannot_rise(self, monkeypatch):
+        # with +inf for every objective no gap certifies, so the line search
+        # ends the solve once D stops rising, without claiming convergence
+        results = []
+        search = baseline.minimize_scalar
+
+        def spy(*args):
+            results.append(search(*args))
+            return results[-1]
+
+        monkeypatch.setattr(baseline, "minimize_scalar", spy)
+        monkeypatch.setattr(baseline, "_objective_value", lambda *args: math.inf)
+        _, report = solve_approximate(relax_instance())
+        assert not report.converged and report.iterations < 100
+        assert results[-1] == (None, baseline.MAX_TRIALS)
+        assert all(point is not None for point, _ in results[:-1])
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
     def test_iterates_do_not_depend_on_the_value(self, monkeypatch, make):
-        # the objective feeds the report and the no-improvement stop alone:
-        # with a constant in its place, which never stops, the solver visits
-        # the same tables bit for bit (tol = 0, so the gap alone certifies)
+        # the objective feeds the report and the tol stop alone: with +inf in
+        # its place, which never stops, the solver visits the same multipliers
+        # bit for bit (tol = 0, so a gap at rounding scale alone certifies)
         inst = make()
-        path_form = baseline._along_path
 
         def iterates() -> list:
-            seen = []
-
-            def record(instance, observed, node, edge, path, sums):
-                seen.append(node.tobytes() + edge.tobytes())
-                return path_form(instance, observed, node, edge, path, sums)
-
             with monkeypatch.context() as patch:
-                patch.setattr(baseline, "_along_path", record)
-                solve_approximate(inst, tol=0.0, max_iters=300)
-            return seen
+                seen = record_points(patch)
+                _, report = solve_approximate(inst, tol=0.0, max_iters=300)
+            return [lam.tobytes() for lam, _, _ in seen], report
 
-        tables = iterates()
-        monkeypatch.setattr(baseline._Sums, "objective", lambda self, observed: 0.0)
-        again = iterates()
-        assert len(tables) > 100 and len(again) >= len(tables)
-        assert again[: len(tables)] == tables
+        first, report = iterates()
+        assert report.iterations > 3
+        monkeypatch.setattr(baseline, "_objective_value", lambda *args: math.inf)
+        again, stopped = iterates()
+        assert len(again) >= len(first) and again[: len(first)] == first
+        assert stopped.objectives == [math.inf] * len(stopped.objectives)
+        assert not stopped.converged and stopped.gap_rel == math.inf
 
     @pytest.mark.parametrize(
         "name, value", [("max_iters", -1), ("tol", math.nan), ("tol", -1e-6), ("tol", -math.inf)]
@@ -387,14 +493,17 @@ class TestSolveApproximate:
         }
         assert doc["trajectory"] == report.objectives
         assert (doc["duality_gap"], doc["duality_gap_rel"]) == (report.gap, report.gap_rel)
+        assert all(type(v) is float for v in doc["trajectory"])
 
-    def test_linesearch_evals_counts_slope_evaluations(self):
+    def test_linesearch_evals_counts_slope_evaluations(self, monkeypatch):
         _, report = solve_approximate(free_instance(2, 1, 2))
         assert report.converged and report.iterations == 1
         assert report.linesearch_evals == 0
-        _, report = solve_approximate(gen_synthetic(3, 3, 10, seed=0), max_iters=50)
-        assert report.iterations == 50
-        assert report.linesearch_evals >= 49
+        seen = record_points(monkeypatch)
+        _, report = solve_approximate(crowded_poisson_instance())
+        # every dual evaluation but the start's is the line search's, and
+        # evaluations outside the domain count too
+        assert report.linesearch_evals > len(seen) - 1 >= report.iterations - 1 > 0
 
     def test_tracks_true_optimum_when_population_large(self):
         # relaxation error is o(M); the fractional minimizer's true objective
@@ -409,102 +518,175 @@ class TestSolveApproximate:
         assert val <= objective_fractional(inst, uniform) + 1e-6
 
 
+class TestSingleStep:
+    """N = 1: the separable problem on the simplex, by bisection on its multiplier."""
+
+    CASES = [
+        # (noise, observations, M)
+        ((MISSING, MISSING, Gaussian(1.0)), (np.nan, np.nan, 1.0), 10),
+        ((MISSING, Poisson(), Poisson()), (np.nan, 0.0, 3.0), 10),
+        ((Poisson(), Poisson(), Gaussian(2.0)), (0.0, 0.0, 1.0), 12),
+        ((Poisson(), Poisson(), Gaussian(2.0)), (0.0, 2.0, 1.0), 12),
+        ((Gaussian(1.0), Gaussian(4.0), Gaussian(0.5)), (30.0, 2.0, 9.0), 6),
+        ((Gaussian(1.0), Gaussian(4.0), Gaussian(0.5)), (0.0, 2.0, 1.0), 40),
+        ((MISSING, Gaussian(3.0), Poisson()), (np.nan, 50.0, 4.0), 5),
+        ((Poisson(), Poisson()), (40.0, 1.0), 3),
+        ((MISSING,), (np.nan,), 4),
+        ((Poisson(),), (0.0,), 4),
+        ((Gaussian(2.0),), (9.0,), 4),
+    ]
+
+    @classmethod
+    def instances(cls):
+        yield from (one_step_instance(*case) for case in cls.CASES)
+        yield from (inst for inst in map(make_tiny_instance, range(120)) if inst.n_steps == 1)
+
+    def test_kkt_conditions_hold(self):
+        count = 0
+        for inst in self.instances():
+            tables, report = solve_approximate(inst)
+            x = tables.node[0]
+            M = inst.population
+            assert report.converged and report.iterations == 0
+            assert (x >= 0).all() and x.sum() == pytest.approx(M, rel=1e-12)
+            # h'(x) equals nu where x > 0 and is at least nu where x = 0
+            slope = node_slope(inst, tables.node)[0]
+            positive = x > 0
+            nu = float(np.median(slope[positive]))
+            assert np.allclose(slope[positive], nu, rtol=0.0, atol=1e-9 * (1.0 + abs(nu)))
+            assert (slope[~positive] >= nu - 1e-9 * (1.0 + abs(nu))).all()
+            count += 1
+        assert count >= len(self.CASES) + 20
+
+    def test_no_grid_point_is_lower(self):
+        for inst in self.instances():
+            R, M = inst.n_states, inst.population
+            tables, _ = solve_approximate(inst)
+            steps = np.linspace(0.0, M, 301)
+            if R == 1:
+                grid = np.array([[M]], dtype=float)
+            elif R == 2:
+                grid = np.stack([steps, M - steps], axis=1)
+            else:
+                a, b = np.meshgrid(steps, steps)
+                keep = a + b <= M
+                grid = np.stack([a[keep], b[keep], M - a[keep] - b[keep]], axis=1)
+            grid = np.clip(grid, 0.0, None)
+            values = observation_cost(*(v[0] for v in inst.observation_arrays), grid).sum(axis=1)
+            best = float(values.min())
+            found = approx_objective(inst, tables)
+            assert found <= best + 1e-9 * max(1.0, abs(best))
+
+    def test_flat_nodes_share_the_leftover_at_their_break_value(self):
+        # nu = 0 with a missing node: the Gaussian takes y, the missing nodes the rest
+        tables, _ = solve_approximate(one_step_instance(*self.CASES[0]))
+        assert tables.node.tolist() == [[4.5, 4.5, 1.0]]
+        # nu = 1 with Poisson y = 0 nodes and no missing one: the Gaussian takes y + var
+        tables, _ = solve_approximate(one_step_instance(*self.CASES[2]))
+        assert tables.node.tolist() == [[4.5, 4.5, 3.0]]
+        # a missing node holds nu at 0, so the Poisson y = 0 node takes nothing
+        tables, _ = solve_approximate(one_step_instance(*self.CASES[1]))
+        assert tables.node.tolist() == [[7.0, 0.0, 3.0]]
+
+
 class TestLineSearch:
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
     def test_slope_matches_finite_difference(self, monkeypatch, make):
-        def check(along, hi, slope, res):
-            for gamma in (0.1 * hi, 0.5 * hi, 0.9 * hi):
-                h = 1e-5 * gamma
-                fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
-                assert slope(gamma)[0] == pytest.approx(fd, rel=1e-6)
+        # rise, the slope of D that the backtracking takes at the step's start
+        def check(trial, dual, rise, result):
+            assert trial(0.0).dual == dual
+            h = 1e-4
+            fd = (trial(h).dual - trial(-h).dual) / (2 * h)
+            assert fd == pytest.approx(rise, rel=1e-5, abs=1e-9 * max(1.0, abs(dual)))
 
-        assert len(line_searches(monkeypatch, make(), 30, check)) == 30
+        line_searches(monkeypatch, make(), check, tol=1e-10)
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
-    def test_no_worse_than_bounded_brent(self, monkeypatch, make):
-        def check(along, hi, slope, res):
-            brent = minimize_scalar(
-                along, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-11}
-            )
-            best = along(brent.x)
-            assert along(res[0]) <= best + 1e-12 * max(1.0, abs(best))
+    def test_no_worse_than_bounded_brent(self, make):
+        # from the answer toward the Frank-Wolfe vertex and a few random
+        # paths' vertices, no point Brent finds beats it by more than the gap
+        inst = make()
+        tables, report = solve_approximate(inst)
+        f = report.objectives[-1]
+        _, best_states = frank_wolfe_gap(inst, tables)
+        rng = np.random.default_rng(0)
+        paths = [best_states] + [rng.integers(inst.n_states, size=inst.n_steps) for _ in range(5)]
+        for states in paths:
+            v_node, v_edge = vertex(inst, states)
 
-        assert len(line_searches(monkeypatch, make(), 100, check)) == 100
+            def along(gamma):
+                moved = FractionalTables(
+                    node=tables.node + gamma * (v_node - tables.node),
+                    edge=tables.edge + gamma * (v_edge - tables.edge),
+                )
+                return approx_objective(inst, moved)
 
-    def test_poisson_vertex_keeps_search_inside(self, monkeypatch):
-        def check(along, hi, slope, res):
-            gamma, _ = res
-            # the vertex has zero counts under positive Poisson observations
-            assert math.isinf(along(1.0))
-            assert hi == 1.0 - 1e-9
-            assert 0.0 < gamma < hi
-            assert math.isfinite(along(gamma)) and along(gamma) < along(0.0)
+            brent = minimize_scalar(along, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-11})
+            assert along(brent.x) >= f - report.gap - 1e-12 * objective_scale(inst, tables.node, tables.edge)
 
-        assert len(line_searches(monkeypatch, poisson_instance(), 1, check)) == 1
+    def test_poisson_search_stays_below_one(self, monkeypatch):
+        # unit steps from lam = 0 overshoot 1 here, so the domain check is hit
+        inst = crowded_poisson_instance()
+        outside = []
 
-    def test_bracket_ends_where_the_vertex_is_finite(self, monkeypatch):
-        # the bracket comes from the vertex's path, without evaluating f there
-        ends = []
+        def check(trial, dual, rise, result):
+            t = 1.0
+            while trial(t) is None:
+                outside.append(t)
+                t *= 0.5
+            point, _ = result
+            assert (point.lam < 1.0).all() and math.isfinite(point.dual)
 
-        def check(along, hi, slope, res):
-            assert hi == (1.0 if math.isfinite(along(1.0)) else 1.0 - 1e-9)
-            ends.append(hi)
-
-        assert len(line_searches(monkeypatch, mixed_instance(), 100, check)) == 100
-        assert {1.0, 1.0 - 1e-9} == set(ends)
+        seen = record_points(monkeypatch)
+        report = line_searches(monkeypatch, inst, check)
+        assert report.converged and outside
+        assert all((lam < 1.0).all() for lam, _, _ in seen)
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
     def test_path_form_matches_generic_direction(self, monkeypatch, make):
+        # the log-space forward-backward pass against scaled transfer-matrix
+        # products, and the dual's gradient against central differences of D
         inst = make()
-        iterates = []
-        path_form = baseline._along_path
-
-        def record(instance, observed, node, edge, path, terms):
-            iterates.append((node.copy(), edge.copy(), path[0][1].copy()))
-            return path_form(instance, observed, node, edge, path, terms)
-
-        def check(along, hi, slope, res):
-            reference = generic_slope(inst, *iterates[-1])
-            for gamma in (0.1 * hi, 0.5 * hi, 0.9 * hi):
-                first, second, first_abs, second_abs = reference(gamma)
-                got_first, got_second = slope(gamma)
-                assert abs(got_first - first) <= 1e-8 * max(1.0, first_abs)
-                assert abs(got_second - second) <= 1e-8 * max(1.0, second_abs)
-
-        monkeypatch.setattr(baseline, "_along_path", record)
-        assert len(line_searches(monkeypatch, inst, 100, check)) == 100
-        assert len(iterates) == 100
+        seen = record_points(monkeypatch)
+        solve_approximate(inst)
+        assert len(seen) >= 3
+        M = inst.population
+        for lam, log_z, point in seen:
+            want_z, want_node, want_edge = transfer_reference(inst.log_potentials, lam, M)
+            assert log_z == pytest.approx(want_z, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(point.node, want_node, rtol=0, atol=1e-10 * M)
+            np.testing.assert_allclose(point.edge, want_edge, rtol=0, atol=1e-10 * M)
+        observed = baseline._Observations(inst)
+        for _, _, point in (seen[0], seen[-1]):
+            fd = np.empty_like(point.lam)
+            for k in range(point.lam.size):
+                h = np.zeros_like(point.lam)
+                h[k] = 1e-5
+                up = baseline._evaluate(inst, observed, point.lam + h).dual
+                down = baseline._evaluate(inst, observed, point.lam - h).dual
+                fd[k] = (up - down) / 2e-5
+            scale = max(1.0, float(np.abs(point.grad).max()))
+            np.testing.assert_allclose(point.grad, fd, rtol=0, atol=1e-5 * scale)
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
     def test_path_form_value_matches_objective(self, monkeypatch, make):
-        # the objective read off the carried sums, at the iterate and moved
-        # along the step, against approx_objective of the moved tables
+        # at every point, f(x(lam)) - D(lam) is the Fenchel-Young sum
+        # h(x) + h*(lam) - lam x over the nodes: a true gap, never negative
         inst = make()
-        steps, starved = [], []
-        path_form = baseline._along_path
-
-        def record(instance, observed, node, edge, path, sums):
-            x_node, x_edge = node.copy(), edge.copy()
-            value = sums_value(instance, observed, sums, x_node, x_edge, path)
-            steps.append((x_node, x_edge, path, value))
-            return path_form(instance, observed, node, edge, path, sums)
-
-        def check(along, hi, slope, res):
-            node, edge, path, value = steps[-1]
-            # gamma = 1 is the vertex itself, past hi where it starves a Poisson count
-            for gamma in (0.0, 0.1 * hi, 0.5 * hi, res[0], 0.9 * hi, hi, 1.0):
-                z_node, z_edge = _move(node.copy(), edge.copy(), path, gamma, inst.population)
-                full = approx_objective(inst, FractionalTables(node=z_node, edge=z_edge))
-                if math.isinf(full):
-                    starved.append(gamma)
-                    assert value(gamma) == full
-                else:
-                    assert abs(value(gamma) - full) <= 1e-12 * objective_scale(inst, z_node, z_edge)
-
-        monkeypatch.setattr(baseline, "_along_path", record)
-        assert len(line_searches(monkeypatch, inst, 100, check)) == 100
-        assert set(starved) <= {1.0}
-        assert bool(starved) == (make is not relax_instance)
+        seen = record_points(monkeypatch)
+        _, report = solve_approximate(inst)
+        M = inst.population
+        kind, y, var = inst.observation_arrays
+        for lam, log_z, point in seen:
+            x = point.node
+            f = approx_objective(inst, FractionalTables(node=x, edge=point.edge))
+            dual = -M * log_z + M * math.log(M) - M - float(conjugate(inst, lam).sum())
+            scale = objective_scale(inst, x, point.edge)
+            assert point.dual == pytest.approx(dual, abs=1e-12 * scale)
+            young = observation_cost(kind, y, var, x) + conjugate(inst, lam) - lam * x
+            assert (young >= -1e-12 * scale).all()
+            assert f - point.dual == pytest.approx(float(young.sum()), abs=1e-11 * scale)
+        assert report.gap == pytest.approx(float(young.sum()), abs=1e-11 * scale)
 
     @pytest.mark.parametrize(
         "make",
@@ -516,50 +698,30 @@ class TestLineSearch:
         ],
     )
     def test_carried_sums_match_the_tables(self, monkeypatch, make):
+        # each point's node tables are its edge tables' row and column sums,
+        # and the line search's point is carried into the next iteration
+        # without another evaluation: the report's objectives are its tables'
         inst = make()
-        path_form = baseline._along_path
-        calls = []
-
-        def record(instance, observed, node, edge, path, sums):
-            for name, terms in sum_terms(instance, node, edge).items():
-                carried = getattr(sums, name)
-                assert abs(carried - terms.sum()) <= 1e-12 * np.abs(terms).sum(), name
-            # the Poisson counts are carried as _move forms them, bit for bit
-            assert sums.pois.tobytes() == node[observed.pois].tobytes()
-            calls.append(path)
-            return path_form(instance, observed, node, edge, path, sums)
-
-        monkeypatch.setattr(baseline, "_along_path", record)
-        _, report = solve_approximate(inst, max_iters=300)
-        assert report.iterations == 300
-        assert len(calls) == 300
-
-    def test_face_start_has_finite_slope(self):
-        # x is a vertex: most entries are 0, and where x and the target agree
-        # (on a step both paths share, and on every cell neither visits) d = 0
-        inst = relax_instance()
-        node, edge = vertex(inst, [0, 1, 2, 3, 4])
-        v_node, v_edge = vertex(inst, [0, 1, 5, 3, 6])
-        d_node, d_edge = v_node - node, v_edge - edge
-        value, slope = path_step(inst, node, edge, [0, 1, 5, 3, 6])
-
-        def along(gamma):
-            tables = FractionalTables(node=node + gamma * d_node, edge=edge + gamma * d_edge)
-            return approx_objective(inst, tables)
-
-        for gamma in (0.0, 0.5, 1.0):
-            assert value(gamma) == pytest.approx(along(gamma), rel=1e-12)
-        for gamma in (1e-6, 0.5, 1.0 - 1e-6):
-            first, second = slope(gamma)
-            assert math.isfinite(first) and second > 0
-            h = 1e-3 * min(gamma, 1.0 - gamma)
-            fd = (along(gamma + h) - along(gamma - h)) / (2 * h)
-            assert first == pytest.approx(fd, rel=1e-6)
-        _, still = path_step(inst, node, edge, [0, 1, 2, 3, 4])
-        assert still(0.5) == (0.0, 0.0)
+        seen = record_points(monkeypatch)
+        tables, report = solve_approximate(inst, tol=1e-10)
+        for _, _, point in seen:
+            assert (point.node > 0).all() and (point.edge > 0).all()
+            rows = point.edge.sum(axis=2)
+            assert np.array_equal(point.node[:-1], rows)
+            assert np.array_equal(point.node[-1], point.edge[-1].sum(axis=0))
+            np.testing.assert_allclose(point.edge.sum(axis=1), point.node[1:], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(point.node.sum(axis=1), inst.population, rtol=1e-12)
+        assert seen.calls == (report.linesearch_evals + 1 if inst.n_steps > 1 else 0)
+        assert len(report.objectives) == report.iterations + (inst.n_steps == 1)
+        assert marginal_residual(inst, tables) <= 1e-9
+        assert report.objectives[-1] == pytest.approx(approx_objective(inst, tables), rel=1e-12)
+        if seen:
+            assert np.array_equal(tables.node, seen[-1][2].node)
 
 
 class TestCheapestPath:
+    """The test's own Viterbi pass, which the Frank-Wolfe gap checks rely on."""
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_every_path_enumerated(self, seed):
         rng = np.random.default_rng(seed)
@@ -574,7 +736,7 @@ class TestCheapestPath:
                         total += g_edge[t, states[t], states[t + 1]] + g_node[t + 1, states[t + 1]]
                     costs[states] = total
                 best = min(costs, key=costs.get)
-                states, cost = _cheapest_path(g_node, g_edge)
+                states, cost = cheapest_path(g_node, g_edge)
                 assert tuple(states.tolist()) == best
                 assert cost == pytest.approx(costs[best], abs=1e-12)
 
@@ -588,5 +750,5 @@ class TestCheapestPath:
         for path in paths:
             g_node[np.arange(3), path] = 0.0
             g_edge[np.arange(2), path[:-1], path[1:]] = 0.0
-        states, cost = _cheapest_path(g_node, g_edge)
+        states, cost = cheapest_path(g_node, g_edge)
         assert states.tolist() == [2, 0, 1] and cost == 0.0

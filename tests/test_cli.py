@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from cgmflow import cli
+from cgmflow import baseline, cli
 from cgmflow.baseline import solve_approximate
 from cgmflow.cli import _write_manifest, main
 from cgmflow.core import CgmInstance, Gaussian, MISSING, Poisson
-from cgmflow.dca import run_dca
+from cgmflow.dca import DcaConfig, run_dca
 from cgmflow.flow import _ResidualState
 from cgmflow.instances import (
     FormatError,
@@ -197,6 +197,15 @@ class TestSolve:
         assert report["true_objective"] == pytest.approx(math.log(2), abs=1e-6)
         assert "duality_gap_rel" in report
         assert report["linesearch_evals"] == 0  # converged before any step
+
+    def test_iteration_and_tolerance_defaults_are_the_librarys(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["solve", "--in", str(tmp_path / "i.json"), "--out", str(tmp_path / "o")]
+        )
+        _, report = solve_approximate(free_instance(2, 1, 2))
+        assert args.max_iters == DcaConfig().max_iters
+        assert args.baseline_tol == report.tol
+        assert args.baseline_max_iters == baseline.MAX_ITERS
 
     def test_dump_network(self, tmp_path):
         inst_path = free_instance_file(tmp_path)
@@ -705,17 +714,17 @@ class TestBench:
         assert len(rows) == 1  # first repeat censored, rest skipped
         assert rows[0]["censored"] == "1"
 
-        # unbounded, this relaxation solve (N=5, R=200, M=100) runs for seconds;
+        # unbounded, this DCA solve (N=5, R=60, M=2000) runs for seconds;
         # the budget stops it and restores the timer and the signal handler
         handler = signal.getsignal(signal.SIGALRM)
         t0 = time.perf_counter()
         code = main(
             [
                 "bench",
-                "--populations", "100",
-                "--n-states", "200",
+                "--populations", "2000",
+                "--n-states", "60",
                 "--n-steps", "5",
-                "--methods", "baseline",
+                "--methods", "dca",
                 "--repeats", "3",
                 "--timeout-sec", "0.3",
                 "--out", str(out),
