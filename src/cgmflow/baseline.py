@@ -28,9 +28,10 @@ marginals mu(lam); the gradient is M mu_n - h*_n'(lam_n).  Per node kind:
 
 Every x(lam) = M mu(lam) is strictly positive and feasible, so by weak
 duality f(x(lam)) - D(lam) >= 0 bounds its distance to the optimum: that
-is the solver's duality gap.  The solver ascends D by L-BFGS with
-backtracking.  An instance with one step has no edges and no entropy term;
-it is solved by bisection on the simplex multiplier (_single_step).
+is the solver's duality gap, summed as the nodes' Fenchel-Young terms
+(_young).  The solver ascends D by L-BFGS with backtracking.  An instance
+with one step has no edges and no entropy term; it is solved by bisection
+on the simplex multiplier (_single_step).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .core import (
     _relaxed_objective,
     _xlogy,
     log_factorial_array,
-    observation_cost,
 )
 
 __all__ = ["ApproxReport", "approx_objective", "solve_approximate"]
@@ -74,6 +74,17 @@ def approx_objective(instance: CgmInstance, tables: FractionalTables) -> float:
     with a positive observation diverges to +inf as its count reaches 0.
     """
     return _relaxed_objective(instance, tables, _stirling)
+
+
+def _young(x: np.ndarray, best: np.ndarray, var: np.ndarray, y: np.ndarray) -> float:
+    """Sum of h(x) + h*(lam) - lam x over nodes, each term >= 0 as written, at best = h*'(lam).
+
+    Gaussian nodes first, variances var: (x - best)^2 / (2 var); then Poisson
+    nodes, observations y > 0: y (u - 1 - ln u) at u = x / best.
+    """
+    g = var.size
+    r, u = x[:g] - best[:g], x[g:] / best[g:]
+    return float(r @ (r / (2.0 * var))) + float(y @ (u - 1.0 - np.log(u)))
 
 
 def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -147,12 +158,13 @@ class _Observations:
 class _Point:
     """One evaluation of the dual at the free multipliers lam, with the tables x(lam).
 
-    curvature is a diagonal estimate of -D's Hessian: h*'' plus the
-    diagonal of M times the node indicators' covariance.
+    gap is f(x(lam)) - D(lam); curvature is a diagonal estimate of -D's
+    Hessian: h*'' plus the diagonal of M times the node indicators' covariance.
     """
 
     lam: np.ndarray
     dual: float
+    gap: float
     grad: np.ndarray
     curvature: np.ndarray
     node: np.ndarray
@@ -171,7 +183,8 @@ def _evaluate(instance: CgmInstance, observed: _Observations, lam: np.ndarray):
     log_z, node, edge = _chain(instance.log_potentials, full, M)
     x = node.flat[observed.free]
     dual = M * (math.log(M) - 1.0 - log_z) - value
-    return _Point(lam, dual, x - first, second + x * (1.0 - x / M), node, edge)
+    gap = _young(x, first, observed.var, observed.y[observed.n_gauss :])
+    return _Point(lam, dual, gap, x - first, second + x * (1.0 - x / M), node, edge)
 
 
 def _direction(point: _Point, pairs) -> np.ndarray:
@@ -207,7 +220,7 @@ def minimize_scalar(trial, dual: float, rise: float):
 
 
 def _single_step(instance: CgmInstance):
-    """(node, D): the relaxed optimum of an instance with one step, and a dual bound on it.
+    """(node, gap): the relaxed optimum of an instance with one step, and its duality gap.
 
     With no edges f = sum_n h_n(x_n) on {x >= 0, sum x = M}.  At the
     simplex multiplier nu each node takes the x that minimizes
@@ -219,7 +232,7 @@ def _single_step(instance: CgmInstance):
     than M there, and the flat nodes of that kind share the leftover
     equally; otherwise bisection finds the nu where the rising nodes take
     M, and their counts are scaled to sum to M exactly.
-    D(nu) = nu M + sum_n min_x (h_n(x) - nu x).
+    D(nu) = nu M + sum_n min_x (h_n(x) - nu x); a flat node adds 0 to the gap.
     """
     kind, y, var = (a[0] for a in instance.observation_arrays)
     M = float(instance.population)
@@ -260,8 +273,8 @@ def _single_step(instance: CgmInstance):
         nu = lo
         rising = taken(nu)
         node = rising * (M / rising.sum())
-    # the flat kinds add 0 to D at nu <= cap
-    return node, nu * M + float((observation_cost(kind, y, var, rising) - nu * rising).sum())
+    free = np.concatenate([np.flatnonzero(gauss), np.flatnonzero(pois)])
+    return node, _young(node[free], rising[free], var[gauss], y[pois])
 
 
 @dataclass(slots=True)
@@ -269,7 +282,7 @@ class ApproxReport:
     """Dual-ascent run record; objectives are Stirling values, one per iterate.
 
     objectives[-1], gap and gap_rel describe the returned tables: gap is
-    their objective less the dual value that bounds the optimum from below.
+    their objective less a dual value bounding the optimum, never negative.
     """
 
     objectives: list = field(default_factory=list)
@@ -321,19 +334,19 @@ def solve_approximate(
     t0 = time.perf_counter()
     report = ApproxReport(tol=tol)
 
-    def certify(node: np.ndarray, edge: np.ndarray, dual: float) -> bool:
+    def certify(node: np.ndarray, edge: np.ndarray, gap: float) -> bool:
         """Record the tables' objective and gap; True once the gap is within tol."""
         current = _objective_value(instance, node, edge, _stirling)
         report.objectives.append(current)
-        report.gap = current - dual
+        report.gap = gap
         report.gap_rel = report.gap / max(1.0, abs(current)) if current < INF else INF
         report.converged = report.gap_rel <= tol
         return report.converged
 
     if instance.n_steps == 1:
-        node, dual = _single_step(instance)
+        node, gap = _single_step(instance)
         node, edge = node[None, :], np.zeros((0, instance.n_states, instance.n_states))
-        certify(node, edge, dual)
+        certify(node, edge, gap)
         report.wall_time = time.perf_counter() - t0
         return FractionalTables(node=node, edge=edge), report
 
@@ -342,7 +355,7 @@ def solve_approximate(
     pairs = deque(maxlen=MEMORY)
     for _ in range(max_iters):
         report.iterations += 1
-        if certify(point.node, point.edge, point.dual):
+        if certify(point.node, point.edge, point.gap):
             break
         step = _direction(point, pairs)
         rise = float(point.grad @ step)
@@ -362,7 +375,7 @@ def solve_approximate(
         point = moved
     else:
         # the cap stopped the loop: the report describes the tables returned
-        certify(point.node, point.edge, point.dual)
+        certify(point.node, point.edge, point.gap)
 
     report.wall_time = time.perf_counter() - t0
     return FractionalTables(node=point.node, edge=point.edge), report

@@ -27,6 +27,7 @@ package reports objectives under the same convention.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Union
@@ -183,7 +184,7 @@ class CgmInstance:
     strictly positive and finite.  observations has shape (n_steps, n_states)
     with NaN marking a missing observation and finite values elsewhere; noise
     carries one model tag per (t, i) and must be MISSING exactly where the
-    observation is.
+    observation is.  n_steps, n_states and population are positive integers.
     """
 
     n_steps: int
@@ -194,10 +195,11 @@ class CgmInstance:
     noise: tuple[tuple[NoiseModel, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1 or self.n_states < 1:
-            raise ValueError("n_steps and n_states must be positive")
-        if self.population < 1:
-            raise ValueError("population must be positive")
+        for name in ("n_steps", "n_states", "population"):
+            value = getattr(self, name)  # numpy integers are Integral; bool is an int
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         pot = _frozen(self.potentials)
         obs = _frozen(self.observations)
         object.__setattr__(self, "potentials", pot)

@@ -40,9 +40,8 @@ M the largest capacity (a table of ln z! up to M).  The 2E residual arcs
 for a solve; before each search only its weights, the reduced step
 increments clamped at 0, are refreshed.
 SSP and capacity scaling share one search, a multi-source
-``scipy.sparse.csgraph.dijkstra`` from every node with enough excess, and
-initial potentials come from one ``bellman_ford`` from a virtual root joined
-to every node.
+``scipy.sparse.csgraph.dijkstra`` from every node with enough excess; a cold
+solve's potentials come from label-correcting sweeps (_initial_potentials).
 
 Each search ships one path per tree of the shortest-path forest it grows:
 from each root to the nearest deficit in its tree.  Potentials fall by
@@ -94,7 +93,7 @@ from typing import Optional
 import numpy as np
 # at module level, so that no solve's wall_time includes the one-time scipy import
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .core import (
     GAUSSIAN,
@@ -425,11 +424,14 @@ def flow_balance(network: FlowNetwork, values: np.ndarray) -> np.ndarray:
     return _balance(network.tails, network.heads, np.asarray(values), network.n_nodes)
 
 
-def _check_bounds(network: FlowNetwork, values: np.ndarray) -> None:
+def _check_flow(network: FlowNetwork, values: np.ndarray, lower=0, feasible: bool = True) -> None:
+    """Raise unless values lie within lower..capacity and, if feasible, meet every supply."""
     if values.shape != (network.n_edges,):
         raise ValueError("flow does not match network")
-    if (values < 0).any() or (values > network.capacity).any():
+    if (values < lower).any() or (values > network.capacity).any():
         raise ValueError("flow violates edge bounds")
+    if feasible and not np.array_equal(flow_balance(network, values), network.supplies):
+        raise ValueError("flow violates conservation")
 
 
 def flow_cost(network: FlowNetwork, flow: Flow) -> float:
@@ -438,9 +440,8 @@ def flow_cost(network: FlowNetwork, flow: Flow) -> float:
     Evaluates each edge's cost at its value only, bit for bit as cost_table
     would, so it needs O(E + M) memory.
     """
-    values = flow.values
-    _check_bounds(network, values)
-    return _EdgeCosts(network).total(values)
+    _check_flow(network, flow.values, feasible=False)
+    return _EdgeCosts(network).total(flow.values)
 
 
 def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
@@ -449,12 +450,8 @@ def extract_tables(network: FlowNetwork, flow: Flow) -> ContingencyTables:
     if layout is None:
         raise ValueError("network has no table layout")
     values = flow.values
-    _check_bounds(network, values)
-    if not np.array_equal(flow_balance(network, values), network.supplies):
-        raise ValueError("flow violates conservation")
-    node = values[layout.node_edges]
-    edge = values[layout.trans_edges]
-    return ContingencyTables(node=node, edge=edge)
+    _check_flow(network, values)
+    return ContingencyTables(node=values[layout.node_edges], edge=values[layout.trans_edges])
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +614,12 @@ class _ResidualState:
             self.z = self.lower.copy()
             self.excess = network.supplies - _balance(self.tails, self.heads, self.z, n)
         else:
-            # _check_start has just shown the start meets every supply
-            self.z = self._check_start(start)
+            # the start must be a feasible flow with duals, so it holds no excess
+            _check_flow(network, start.values, self.lower)
+            duals = start.duals
+            if duals is None or duals.shape != (n,) or not np.isfinite(duals).all():
+                raise ValueError("start flow needs finite duals, one per node")
+            self.z = start.values.copy()
             self.excess = np.zeros(n, dtype=np.int64)
         # the step size inc holds
         self.step, self.near, self.signed = 1, _NEAR, _SIGN
@@ -658,19 +659,6 @@ class _ResidualState:
         ):
             return None
         return basis
-
-    def _check_start(self, start: Flow) -> np.ndarray:
-        """The start's values, after checking it is a feasible flow with duals."""
-        net, values, duals = self.network, start.values, start.duals
-        if values.shape != (net.n_edges,):
-            raise ValueError("start flow does not match network")
-        if (values < self.lower).any() or (values > self.cap).any():
-            raise ValueError("start flow violates edge bounds")
-        if not np.array_equal(flow_balance(net, values), net.supplies):
-            raise ValueError("start flow violates conservation")
-        if duals is None or duals.shape != (net.n_nodes,) or not np.isfinite(duals).all():
-            raise ValueError("start flow needs finite duals, one per node")
-        return values.copy()
 
     def _check_convex(self, rows: np.ndarray) -> None:
         """Raise unless the edges at rows (those with lf < 0) have discrete convex costs.
@@ -739,23 +727,21 @@ class _ResidualState:
         return self.inc[pos] - self.pi[self.arc_src[pos]] + self.pi[self.arc_dst[pos]]
 
     def _initial_potentials(self) -> np.ndarray:
-        """Bellman-Ford over the open arcs from a virtual root n joined to every node."""
-        n = self.n_nodes
+        """Label-correcting sweeps over the open arcs, from distance 0 at every node.
+
+        Cold, only forward arcs are open: on the layered network a DAG, settled
+        in its depth + 1 passes.  A label still falling after n + 1 passes
+        means a negative-cost cycle.
+        """
         open_ = np.isfinite(self.inc)
-        src = np.append(self.arc_src[open_], np.full(n, n))
-        graph = csr_array(
-            (
-                np.append(self.inc[open_], np.zeros(n)),
-                np.append(self.arc_dst[open_], np.arange(n)).astype(np.int32),
-                np.searchsorted(src, np.arange(n + 2)).astype(np.int32),
-            ),
-            shape=(n + 1, n + 1),
-        )
-        try:
-            dist = bellman_ford(graph, directed=True, indices=n)
-        except NegativeCycleError:
-            raise ValueError("negative-cost cycle in network") from None
-        return -dist[:n]
+        src, dst, inc = self.arc_src[open_], self.arc_dst[open_], self.inc[open_]
+        dist = np.zeros(self.n_nodes)
+        for _ in range(self.n_nodes + 1):
+            reach = dist[src] + inc
+            if (reach >= dist[dst]).all():
+                return -dist
+            np.minimum.at(dist, dst, reach)
+        raise ValueError("negative-cost cycle in network")
 
     def phase(self, delta: int) -> None:
         """Ship at step delta until no delta step has a negative reduced cost.
@@ -961,8 +947,8 @@ def solve_ssp(
     short paths the one csgraph's Dijkstra settles (its heap order) is
     taken, and among equally near deficits the lowest node index.
 
-    Without start the flow begins at the lower bounds with Bellman-Ford
-    potentials.  start is a feasible flow on this network (values within
+    Without start the flow begins at the lower bounds with potentials from
+    label-correcting sweeps.  start is a feasible flow on this network (values within
     the bounds, conservation equal to supplies) with finite duals, one per
     node, such as the Flow a solver returned for a network differing only in
     edge costs; otherwise ValueError.  From a start at the default cap the

@@ -215,8 +215,6 @@ def gen_interpolation(
     if noise_precision <= 0:
         raise ValueError("noise_precision must be positive")
     population = int(eta_first.sum())
-    if population < 1:
-        raise ValueError("population must be positive")
 
     potentials = _potential_matrix(PotentialKind.GRID_GAUSSIAN, R, grid, None, n_steps)
     obs = np.full((n_steps, R), np.nan)

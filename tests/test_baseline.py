@@ -394,6 +394,32 @@ class TestSolveApproximate:
         gap, _ = frank_wolfe_gap(inst, tables)
         assert -1e-9 <= gap / max(1.0, abs(report.objectives[-1])) <= 1e-6
 
+    @pytest.mark.parametrize("make", SOLVED)
+    def test_gap_is_never_negative(self, monkeypatch, make):
+        # summed as Fenchel-Young terms the gap cannot fall below 0 by
+        # rounding, so tol = 0 claims convergence only at a gap of exactly 0
+        gaps = []
+        young = baseline._young
+
+        def spy(*args):
+            gaps.append(young(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(baseline, "_young", spy)
+        inst = make()
+        for tol in (1e-6, 0.0):
+            _, report = solve_approximate(inst, tol=tol)
+            assert report.gap == gaps[-1]
+        assert min(gaps) >= 0.0
+        assert report.converged == (report.gap == 0.0)
+
+    def test_tol_zero_claims_no_convergence_at_rounding_scale(self):
+        # the two sides of f(x) - D(lam) are each about 1,821 here, and their
+        # difference fell to -1.1e-12 at iteration 6
+        _, report = solve_approximate(relax_instance(), tol=0.0)
+        assert report.gap >= 0.0
+        assert report.converged == (report.gap == 0.0)
+
     def test_frank_wolfe_gap_over_every_path(self):
         # the Viterbi pass against every path vertex enumerated, at the answer
         inst = make_mixed_instance(12)
@@ -548,6 +574,7 @@ class TestSingleStep:
             x = tables.node[0]
             M = inst.population
             assert report.converged and report.iterations == 0
+            assert report.gap >= 0.0
             assert (x >= 0).all() and x.sum() == pytest.approx(M, rel=1e-12)
             # h'(x) equals nu where x > 0 and is at least nu where x = 0
             slope = node_slope(inst, tables.node)[0]
@@ -557,6 +584,21 @@ class TestSingleStep:
             assert (slope[~positive] >= nu - 1e-9 * (1.0 + abs(nu))).all()
             count += 1
         assert count >= len(self.CASES) + 20
+
+    def test_gap_is_the_objective_less_the_dual(self):
+        # D(nu) = nu M + sum_n min over x >= 0 of h_n(x) - nu x, by closed
+        # forms at the nu the KKT conditions read off the answer
+        for inst in self.instances():
+            tables, report = solve_approximate(inst)
+            x, M = tables.node[0], inst.population
+            kind, y, var = (a[0] for a in inst.observation_arrays)
+            nu = float(np.median(node_slope(inst, tables.node)[0][x > 0]))
+            best = np.where(kind == GAUSSIAN, np.maximum(0.0, y + var * nu), 0.0)
+            positive = (kind == POISSON) & (y > 0)
+            best[positive] = y[positive] / (1.0 - nu)
+            dual = nu * M + float((observation_cost(kind, y, var, best) - nu * best).sum())
+            f = approx_objective(inst, tables)
+            assert report.gap == pytest.approx(f - dual, abs=1e-9 * max(1.0, abs(f)))
 
     def test_no_grid_point_is_lower(self):
         for inst in self.instances():
@@ -669,9 +711,10 @@ class TestLineSearch:
             np.testing.assert_allclose(point.grad, fd, rtol=0, atol=1e-5 * scale)
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
-    def test_path_form_value_matches_objective(self, monkeypatch, make):
+    def test_gap_is_the_fenchel_young_sum(self, monkeypatch, make):
         # at every point, f(x(lam)) - D(lam) is the Fenchel-Young sum
-        # h(x) + h*(lam) - lam x over the nodes: a true gap, never negative
+        # h(x) + h*(lam) - lam x over the nodes: a true gap, never negative,
+        # and the report's gap is that sum
         inst = make()
         seen = record_points(monkeypatch)
         _, report = solve_approximate(inst)
@@ -687,6 +730,7 @@ class TestLineSearch:
             assert (young >= -1e-12 * scale).all()
             assert f - point.dual == pytest.approx(float(young.sum()), abs=1e-11 * scale)
         assert report.gap == pytest.approx(float(young.sum()), abs=1e-11 * scale)
+        assert report.gap >= 0.0
 
     @pytest.mark.parametrize(
         "make",

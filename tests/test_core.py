@@ -528,6 +528,29 @@ class TestInstanceValidation:
                 noise=((Poisson(),),),
             )
 
+    @staticmethod
+    def sized(**sizes):
+        sizes = {"n_steps": 2, "n_states": 1, "population": 2, **sizes}
+        return CgmInstance(
+            **sizes,
+            potentials=np.ones((1, 1, 1)),
+            observations=np.full((2, 1), np.nan),
+            noise=((MISSING,), (MISSING,)),
+        )
+
+    @pytest.mark.parametrize("name", ["n_steps", "n_states", "population"])
+    @pytest.mark.parametrize("bad", [5.5, 2.0, True, np.True_, "2", None], ids=repr)
+    def test_rejects_non_integer_sizes(self, name, bad):
+        # a population of 5.5 would give relaxed tables whose rows sum to
+        # 5.5 and fail deep inside the flow network's integer capacities
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            self.sized(**{name: bad})
+
+    def test_accepts_numpy_integers_as_int(self):
+        inst = self.sized(n_steps=np.int64(2), n_states=np.int32(1), population=np.uint8(2))
+        assert [type(v) for v in (inst.n_steps, inst.n_states, inst.population)] == [int] * 3
+        assert (inst.n_steps, inst.n_states, inst.population) == (2, 1, 2)
+
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             Gaussian(0.0)

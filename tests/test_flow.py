@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import bellman_ford
 
 from cgmflow.core import (
     GAUSSIAN,
@@ -45,7 +47,7 @@ from cgmflow.flow import (
     solve_capacity_scaling,
     solve_ssp,
 )
-from cgmflow.instances import gen_synthetic
+from cgmflow.instances import GridSpec, gen_interpolation, gen_synthetic
 from cgmflow.oracle import brute_force_flow, enumerate_feasible
 from conftest import free_instance, make_mixed_instance, make_tiny_instance
 
@@ -737,6 +739,81 @@ class TestSolvers:
                 assert (big_stats.shipments, big_stats.restoration_pushes) == (
                     stats.shipments, stats.restoration_pushes,
                 )
+
+
+def bellman_ford_potentials(state):
+    """Cold potentials by scipy's Bellman-Ford from a root n joined to every node by a zero arc."""
+    n = state.n_nodes
+    open_ = np.isfinite(state.inc)
+    src = np.append(state.arc_src[open_], np.full(n, n))
+    graph = csr_array(
+        (
+            np.append(state.inc[open_], np.zeros(n)),
+            np.append(state.arc_dst[open_], np.arange(n)).astype(np.int32),
+            np.searchsorted(src, np.arange(n + 2)).astype(np.int32),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    return -bellman_ford(graph, directed=True, indices=n)[:n]
+
+
+def generic_network(seed):
+    """A random cyclic network with parallel edges and negative linear costs but no negative cycle.
+
+    Each cost is p[head] - p[tail] plus a positive slack, so every cycle
+    costs its slacks.
+    """
+    rng = np.random.default_rng(seed)
+    n, E = int(rng.integers(3, 12)), int(rng.integers(2, 40))
+    tails = rng.integers(0, n, E)
+    heads = (tails + rng.integers(1, n, E)) % n
+    p = rng.normal(0.0, 3.0, n)
+    slope = p[heads] - p[tails] + rng.uniform(0.01, 1.0, E)
+    rows = [
+        [t, h, c, 0.0, a, 0.0, 0, 0.0, 1.0]
+        for t, h, c, a in zip(tails, heads, rng.integers(0, 4, E), slope)
+    ]
+    return array_network(n, np.zeros(n, dtype=np.int64), rows)
+
+
+def cold_networks():
+    """Layered networks, true and surrogate, and generic ones, each with an id."""
+    for seed in range(3):
+        inst = gen_synthetic(n_steps=4, n_states=6, population=40, seed=seed)
+        yield f"synthetic{seed}-true", build_flow_network(inst)
+        for strategy in AlphaStrategy:
+            yield f"synthetic{seed}-{strategy.name}", surrogate_zero(inst, strategy)
+    mixed = make_mixed_instance(12)
+    yield "mixed-true", build_flow_network(mixed)
+    yield "mixed-L", surrogate_zero(mixed)
+    rng = np.random.default_rng(0)
+    ends = [rng.multinomial(60, np.full(9, 1 / 9)) for _ in range(2)]
+    interp = gen_interpolation(GridSpec(3, 3), *ends, n_steps=5)
+    yield "interp-true", build_flow_network(interp)
+    yield "interp-L", surrogate_zero(interp)
+    for seed in range(40):
+        yield f"generic{seed}", generic_network(seed)
+
+
+class TestColdPotentials:
+    def test_equal_bellman_ford_bit_for_bit(self, monkeypatch):
+        # the as-built interior costs are not convex; only the potentials are tested
+        monkeypatch.setattr(_ResidualState, "_check_convex", lambda state, rows: None)
+        negative = 0
+        for name, net in cold_networks():
+            state = _ResidualState(net, SolveStats())
+            assert state.pi.tobytes() == bellman_ford_potentials(state).tobytes(), name
+            open_ = np.isfinite(state.inc)
+            assert (state._reduced()[open_] >= 0.0).all(), name
+            negative += bool((state.inc[open_] < 0.0).any())
+        # all but a few of the 56 networks have negative arcs to correct
+        assert negative >= 50
+
+    def test_a_cold_layered_network_opens_forward_arcs_only(self):
+        inst = gen_synthetic(n_steps=4, n_states=6, population=40, seed=0)
+        state = _ResidualState(surrogate_zero(inst), SolveStats())
+        room = (state.cap > state.lower)[state.arc_edge]
+        assert np.array_equal(np.isfinite(state.inc), state.arc_fwd & room)
 
 
 def two_tree_network():

@@ -12,7 +12,10 @@ and every report's to_dict() without its wall times:
 
     run_dca            under L, M and R on the dca-wide and dca-pop panels of
                        seeds 901 and 902, tiny seeds 200-259 (N <= 4, R <= 3,
-                       M <= 6) and make_mixed_instance with M = 6, 12 and 40
+                       M <= 6), make_mixed_instance with M = 6, 12 and 40 and
+                       one 6x6 grid interpolation at M = 500 (gen_interpolation
+                       with n_steps = 6, its end histograms drawn in turn as
+                       multinomial(500, uniform) from default_rng(0))
     solve_approximate  on the seed-901 relax panel and make_mixed_instance
 
 The panels are perfbench/run.py's write_panel files and the small instances
@@ -27,6 +30,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +80,9 @@ def main(argv: list) -> int:
     dca_set += [make_tiny_instance(seed, max_steps=4, max_states=3, max_population=6)
                 for seed in range(200, 260)]
     dca_set += mixed
+    rng = np.random.default_rng(0)
+    ends = [rng.multinomial(500, np.full(36, 1 / 36)) for _ in range(2)]
+    dca_set.append(cgmflow.gen_interpolation(cgmflow.GridSpec(6, 6), *ends, n_steps=6))
 
     dca = hashlib.sha256()
     for strategy in cgmflow.AlphaStrategy:
