@@ -48,6 +48,7 @@ from .core import (
     POISSON,
     CgmInstance,
     FractionalTables,
+    _integer,
     _objective_value,
     _relaxed_objective,
     _xlogy,
@@ -206,15 +207,20 @@ def minimize_scalar(trial, dual: float, rise: float):
     trial(t) gives the _Point a step of length t reaches, None outside
     D's domain; dual is D at t = 0 and rise its slope there, positive.
     Steps t = 1, 1/2, 1/4, ... are tried until D rises by at least
-    ARMIJO t rise, and strictly; after MAX_TRIALS the point is None.
+    ARMIJO t rise, and strictly.  The point is None after MAX_TRIALS, or
+    before a trial whose predicted rise t rise is at most
+    4 eps max(1, |dual|): a rise that D cannot represent.
 
     The name stays fixed: perfbench wraps it as its baseline.linesearch span.
     """
+    floor = 4.0 * math.ulp(1.0) * max(1.0, abs(dual))  # ulp(1) is eps
     t = 1.0
-    for evals in range(1, MAX_TRIALS + 1):
+    for evals in range(MAX_TRIALS):
+        if t * rise <= floor:
+            return None, evals
         point = trial(t)
         if point is not None and point.dual > dual and point.dual >= dual + ARMIJO * t * rise:
-            return point, evals
+            return point, evals + 1
         t *= 0.5
     return None, MAX_TRIALS
 
@@ -324,11 +330,10 @@ def solve_approximate(
     within tol.  An instance with one step is solved by _single_step, with
     no iterations.
 
-    Raises ValueError for a negative max_iters and for a tol that is
-    negative or NaN.
+    Raises ValueError for a max_iters that is not a nonnegative integer
+    (core._integer) and for a tol that is negative or NaN.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    max_iters = _integer("max_iters", max_iters, 0)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     t0 = time.perf_counter()

@@ -12,8 +12,9 @@ three families of separable terms:
 
 The observation term has one implementation, ``observation_cost``, which
 evaluates it elementwise from per-node (or per-arc) arrays of kind, y and
-variance; every objective, the flow network's arc costs and the oracle call
-it, and so do the relaxation baseline's objective and its one-step solve.
+variance; every objective, the relaxation baseline's included, the flow
+network's arc costs and the oracle call it.  The baseline's dual ascent
+and its one-step solve never do: they work through the terms' conjugates.
 The three families are summed in one place, ``_objective_value``, which
 takes the ln z! to use: ``objective`` passes the exact table,
 ``objective_fractional`` its linear interpolation and the relaxation
@@ -176,6 +177,15 @@ def _frozen(values, dtype=float, error: str | None = None) -> np.ndarray:
     return out
 
 
+def _integer(name: str, value, least: int = 1) -> int:
+    """value as an int if it is an integer (numpy's too) >= least, 0 or 1; else ValueError."""
+    # numpy integers are Integral; bool is an int, and refused
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        sign = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CgmInstance:
     """A path-graph inference problem.
@@ -196,10 +206,7 @@ class CgmInstance:
 
     def __post_init__(self) -> None:
         for name in ("n_steps", "n_states", "population"):
-            value = getattr(self, name)  # numpy integers are Integral; bool is an int
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         pot = _frozen(self.potentials)
         obs = _frozen(self.observations)
         object.__setattr__(self, "potentials", pot)

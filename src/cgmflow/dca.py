@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     CgmInstance,
     ContingencyTables,
+    _integer,
     log_factorial,
     log_factorial_array,
     objective,
@@ -165,8 +166,9 @@ def surrogate_objective(
 class DcaConfig:
     """The supergradient strategy and the outer iteration cap.
 
-    The inner solve needs no setting: run_dca picks its first block size
-    from the instance (_first_block).
+    max_iters must be a positive integer (core._integer).  The inner solve
+    needs no setting: run_dca picks its first block size from the instance
+    (_first_block).
     """
 
     strategy: AlphaStrategy = AlphaStrategy.L
@@ -174,8 +176,7 @@ class DcaConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", AlphaStrategy(self.strategy))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
 
 
 @dataclass(slots=True)

@@ -54,23 +54,23 @@ scaled phases and warm starts, which hold many excesses at once, need far
 fewer searches than paths.
 
 Both solvers run one phase routine at a block size delta (``phase``):
-push delta units along every edge whose delta step has a negative reduced
-cost, ship, and repeat until a round pushes nothing; a round after the
-first rescans only the edges the round before pushed.  A solve halves
-delta from the largest power of two at most min(cap, top) down to 1
-(Ahuja, Magnanti and Orlin, Network Flows, sections 10.2 and 14.5), top
-the top excess of a cold solve.  solve_ssp takes the cap as max_block, 1
-by default, which leaves plain SSP's single unit phase; capacity scaling
-leaves the block uncapped.  Scaling wins when cells hold many units and
-plain SSP when they hold few, so a caller that knows its counts picks the
-cap (dca.run_dca does, from the population per state).  A warm start, a
-feasible flow with node potentials (``Flow.duals``, which every solver
-returns), holds no excess, so its unit phase moves only the units its
-pushes displace; a difference-of-convex iteration changes only the
-interior node-edge slopes, so the previous optimum is nearly optimal for
-the next surrogate.  A warm solve_ssp honours the cap too, with top the
-largest edge range: a start far from the new optimum then moves in
-blocks.  A warm capacity-scaling solve is the unit phase.
+every round scans every edge, pushes delta units along each one whose
+delta step has a negative reduced cost, and ships, until a round pushes
+nothing.  A solve halves delta from the largest power of two at most
+min(cap, top) down to 1 (Ahuja, Magnanti and Orlin, Network Flows,
+sections 10.2 and 14.5), top the top excess of a cold solve.  solve_ssp
+takes the cap as max_block, 1 by default, which leaves plain SSP's single
+unit phase; capacity scaling leaves the block uncapped.  Scaling wins when
+cells hold many units and plain SSP when they hold few, so a caller that
+knows its counts picks the cap (dca.run_dca does, from the population per
+state).  A warm start, a feasible flow with node potentials
+(``Flow.duals``, which every solver returns), holds no excess, so its unit
+phase moves only the units its pushes displace; a difference-of-convex
+iteration changes only the interior node-edge slopes, so the previous
+optimum is nearly optimal for the next surrogate.  A warm solve_ssp
+honours the cap too, with top the largest edge range: a start far from the
+new optimum then moves in blocks.  A warm capacity-scaling solve is the
+unit phase.
 
 A warm start also reuses what its start's solve built.  Every Flow a solver
 returns carries that solve's basis: its network, residual arcs (CSR order
@@ -155,10 +155,11 @@ class CgmLayout:
         for name in ("source_edges", "node_edges", "trans_edges", "sink_edges"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
 
-    def u_node(self, t: int, i: int) -> int:
+    # t and i may be integers or integer arrays that broadcast
+    def u_node(self, t, i):
         return 2 + 2 * t * self.n_states + i
 
-    def w_node(self, t: int, i: int) -> int:
+    def w_node(self, t, i):
         return 2 + (2 * t + 1) * self.n_states + i
 
     def node_name(self, v: int) -> str:
@@ -361,8 +362,17 @@ def build_flow_network(
     trans_edges = (node_edges[:-1, :1, None] + R) + R * states[:, None] + states
     n_edges = 2 * R + N * R + (N - 1) * R * R
     sink_edges = n_edges - R + states
-    u = 2 + 2 * R * np.arange(N)[:, None] + states
-    w = u + R
+    layout = CgmLayout(
+        n_steps=N,
+        n_states=R,
+        population=M,
+        source_edges=states,
+        node_edges=node_edges,
+        trans_edges=trans_edges,
+        sink_edges=sink_edges,
+    )
+    steps = np.arange(N)[:, None]
+    u, w = layout.u_node(steps, states), layout.w_node(steps, states)
 
     tails = np.empty(n_edges, dtype=np.int64)
     heads = np.empty(n_edges, dtype=np.int64)
@@ -381,15 +391,6 @@ def build_flow_network(
     kind, y, var = instance.observation_arrays
     obs_kind[node_edges], obs_y[node_edges], obs_var[node_edges] = kind, y, var
 
-    layout = CgmLayout(
-        n_steps=N,
-        n_states=R,
-        population=M,
-        source_edges=states,
-        node_edges=node_edges,
-        trans_edges=trans_edges,
-        sink_edges=sink_edges,
-    )
     supplies = np.zeros(2 + 2 * N * R, dtype=np.int64)
     supplies[0] = M
     supplies[1] = -M
@@ -547,10 +548,8 @@ _STRUCTURE = ("tails", "heads")
 _COSTS = tuple(name for name in _EDGE_ARRAYS if name not in _STRUCTURE)
 # cost evaluations per block of the convexity check
 _CONVEX_BLOCK = 1 << 16
-# the flows a refresh evaluates, in steps from z, and the signs of the
-# backward and forward steps
+# the flows a refresh evaluates, in steps from z
 _NEAR = np.array([[-1], [0], [1]])
-_SIGN = np.array([[-1], [1]])
 
 
 def _changed_edges(old: FlowNetwork, new: FlowNetwork) -> np.ndarray:
@@ -622,7 +621,7 @@ class _ResidualState:
             self.z = start.values.copy()
             self.excess = np.zeros(n, dtype=np.int64)
         # the step size inc holds
-        self.step, self.near, self.signed = 1, _NEAR, _SIGN
+        self.step, self.near = 1, _NEAR
         self._refresh(changed)
         self.pi = self._initial_potentials() if start is None else start.duals.copy()
 
@@ -703,7 +702,7 @@ class _ResidualState:
         """
         if self.step != delta:
             self.step = delta
-            self.near, self.signed = delta * _NEAR, delta * _SIGN
+            self.near = delta * _NEAR
             self._refresh()
 
     def _refresh(self, edges=slice(None)) -> np.ndarray:
@@ -718,13 +717,13 @@ class _ResidualState:
         ok = (near >= self.lower[edges]) & (near <= self.cap[edges])
         costs = self.costs(edges, np.where(ok, near, z))
         # the backward and forward increments, each difference divided by
-        # its signed step: (c(z - d) - c(z)) / d == (c(z) - c(z - d)) / -d
-        steps = (costs[1:] - costs[:-1]) / self.signed
+        # its signed step, near[::2]: (c(z - d) - c(z)) / d == (c(z) - c(z - d)) / -d
+        steps = (costs[1:] - costs[:-1]) / self.near[::2]
         self.inc[self.edge_arcs[:, edges]] = np.where(ok[::2], steps, INF)
         return costs
 
-    def _reduced(self, pos=slice(None)) -> np.ndarray:
-        return self.inc[pos] - self.pi[self.arc_src[pos]] + self.pi[self.arc_dst[pos]]
+    def _reduced(self) -> np.ndarray:
+        return self.inc - self.pi[self.arc_src] + self.pi[self.arc_dst]
 
     def _initial_potentials(self) -> np.ndarray:
         """Label-correcting sweeps over the open arcs, from distance 0 at every node.
@@ -746,13 +745,12 @@ class _ResidualState:
     def phase(self, delta: int) -> None:
         """Ship at step delta until no delta step has a negative reduced cost.
 
-        Brings every arc to step delta (_at_step), then runs rounds: _push_negative
-        moves delta units along every edge with a negative delta step (in a
-        later round, every edge the round before pushed that still has
-        one), and ship(delta) routes excesses to deficits, many per search,
-        until no search finds a pair.  The phase ends after a round that
-        pushes nothing.  An edge stays waiting while its pushed direction
-        is negative.
+        Brings every arc to step delta (_at_step), then runs rounds: every
+        round scans every edge, _push_negative moves delta units along each
+        one with a negative delta step, and ship(delta) routes excesses to
+        deficits, many per search, until no search finds a pair.  The phase
+        ends after a round that pushes nothing.  An edge stays waiting while
+        its pushed direction is negative.
 
         Termination: ship clamps waiting arcs at 0, so by the argument in
         ship a nonnegative arc never turns negative, and a waiting arc's
@@ -769,47 +767,35 @@ class _ResidualState:
         self._at_step(delta)
         pushed = self._push_negative(delta)
         for _ in range(int((self.cap - self.lower).sum()) // delta + 1):
+            # the first round ships even if it pushed nothing (a cold start
+            # or a halving leaves excesses); a later push that finds nothing
+            # leaves nothing to ship
             while self.ship(delta):
                 pass
-            # shipping leaves arcs at or above the tolerance there, so only
-            # the edges the last round pushed need another check
-            if pushed.size:
-                pushed = self._push_negative(delta, pushed)
-            if not pushed.size:
+            if not pushed or not self._push_negative(delta):
                 return
         raise RuntimeError("phase did not settle within its round bound")
 
-    def _negative_steps(self, edges=slice(None)) -> np.ndarray:
-        """+1 or -1 per edge of edges whose forward or backward step is negative, else 0.
+    def _push_negative(self, delta: int) -> int:
+        """Push delta units along every edge whose delta step is negative; return how many.
 
         Negative means below -1e-12 * scale, so the rule does not depend on
         the cost units.  The forward step goes first; by convexity the two
         directions of an edge are never both negative.
         """
         tol = -1e-12 * self.scale
-        red = self._reduced(self.edge_arcs[:, edges])
+        red = self._reduced()[self.edge_arcs]
         up = red[1] < tol
-        return up.astype(np.int64) - ((red[0] < tol) & ~up)
-
-    def _push_negative(self, delta: int, edges=slice(None)) -> np.ndarray:
-        """Push delta units along each of edges (all by default) whose delta step is negative.
-
-        A phase's first round scans every edge and each later round only
-        the edges the round before pushed.  That is enough: a search lowers
-        no reduced cost below min(red, 0), and leaves the steps of the edges
-        it ships along at 0 or above (ship), so no edge that a scan passed
-        can have fallen below the tolerance of _negative_steps since.
-        Returns the pushed edges, ascending.
-        """
-        steps = self._negative_steps(edges)
-        hit = np.flatnonzero(steps)
-        pushed = hit if isinstance(edges, slice) else edges[hit]
-        step = delta * steps[hit]
+        steps = up.astype(np.int64) - ((red[0] < tol) & ~up)
+        pushed = np.flatnonzero(steps)
+        if not pushed.size:
+            return 0
+        step = delta * steps[pushed]
         self.z[pushed] += step
         self.excess -= _balance(self.tails[pushed], self.heads[pushed], step, self.n_nodes)
         self._refresh(pushed)
         self.stats.restoration_pushes += pushed.size
-        return pushed
+        return pushed.size
 
     def ship(self, delta: int) -> bool:
         """Move delta units along one shortest path per search tree; False if none.

@@ -3,6 +3,7 @@
 import itertools
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -415,10 +416,13 @@ class TestSolveApproximate:
 
     def test_tol_zero_claims_no_convergence_at_rounding_scale(self):
         # the two sides of f(x) - D(lam) are each about 1,821 here, and their
-        # difference fell to -1.1e-12 at iteration 6
+        # difference fell to -1.1e-12 at iteration 6; D cannot rise by less
+        # than its rounding, so the last line search gives up before its
+        # predicted rise gets there (65 evaluations when it ran to MAX_TRIALS)
         _, report = solve_approximate(relax_instance(), tol=0.0)
         assert report.gap >= 0.0
         assert report.converged == (report.gap == 0.0)
+        assert not report.converged and report.linesearch_evals <= 10
 
     def test_frank_wolfe_gap_over_every_path(self):
         # the Viterbi pass against every path vertex enumerated, at the answer
@@ -466,7 +470,8 @@ class TestSolveApproximate:
 
     def test_stops_when_the_dual_cannot_rise(self, monkeypatch):
         # with +inf for every objective no gap certifies, so the line search
-        # ends the solve once D stops rising, without claiming convergence
+        # ends the solve once D stops rising, without claiming convergence:
+        # its predicted rise reaches rounding scale before MAX_TRIALS
         results = []
         search = baseline.minimize_scalar
 
@@ -478,7 +483,8 @@ class TestSolveApproximate:
         monkeypatch.setattr(baseline, "_objective_value", lambda *args: math.inf)
         _, report = solve_approximate(relax_instance())
         assert not report.converged and report.iterations < 100
-        assert results[-1] == (None, baseline.MAX_TRIALS)
+        point, evals = results[-1]
+        assert point is None and evals < baseline.MAX_TRIALS
         assert all(point is not None for point, _ in results[:-1])
 
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance, mixed_instance])
@@ -508,6 +514,19 @@ class TestSolveApproximate:
     def test_rejects_a_negative_cap_and_a_negative_or_nan_tol(self, name, value):
         with pytest.raises(ValueError, match=name):
             solve_approximate(free_instance(2, 2, 4), **{name: value})
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, np.float64(3.0), True, False, "3", None])
+    def test_rejects_a_cap_that_is_not_an_integer(self, cap):
+        with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+            solve_approximate(free_instance(2, 2, 4), max_iters=cap)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        inst = relax_instance()
+        _, report = solve_approximate(inst, tol=0.0, max_iters=np.int64(2))
+        assert report.iterations == 2
+        assert report.to_dict() | {"wall_time": 0} == (
+            solve_approximate(inst, tol=0.0, max_iters=2)[1].to_dict() | {"wall_time": 0}
+        )
 
     def test_report_serializes(self):
         inst = free_instance(2, 2, 4)
@@ -632,6 +651,31 @@ class TestSingleStep:
 
 
 class TestLineSearch:
+    @pytest.mark.parametrize("dual, rise", [(0.0, 1.0), (-3e5, 1.0), (2e3, 1e-9), (1.0, 1e-20)])
+    def test_no_trial_predicts_a_rise_below_rounding(self, dual, rise):
+        # D never rises here: every step t evaluated predicts t * rise above
+        # 4 eps max(1, |D|), and the search stops at the first one that does not
+        tried = []
+
+        def flat(t):
+            tried.append(t)
+            return SimpleNamespace(dual=dual)
+
+        floor = 4 * np.finfo(float).eps * max(1.0, abs(dual))
+        steps = [0.5**k for k in range(baseline.MAX_TRIALS)]
+        assert baseline.minimize_scalar(flat, dual, rise) == (None, len(tried))
+        assert tried == [t for t in steps if t * rise > floor]
+
+    def test_trials_stay_capped(self):
+        tried = []
+
+        def outside(t):
+            tried.append(t)
+            return None
+
+        assert baseline.minimize_scalar(outside, 0.0, 1e30) == (None, baseline.MAX_TRIALS)
+        assert len(tried) == baseline.MAX_TRIALS
+
     @pytest.mark.parametrize("make", [relax_instance, poisson_instance])
     def test_slope_matches_finite_difference(self, monkeypatch, make):
         # rise, the slope of D that the backtracking takes at the step's start

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import bellman_ford
 
+import cgmflow.flow
 from cgmflow.core import (
     GAUSSIAN,
     POISSON,
@@ -659,6 +660,54 @@ class TestSolvers:
             solve_ssp(net)
         with pytest.raises(ValueError, match="convex"):
             solve_capacity_scaling(net)
+
+    @staticmethod
+    def gaussian_chain(missing=()):
+        """N = 4, R = 3, M = 12, Gaussian var 0.5 <= 1 / ln 2 on every node but the missing cells."""
+        rng = np.random.default_rng(5)
+        obs = rng.uniform(0.0, 6.0, (4, 3))
+        noise = [[Gaussian(0.5)] * 3 for _ in range(4)]
+        for t, i in missing:
+            obs[t, i], noise[t][i] = np.nan, MISSING
+        return CgmInstance(
+            n_steps=4,
+            n_states=3,
+            population=12,
+            potentials=rng.uniform(0.5, 2.0, (3, 3, 3)),
+            observations=obs,
+            noise=tuple(map(tuple, noise)),
+        )
+
+    def test_convexity_check_spans_blocks(self, monkeypatch):
+        # the six interior node edges (lf < 0) are checked four per block:
+        # two blocks, the second one short, with the default's answer
+        net = build_flow_network(self.gaussian_chain())
+        rows = np.flatnonzero(net.lf < 0)
+        assert rows.size == 6
+        flow_default, cost_default, _ = solve_ssp(net)
+        checked, evaluate = [], cgmflow.flow._EdgeCosts.__call__
+
+        def spy(costs, e, z):
+            if z.shape[0] == 13:  # 0..M: only the convexity check asks for every flow
+                checked.append(np.asarray(e).tolist())
+            return evaluate(costs, e, z)
+
+        monkeypatch.setattr(cgmflow.flow, "_CONVEX_BLOCK", 4 * 13)
+        monkeypatch.setattr(cgmflow.flow._EdgeCosts, "__call__", spy)
+        flow, cost, _ = solve_ssp(net)
+        assert checked == [rows[:4].tolist(), rows[4:].tolist()]
+        assert cost == cost_default and flow == flow_default
+
+    @pytest.mark.parametrize("cell", [(2, 1), (2, 2)])
+    def test_convexity_check_names_an_edge_in_a_later_block(self, monkeypatch, cell):
+        # a missing interior cell keeps only -ln z!, which is not convex
+        net = build_flow_network(self.gaussian_chain(missing=[cell]))
+        edge = int(net.layout.node_edges[cell])
+        assert edge in np.flatnonzero(net.lf < 0)[4:]
+        for block in (cgmflow.flow._CONVEX_BLOCK, 4 * 13):
+            monkeypatch.setattr(cgmflow.flow, "_CONVEX_BLOCK", block)
+            with pytest.raises(ValueError, match=f"^edge {edge} cost is not discrete convex"):
+                solve_ssp(net)
 
     def test_two_layer_true_network_is_convex(self):
         # no interior layers, so the as-built costs are already convex
