@@ -178,11 +178,12 @@ def _frozen(values, dtype=float, error: str | None = None) -> np.ndarray:
 
 
 def _integer(name: str, value, least: int = 1) -> int:
-    """value as an int if it is an integer (numpy's too) >= least, 0 or 1; else ValueError."""
+    """value as an int if it is an integer (numpy's too) >= least; else ValueError."""
     # numpy integers are Integral; bool is an int, and refused
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        sign = "positive" if least else "nonnegative"
-        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+        kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+        kind = kinds.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(value)
 
 

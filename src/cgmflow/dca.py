@@ -65,36 +65,27 @@ def alpha_value(strategy: AlphaStrategy, n: int) -> float:
 
     At n = 0 the admissible interval is [0, +inf); all strategies return 0,
     the unique finite endpoint, which preserves the upper-bound property.
+    n is a nonnegative integer (core._integer).
     """
-    return float(_alpha_values(AlphaStrategy(strategy), np.asarray(n)))
-
-
-# math.log(k) at k = 0, 1, 2, ... (0 at k = 0), grown on demand
-_LOGS = np.zeros(1)
-
-
-def _logs(n: int) -> np.ndarray:
-    """math.log(k) for k = 0..n at least, with 0 at k = 0."""
-    global _LOGS
-    logs = _LOGS
-    if n >= len(logs):
-        more = [math.log(k) for k in range(len(logs), max(n + 1, 2 * len(logs)))]
-        logs = _LOGS = np.append(logs, more)
-    return logs
+    return float(_alpha_values(AlphaStrategy(strategy), np.asarray(_integer("n", n, 0))))
 
 
 def _alpha_values(strategy: AlphaStrategy, n: np.ndarray) -> np.ndarray:
     """Supergradient slope under the given strategy at every k in the count array n."""
     if (n < 0).any():
         raise ValueError("n must be nonnegative")
-    logs = _logs(int(n.max(initial=0)) + 1)
     if strategy is AlphaStrategy.L:
-        alpha = -logs[n]
+        alpha = -_log(n)
     elif strategy is AlphaStrategy.M:
-        alpha = -0.5 * (logs[n] + logs[n + 1])
+        alpha = -0.5 * (_log(n) + _log(n + 1))
     else:
-        alpha = -logs[n + 1]
+        alpha = -_log(n + 1)
     return np.where(n == 0, 0.0, alpha)
+
+
+def _log(n: np.ndarray) -> np.ndarray:
+    """math.log(k) at every k in the count array n, 0 at k = 0."""
+    return np.array([math.log(k) if k else 0.0 for k in n.ravel().tolist()]).reshape(n.shape)
 
 
 def surrogate_g(n_lin: int, alpha: float, z: int) -> float:

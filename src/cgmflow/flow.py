@@ -73,13 +73,14 @@ new optimum then moves in blocks.  A warm capacity-scaling solve is the
 unit phase.
 
 A warm start also reuses what its start's solve built.  Every Flow a solver
-returns carries that solve's basis: its network, residual arcs (CSR order
-and the search graph), each edge's cost-scale bound and the step-1
-increments at the returned flow.  The first warm start from such a Flow on
-a network with the same node count, tails and heads takes all of it over,
-so no other solve can share the arrays it edits, and evaluates costs only
-for the edges whose cost arrays differ in value from the basis network's.
-Any other start builds the arcs and costs every edge.  The convexity check,
+returns carries that solve's finished state, its basis: the network,
+residual arcs (CSR order and the search graph), each edge's cost-scale
+bound and the step-1 increments at the returned flow.  Every warm start
+from such a Flow on a network with the same node count, tails and heads
+shares its arcs, copies the arrays a solve edits (the search graph's
+weights, the bounds and the increments) and evaluates costs only for the
+edges whose cost arrays differ in value from the basis network's.  Any
+other start builds the arcs and costs every edge.  The convexity check,
 the start check and the certificate run as on a fresh build.
 """
 
@@ -101,6 +102,7 @@ from .core import (
     CgmInstance,
     ContingencyTables,
     _frozen,
+    _integer,
     log_factorial_array,
     observation_cost,
 )
@@ -193,7 +195,8 @@ class FlowNetwork:
     observation cost of kind obs_kind[e] (0 none, GAUSSIAN or POISSON) at
     obs_y[e] and Gaussian variance obs_var[e].  Every parameter must be
     finite; capacities and Poisson observations are nonnegative integers and
-    Gaussian variances positive.
+    Gaussian variances positive.  n_nodes is a nonnegative integer
+    (core._integer).
     """
 
     n_nodes: int
@@ -210,6 +213,7 @@ class FlowNetwork:
     layout: Optional[CgmLayout] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_nodes", _integer("n_nodes", self.n_nodes, 0))
         supplies = _frozen(self.supplies, np.int64, "supplies must be integers")
         if supplies.shape != (self.n_nodes,):
             raise ValueError("supplies must have one entry per node")
@@ -256,16 +260,15 @@ class Flow:
     under which no unit step of the flow has a negative reduced cost: the
     optimality certificate, and with the flow a warm start for a later solve.
 
-    A solver-built Flow also carries its solve's basis (the network, its
-    residual arcs, each edge's cost-scale bound and the step-1 increments
-    at these values), which takes no part in equality or repr.  It is
-    single-use: the first warm start from this Flow takes it, and the Flow
-    keeps those arrays alive until then, or until it is dropped.
+    A solver-built Flow also carries its solve's finished state as its
+    basis (the network, its residual arcs, each edge's cost-scale bound and
+    the step-1 increments at these values), which takes no part in equality
+    or repr and is never edited: every warm start from this Flow reads it.
     """
 
     values: np.ndarray
     duals: Optional[np.ndarray] = None
-    _basis: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _basis: Optional[_ResidualState] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -540,12 +543,11 @@ class SolveStats:
         }
 
 
-# the state attributes a basis hands on: the residual arcs, fixed per structure
-_ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "edge_arcs", "arc_keys", "parallel", "graph")
-# the network arrays a basis must share with the next network, besides n_nodes
-_STRUCTURE = ("tails", "heads")
-# the network arrays an edge's costs depend on: every other edge array
-_COSTS = tuple(name for name in _EDGE_ARRAYS if name not in _STRUCTURE)
+# the residual arcs a warm start shares with its basis: fixed per structure
+# and never edited, unlike the search graph's weights, which it copies
+_ARCS = ("arc_src", "arc_dst", "arc_edge", "arc_fwd", "edge_arcs", "arc_keys", "parallel")
+# the network arrays an edge's costs depend on: every edge array but tails and heads
+_COSTS = tuple(name for name in _EDGE_ARRAYS if name not in ("tails", "heads"))
 # cost evaluations per block of the convexity check
 _CONVEX_BLOCK = 1 << 16
 # the flows a refresh evaluates, in steps from z
@@ -576,11 +578,12 @@ class _ResidualState:
     bound[e] is the larger magnitude of edge e's first and last unit step
     (0 for an edge with no step), and scale = max(1, bound.max()).
 
-    A warm start whose Flow carries a basis of the same structure (n_nodes
-    and _STRUCTURE) takes over its arcs (_ARCS), its bounds and its step-1
-    increments at the start flow, and re-costs only the edges whose cost
-    arrays (_COSTS) differ in value from the basis network's.  Any other
-    state costs every edge.  Either way the state starts with inc at step 1.
+    A warm start whose Flow carries a basis of the same structure (n_nodes,
+    tails and heads) shares its arcs (_ARCS), copies its search graph, its
+    bounds and its step-1 increments at the start flow, and re-costs only
+    the edges whose cost arrays (_COSTS) differ in value from the basis
+    network's.  Any other state costs every edge.  Either way the state
+    starts with inc at step 1.
     """
 
     def __init__(self, network: FlowNetwork, stats: SolveStats, start: Optional[Flow] = None):
@@ -595,16 +598,20 @@ class _ResidualState:
         if empty.size:
             raise InfeasibleError(f"edge {int(empty[0])} has no finite cost at any flow value")
         self.costs = _EdgeCosts(network)
-        basis = self._take_basis(start)
-        if basis is None:
+        old = None if start is None else start._basis
+        if old is None or not (
+            old.n_nodes == n
+            and np.array_equal(old.tails, self.tails)
+            and np.array_equal(old.heads, self.heads)
+        ):
             self._build_arcs()
             self.bound, self.inc = np.zeros(E), np.empty(2 * E)
             changed = slice(None)
         else:
-            old, arcs, self.bound, self.inc = basis
-            for name, value in zip(_ARCS, arcs):
-                setattr(self, name, value)
-            changed = _changed_edges(old, network)
+            for name in _ARCS:
+                setattr(self, name, getattr(old, name))
+            self.graph, self.bound, self.inc = old.graph.copy(), old.bound.copy(), old.inc.copy()
+            changed = _changed_edges(old.network, network)
         self._check_convex(np.flatnonzero(network.lf < 0))
         self._bound(changed)
         self.scale = max(1.0, float(self.bound.max(initial=0.0)))
@@ -626,7 +633,7 @@ class _ResidualState:
         self.pi = self._initial_potentials() if start is None else start.duals.copy()
 
     def _build_arcs(self) -> None:
-        """The 2E residual arcs in CSR order and the search graph over them (_ARCS)."""
+        """The 2E residual arcs in CSR order (_ARCS) and the search graph over them."""
         E, n = len(self.tails), self.n_nodes
         arc_src = np.concatenate([self.tails, self.heads])
         arc_dst = np.concatenate([self.heads, self.tails])
@@ -643,21 +650,6 @@ class _ResidualState:
         self.graph = csr_array(
             (np.zeros(2 * E), self.arc_dst.astype(np.int32), indptr), shape=(n, n)
         )
-
-    def _take_basis(self, start: Optional[Flow]) -> Optional[tuple]:
-        """The start's basis, taken from it, if it was solved on this structure."""
-        if start is None:
-            return None
-        try:
-            basis = start._basis.pop()
-        except IndexError:
-            return None
-        old, net = basis[0], self.network
-        if old.n_nodes != net.n_nodes or not all(
-            np.array_equal(getattr(old, name), getattr(net, name)) for name in _STRUCTURE
-        ):
-            return None
-        return basis
 
     def _check_convex(self, rows: np.ndarray) -> None:
         """Raise unless the edges at rows (those with lf < 0) have discrete convex costs.
@@ -885,8 +877,7 @@ class _ResidualState:
                 f"-1e-9 * {self.scale!r}"
             )
         flow = Flow(values=self.z, duals=self.pi)
-        arcs = tuple(getattr(self, a) for a in _ARCS)
-        flow._basis.append((self.network, arcs, self.bound, self.inc))
+        object.__setattr__(flow, "_basis", self)
         return flow, cost
 
 

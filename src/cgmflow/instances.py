@@ -24,6 +24,7 @@ from .core import (
     MISSING,
     NoiseModel,
     Poisson,
+    _integer,
 )
 
 __all__ = [
@@ -66,14 +67,17 @@ class PotentialKind(Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A width x height grid of unit cells, indexed row-major."""
+    """A width x height grid of unit cells, indexed row-major.
+
+    width and height are positive integers (core._integer).
+    """
 
     width: int
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid dimensions must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
     @property
     def n_cells(self) -> int:
@@ -157,10 +161,12 @@ def gen_synthetic(
     the grid kinds, observations are the node counts of M trajectories
     sampled from the chain itself, so they are consistent with the
     potentials.  Deterministic given the seed: potentials are drawn first,
-    observations second, from one PCG64 stream.
+    observations second, from one PCG64 stream.  n_steps, n_states and
+    population are positive integers (core._integer).
     """
-    if n_steps < 1 or n_states < 1 or population < 1:
-        raise ValueError("dimensions and population must be positive")
+    n_steps = _integer("n_steps", n_steps)
+    n_states = _integer("n_states", n_states)
+    population = _integer("population", population)
     kind = PotentialKind(kind)
     rng = np.random.default_rng(seed)
     potentials = _potential_matrix(kind, n_states, grid, rng, n_steps)
@@ -197,7 +203,8 @@ def gen_interpolation(
     The transition potential exp(-squared center distance) favors short
     moves, the interior layers are unobserved, and solving for the MAP
     tables interpolates the endpoint histograms across the grid.  Endpoint
-    noise is Gaussian with variance 1 / (2 * noise_precision).
+    noise is Gaussian with variance 1 / (2 * noise_precision).  n_steps is
+    an integer >= 2 (core._integer).
     """
     eta_first = np.asarray(eta_first, dtype=float)
     eta_last = np.asarray(eta_last, dtype=float)
@@ -210,8 +217,7 @@ def gen_interpolation(
         raise ValueError(
             f"histogram sums differ: {eta_first.sum()} vs {eta_last.sum()}"
         )
-    if n_steps < 2:
-        raise ValueError("interpolation needs at least two steps")
+    n_steps = _integer("n_steps", n_steps, 2)
     if noise_precision <= 0:
         raise ValueError("noise_precision must be positive")
     population = int(eta_first.sum())
@@ -308,7 +314,7 @@ def _load_json(path: Union[str, Path]) -> dict:
     return doc
 
 
-def _integer(value, key: str) -> int:
+def _json_integer(value, key: str) -> int:
     """A count field: a JSON integer, or a float with an integral value."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -338,7 +344,7 @@ def load_instance(path: Union[str, Path]) -> CgmInstance:
         if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
     try:
-        R = _integer(doc["n_states"], "n_states")
+        R = _json_integer(doc["n_states"], "n_states")
         rows = [[np.nan if v is None else v for v in row] for row in doc["observations"]]
         obs = _reals(rows, "observations")
         noise = tuple(tuple(_noise_from_json(m) for m in row) for row in doc["noise"])
@@ -347,9 +353,9 @@ def load_instance(path: Union[str, Path]) -> CgmInstance:
             # a single-layer instance serializes its empty potentials as []
             potentials = potentials.reshape((0, R, R))
         return CgmInstance(
-            n_steps=_integer(doc["n_steps"], "n_steps"),
+            n_steps=_json_integer(doc["n_steps"], "n_steps"),
             n_states=R,
-            population=_integer(doc["population"], "population"),
+            population=_json_integer(doc["population"], "population"),
             potentials=potentials,
             observations=obs,
             noise=noise,

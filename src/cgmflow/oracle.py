@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     CgmInstance,
     ContingencyTables,
+    _integer,
     log_factorial_array,
     objective,
     observation_cost,
@@ -46,15 +47,13 @@ class BudgetExceededError(RuntimeError):
 
 
 class _Counter:
-    """Counts enumerated configurations against a budget of at least 1."""
+    """Counts enumerated configurations against a budget, a positive integer (core._integer)."""
 
     __slots__ = ("used", "cap")
 
     def __init__(self, cap: int):
-        if cap < 1:
-            raise ValueError(f"budget must be positive, got {cap}")
         self.used = 0
-        self.cap = cap
+        self.cap = _integer("budget", cap)
 
     def tick(self, amount: int = 1) -> None:
         self.used += amount

@@ -51,6 +51,12 @@ class TestAlphaValue:
         with pytest.raises(ValueError):
             alpha_value(AlphaStrategy.L, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None], ids=repr)
+    def test_rejects_a_count_that_is_not_an_integer(self, bad):
+        # each slope is math.log of the count, which would take a float
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            alpha_value(AlphaStrategy.L, bad)
+
     @given(n=st.integers(min_value=1, max_value=10**6))
     def test_within_admissible_interval(self, n):
         lo, hi = -math.log(n + 1), -math.log(n)

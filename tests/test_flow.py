@@ -391,6 +391,16 @@ class TestCostTables:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
                 solver(net)
 
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, "2", None, -1], ids=repr)
+    def test_network_rejects_a_node_count_that_is_not_a_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="n_nodes must be a nonnegative integer"):
+            array_network(bad, [2, -2], [[0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0]])
+
+    def test_network_stores_a_numpy_node_count_as_int(self):
+        net = array_network(np.int64(2), [2, -2], [[0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0]])
+        assert type(net.n_nodes) is int
+        assert solve_ssp(net)[1] == solve_ssp(dataclasses.replace(net, n_nodes=2))[1]
+
     def test_network_rejects_fractional_supplies(self):
         with pytest.raises(ValueError, match="supplies must be integers"):
             array_network(2, [1.5, -1.5], [[0, 1, 2, 1.0, 0.5, 0.0, GAUSSIAN, 1.0, 2.0]])
@@ -731,6 +741,34 @@ class TestSolvers:
             solve_ssp(surrogate_zero(inst))
         with pytest.raises(InfeasibleError):
             solve_capacity_scaling(surrogate_zero(inst))
+
+    @pytest.mark.parametrize("step, stuck", [(0, "o, w_1_3"), (1, "o, w_1_3, w_2_3")])
+    def test_infeasible_names_the_nodes_left_with_supply(self, step, stuck):
+        # with every transition out of a step closed no unit crosses it; the
+        # message names the nodes whose supply is left, source first
+        net = surrogate_zero(make_mixed_instance())
+        capacity = net.capacity.copy()
+        capacity[net.layout.trans_edges[step].ravel()] = 0
+        closed = dataclasses.replace(net, capacity=capacity)
+        for solver in SOLVERS:
+            with pytest.raises(
+                InfeasibleError,
+                match=f"^no residual path can carry remaining supply from {stuck}$",
+            ):
+                solver(closed)
+
+    def test_infeasible_names_an_edge_without_a_finite_cost(self):
+        # a Poisson y > 0 cell needs at least one unit, which capacity 0 forbids
+        net = surrogate_zero(make_mixed_instance())
+        edge = int(np.flatnonzero((net.obs_kind == POISSON) & (net.obs_y > 0))[0])
+        capacity = net.capacity.copy()
+        capacity[edge] = 0
+        closed = dataclasses.replace(net, capacity=capacity)
+        for solver in SOLVERS:
+            with pytest.raises(
+                InfeasibleError, match=f"^edge {edge} has no finite cost at any flow value$"
+            ):
+                solver(closed)
 
     def test_gaussian_pull_toward_observation(self):
         inst = CgmInstance(
@@ -1188,9 +1226,11 @@ class TestBasisReuse:
         nets = dc_networks(inst, 4, strategy)
         flow = solve_ssp(nets[0])[0]
         for net in nets[1:]:
+            basis = flow._basis
             want = _ResidualState(net, SolveStats(), plain(flow))
             got = _ResidualState(net, SolveStats(), flow)
-            assert not flow._basis
+            # the Flow keeps its basis after a warm start used it
+            assert flow._basis is basis is not None
             assert got.scale == want.scale and got.step == want.step == 1
             assert (got.bound == want.bound).all()
             assert (got.inc == want.inc).all()
@@ -1212,24 +1252,20 @@ class TestBasisReuse:
                 assert_same_solve(got, want)
                 flow = got[0]
 
-    def test_second_use_builds_from_scratch(self, arc_builds):
+    def test_every_use_reuses_the_basis(self, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         other = surrogate_zero(inst, AlphaStrategy.R)
         for solver in SOLVERS:
             flow = solver(first)[0]
             start = plain(flow)
-            arc_builds.clear()
-            assert_same_solve(solver(nxt, flow), solver(nxt, start))
-            assert arc_builds == [nxt]
-            # the basis went to the first warm start: the second builds anew
-            arc_builds.clear()
-            again = solver(other, flow)
-            assert arc_builds == [other]
-            assert_same_solve(again, solver(other, start))
-            arc_builds.clear()
-            solver(nxt, flow)
-            assert arc_builds == [nxt]
+            # the first, second and third warm starts from one Flow all
+            # share its arcs and equal the plain start
+            for net in (nxt, other, nxt):
+                want = solver(net, start)
+                arc_builds.clear()
+                assert_same_solve(solver(net, flow), want)
+                assert arc_builds == []
 
     @pytest.mark.parametrize("column", ["tails", "heads"])
     def test_other_arcs_build_from_scratch(self, column, arc_builds):
@@ -1273,7 +1309,7 @@ class TestBasisReuse:
             assert arc_builds == []
             assert_same_solve(got, solver(nxt, plain(flow)))
 
-    def test_one_thread_takes_the_basis(self, arc_builds):
+    def test_concurrent_starts_share_the_basis(self, arc_builds):
         inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
         first, nxt = dc_networks(inst, 2)
         flow = solve_ssp(first)[0]
@@ -1297,20 +1333,35 @@ class TestBasisReuse:
         assert len(results) == 6
         for got in results:
             assert_same_solve(got, want)
-        # one of the six took the basis; the other five built their arcs
-        assert len(arc_builds) == 5
+        # all six shared the basis: none built its arcs
+        assert arc_builds == []
+
+    def test_warm_starts_leave_the_basis_unchanged(self):
+        inst = gen_synthetic(n_steps=5, n_states=6, population=300, seed=9)
+        first, nxt, last = dc_networks(inst, 3)
+        flow = solve_ssp(first)[0]
+        basis = flow._basis
+
+        def snapshot():
+            return [a.tobytes() for a in (basis.inc, basis.bound, basis.graph.data)]
+
+        before = snapshot()
+        # both move units, so both edit their own weights, bounds and increments
+        for net in (nxt, last):
+            assert solve_ssp(net, flow)[2].shipments > 0
+        assert snapshot() == before
 
     def test_equality_and_repr_ignore_basis(self):
         net = surrogate_zero(gen_synthetic(n_steps=3, n_states=3, population=5, seed=1))
         flow = solve_ssp(net)[0]
-        assert len(flow._basis) == 1
+        assert flow._basis is not None
         bare = Flow(values=flow.values)
         carrying = Flow(values=flow.values)
-        carrying._basis.extend(flow._basis)
+        object.__setattr__(carrying, "_basis", flow._basis)
         assert carrying == bare
         assert repr(carrying) == repr(bare)
         again = solve_ssp(net)[0]
-        assert len(again._basis) == 1 and again.duals is not None
+        assert again._basis is not None and again.duals is not None
         assert flow == again
         assert flow == Flow(values=flow.values, duals=flow.duals)
         assert flow != bare

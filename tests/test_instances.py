@@ -41,6 +41,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(width=0, height=3)
 
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.True_, "2", None, 0, -1], ids=repr)
+    def test_rejects_a_side_that_is_not_a_positive_integer(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            GridSpec(**{"width": 2, "height": 2, name: bad})
+
+    def test_stores_numpy_integer_sides_as_int(self):
+        grid = GridSpec(np.int64(3), np.uint8(2))
+        assert (type(grid.width), type(grid.height)) == (int, int)
+        assert grid == GridSpec(3, 2)
+
     @pytest.mark.parametrize(
         "R,w,h", [(56, 8, 7), (25, 5, 5), (12, 4, 3), (7, 7, 1), (1, 1, 1)]
     )
@@ -114,6 +125,21 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(2, 3, 0)
 
+    @pytest.mark.parametrize("name", ["n_steps", "n_states", "population"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None, 0], ids=repr)
+    def test_rejects_sizes_that_are_not_positive_integers(self, name, bad):
+        # checked before any draw, so numpy never sees a float size
+        sizes = {"n_steps": 3, "n_states": 3, "population": 6, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            gen_synthetic(**sizes)
+
+    def test_accepts_numpy_integer_sizes(self):
+        got = gen_synthetic(np.int64(3), np.int32(3), np.uint8(6), seed=4)
+        want = gen_synthetic(3, 3, 6, seed=4)
+        assert (got.n_steps, got.n_states, got.population) == (3, 3, 6)
+        assert np.array_equal(got.potentials, want.potentials)
+        assert np.array_equal(got.observations, want.observations)
+
 
 class TestGenInterpolation:
     def test_structure(self):
@@ -153,6 +179,15 @@ class TestGenInterpolation:
             gen_interpolation(g, [3, 0], [0, 3], n_steps=1)
         with pytest.raises(ValueError):
             gen_interpolation(g, [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("bad", [3.0, 2.5, True, "3", None, 1, 0], ids=repr)
+    def test_rejects_steps_that_are_not_an_integer_of_at_least_two(self, bad):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
+            gen_interpolation(GridSpec(2, 1), [3, 0], [0, 3], n_steps=bad)
+
+    def test_accepts_numpy_integer_steps(self):
+        inst = gen_interpolation(GridSpec(2, 1), [3, 0], [0, 3], n_steps=np.int64(2))
+        assert type(inst.n_steps) is int and inst.n_steps == 2
 
 
 class TestSparsity:

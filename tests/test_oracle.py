@@ -130,16 +130,29 @@ class TestCounts:
         with pytest.raises(BudgetExceededError):
             brute_force_map(inst, budget=3)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, 3.0, "3", None])
+    def test_budget_that_is_not_an_integer_rejected(self, budget):
+        inst = free_instance(2, 2, 2)
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            brute_force_map(inst, budget=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        inst = free_instance(2, 2, 2)
+        (got, got_value), (want, want_value) = (
+            brute_force_map(inst, budget=cap) for cap in (np.int64(100), 100)
+        )
+        assert np.array_equal(got.edge, want.edge) and got_value == want_value
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
         inst = free_instance(2, 2, 2)
         zeros = ContingencyTables.zeros(inst.n_steps, inst.n_states)
         net = build_surrogate_network(inst, zeros, AlphaStrategy.L)
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
             list(enumerate_feasible(inst, budget=budget))
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
             brute_force_map(inst, budget=budget)
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
             brute_force_flow(net, budget=budget)
 
 
